@@ -35,6 +35,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _MIN_GRID_POINTS = 33
+# Levels N checked against the quadrature oracle, and the prefix of them
+# checked for circular-packet support.
+_ORACLE_LEVELS = 12
+_SUPPORT_LEVELS = 8
 
 
 class ConfigError(ValueError):
@@ -295,14 +299,17 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
                 worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
     checks.append(CheckResult("laguerre-integral-identity", worst <= 1e-10, worst, 1e-10))
 
-    # analytic coefficients vs the projection-integral oracle
+    # analytic coefficients vs the projection-integral oracle, every mode
+    # projected in one batch at the orders the highest checked level needs
     table = expansion.build_table(params, config.n_max)
+    modes = modes_up_to(min(_ORACLE_LEVELS, table.n_max))
+    radial_order, angular_points = expansion.oracle_orders(
+        params, _ORACLE_LEVELS, _ORACLE_LEVELS
+    )
+    quads = expansion.coeff_quadrature_batch(params, modes, radial_order, angular_points)
     worst = 0.0
     worst_imag = 0.0
-    for mode in modes_up_to(min(12, table.n_max)):
-        quad = expansion.coeff_quadrature(
-            params, mode, radial_order=64, angular_points=max(48, 4 * abs(mode.m) + 32)
-        )
+    for mode, quad in zip(modes, quads.tolist()):
         analytic = expansion.coeff_elliptic(params, mode)
         worst = max(worst, abs(quad - analytic))
         worst_imag = max(worst_imag, abs(quad.imag))
@@ -312,15 +319,14 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     )
 
     if params.xi0 == params.eta0:
-        # circular packets live on the nodeless single-signed-m ladder
+        # circular packets live on the nodeless single-signed-m ladder; the
+        # levels checked here are a prefix of the batch above
         forbidden = 0.0
-        for mode in modes_up_to(min(8, table.n_max)):
+        for mode, quad in zip(modes, quads.tolist()):
+            if mode.principal > _SUPPORT_LEVELS:
+                break
             wrong_m = mode.m < 0 if params.chirality is Chirality.RETARDED else mode.m > 0
             if mode.n_r > 0 or wrong_m:
-                quad = expansion.coeff_quadrature(
-                    params, mode, radial_order=64,
-                    angular_points=max(48, 4 * abs(mode.m) + 32),
-                )
                 forbidden = max(forbidden, abs(quad))
         checks.append(
             CheckResult("circular-support", forbidden <= 1e-12, forbidden, 1e-12)

@@ -2,13 +2,14 @@
 
 Closed-form amplitudes for the circular and elliptic ladders, the
 independent projection-integral oracle (Gauss-Laguerre radial quadrature
-crossed with the periodic trapezoid rule in the angle), the angular
-integral series, and truncated coefficient tables with Poisson-bounded
-tails.
+crossed with the periodic trapezoid rule in the angle, batched over modes,
+with orders chosen from the packet amplitude), the angular integral
+series, and truncated coefficient tables with Poisson-bounded tails.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .specialfn import gauss_laguerre, laguerre, log_factorial
+from .specialfn import gauss_laguerre, laguerre_ladder, log_factorial
 from .states import Chirality, ModeIndex, PacketParams, modes_up_to
 
 __all__ = [
@@ -27,12 +28,15 @@ __all__ = [
     "coeff_circular",
     "coeff_elliptic",
     "coeff_quadrature",
+    "coeff_quadrature_batch",
+    "oracle_orders",
 ]
 
 _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
 _MAX_TABLE_CUTOFF = 10**4
 _SERIES_CUTOFF = 1e-17
+_ALIAS_LOG_BOUND = math.log(1e-15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +127,56 @@ def coeff_elliptic(params: PacketParams, mode: ModeIndex) -> float:
     return sign * math.exp(log_mag)
 
 
+def _log_alias_bound(params: PacketParams, abs_m: int, principal: int, points: int) -> float:
+    """ln of a bound on the trapezoid aliasing error of a mode's overlap.
+
+    P points alias the kernel's Fourier coefficient of index nu = P - |m|
+    onto m. With a = half_diff and b = half_sum the kernel is
+    exp(rho (b e^{i phi} + a e^{-i phi})) (mirrored for the advanced
+    chirality), whose coefficient of index nu is bounded by
+    (b rho)^nu / nu! * e^{|ab| rho^2 / (nu + 1)}. For a straight-line
+    packet (a = b) it is the I_nu(xi0 rho) of Trefethen & Weideman's
+    estimate (SIAM Rev. 2014); a circular packet (a = 0) has
+    (xi0 rho)^nu / nu!, 2^nu times larger, so max(xi0, eta0) rho would
+    understate it. The bound is the maximum over rho of that coefficient
+    under the Gaussian e^{-rho^2 - xi0^2/2} and the degree-N radial
+    function, in closed form.
+    """
+    nu = points - abs_m
+    spread = 1.0 - abs(params.half_diff * params.half_sum) / (nu + 1.0)
+    if spread <= 0.0:
+        return math.inf
+    power = 0.5 * (principal + 1 + nu)
+    return (
+        -0.5 * params.xi0**2
+        + power * (math.log(power / spread) - 1.0)
+        + nu * math.log(params.half_sum)
+        - math.lgamma(nu + 1.0)
+    )
+
+
+def oracle_orders(params: PacketParams, abs_m: int, principal: int) -> tuple[int, int]:
+    """Radial order and angular point count the quadrature oracle needs.
+
+    For a mode with the given |m| and principal number N, or for every mode
+    up to both, on this packet. The radial order is the amplitude-free
+    N/2 + |m| + 8, which covers the polynomial part of the radial
+    integrand, plus A (3 + A/16) nodes, A = max(xi0, eta0), for the growth
+    and the oscillation the packet adds; that term holds the oracle to
+    roundoff (below 1e-14) in sweeps up to A = 60 and reaches the largest
+    rule order, 512, near A = 67. The angular count starts at 4 |m| + 32
+    and grows in steps of 8 until the trapezoid aliasing bound of
+    ``_log_alias_bound`` falls below 1e-15.
+    """
+    amplitude = max(params.xi0, params.eta0)
+    radial = math.ceil(principal / 2 + abs_m + 8 + amplitude * (3.0 + amplitude / 16.0))
+    angular = 4 * abs_m + 32
+    if params.half_sum > 0.0:
+        while _log_alias_bound(params, abs_m, principal, angular) > _ALIAS_LOG_BOUND:
+            angular += 8
+    return radial, angular
+
+
 def coeff_quadrature(
     params: PacketParams,
     mode: ModeIndex,
@@ -133,41 +187,88 @@ def coeff_quadrature(
 
     Evaluates the overlap of the initial packet with one eigenstate by
     Gauss-Laguerre quadrature in u = rho^2 (the e^{-u} weight absorbs the
-    Gaussian product exactly) and the periodic trapezoid rule in phi.
-    Orders below the recommended margins trigger a degraded-accuracy
+    Gaussian product exactly) and the periodic trapezoid rule in phi; this
+    is the one-mode case of ``coeff_quadrature_batch``.
+
+    The orders are the caller's. ``oracle_orders`` gives the ones this
+    packet and mode need: the radial order grows with the larger amplitude,
+    and the angular count is the smallest (in steps of 8) whose trapezoid
+    aliasing bound, which grows with both amplitudes, is below 1e-15.
+    ``verify`` projects every mode it checks at the orders of its highest
+    level. Orders below ``oracle_orders`` trigger a degraded-accuracy
     warning rather than a failure.
     """
-    am = abs(mode.m)
-    recommended_radial = mode.principal / 2 + am + 8
+    recommended_radial, recommended_angular = oracle_orders(
+        params, abs(mode.m), mode.principal
+    )
     if radial_order < recommended_radial:
         warnings.warn(
             f"radial order {radial_order} below recommended "
-            f"{recommended_radial:.0f}; accuracy degraded",
+            f"{recommended_radial}; accuracy degraded",
             stacklevel=2,
         )
-    if angular_points < 4 * am + 32:
+    if angular_points < recommended_angular:
         warnings.warn(
             f"angular point count {angular_points} below recommended "
-            f"{4 * am + 32}; accuracy degraded",
+            f"{recommended_angular}; accuracy degraded",
             stacklevel=2,
         )
+    return complex(
+        coeff_quadrature_batch(params, [mode], radial_order, angular_points)[0]
+    )
+
+
+def coeff_quadrature_batch(
+    params: PacketParams,
+    modes,
+    radial_order: int,
+    angular_points: int,
+) -> np.ndarray:
+    """Projection-integral oracle for many modes from one kernel evaluation.
+
+    The packet kernel is evaluated once on the (radial node x phi) grid.
+    One FFT over phi gives its periodic trapezoid sum against e^{-i m phi}
+    for every m at once, and one upward Laguerre ladder per |m| gives the
+    radial functions of every n_r. Returns the complex overlaps in the
+    order of ``modes``; no order is checked here (see ``coeff_quadrature``
+    and ``oracle_orders``).
+    """
+    modes = list(modes)
     rule = gauss_laguerre(radial_order)
     u = rule.nodes
     rho = np.sqrt(u)
     phi = 2.0 * math.pi * np.arange(angular_points) / angular_points
     s = params.chirality.sign
-    xi = rho[:, None] * np.cos(phi)[None, :]
-    eta = rho[:, None] * np.sin(phi)[None, :]
+    # e^{xi0 rho} is taken out of each kernel row and joins e^{-xi0^2/2} in
+    # the exponent of the row's weight, so that nothing overflows at large
+    # amplitudes; underflowed weights stay zero
     kernel = np.exp(
-        params.xi0 * xi + 1j * s * params.eta0 * eta - 1j * mode.m * phi[None, :]
+        params.xi0 * rho[:, None] * (np.cos(phi)[None, :] - 1.0)
+        + 1j * s * params.eta0 * rho[:, None] * np.sin(phi)[None, :]
     )
-    angular = kernel.mean(axis=1) * 2.0 * math.pi
-    prefactor = math.exp(
-        0.5 * (log_factorial(mode.n_r) - log_factorial(am + mode.n_r))
-        - 0.5 * params.xi0**2
-    ) / math.pi
-    radial = np.power(rho, am) * laguerre(mode.n_r, am, u)
-    return complex(prefactor * 0.5 * np.dot(rule.weights, radial * angular))
+    angular = np.fft.fft(kernel, axis=1) * (2.0 * math.pi / angular_points)
+    positive = rule.weights > 0.0
+    log_weights = np.log(rule.weights, where=positive, out=np.full_like(u, -np.inf))
+    weights = np.exp(log_weights + params.xi0 * rho - 0.5 * params.xi0**2)
+    top_nr: dict[int, int] = {}
+    for mode in modes:
+        am = abs(mode.m)
+        top_nr[am] = max(top_nr.get(am, 0), mode.n_r)
+    radial = {}
+    for am, top in top_nr.items():
+        power = np.power(rho, am)
+        ladder = itertools.islice(laguerre_ladder(float(am), u), top + 1)
+        for n_r, values in enumerate(ladder):
+            radial[am, n_r] = power * values
+    out = np.empty(len(modes), dtype=complex)
+    for i, mode in enumerate(modes):
+        am = abs(mode.m)
+        prefactor = math.exp(
+            0.5 * (log_factorial(mode.n_r) - log_factorial(am + mode.n_r))
+        ) / math.pi
+        column = angular[:, mode.m % angular_points]
+        out[i] = prefactor * 0.5 * np.dot(weights, radial[am, mode.n_r] * column)
+    return out
 
 
 def angular_integral(m: int, params: PacketParams, rho_tilde: float) -> complex:

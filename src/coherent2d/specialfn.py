@@ -1,12 +1,17 @@
 """Numerically stable special-function and quadrature primitives.
 
 Generalized Laguerre polynomials by upward recurrence, log-factorials,
-Gauss-Laguerre rules with Newton-refined nodes, and a closed-form radial
-integral identity used to cross-check all of it.
+Gauss-Laguerre rules, and a closed-form radial integral identity used to
+cross-check all of it. A rule's nodes start from the Golub-Welsch
+eigenvalues of the Jacobi matrix and are polished by Newton iteration
+vectorized over all nodes; its weights are reciprocal Christoffel sums.
+Rules are memoized per order and hold read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +22,7 @@ __all__ = [
     "gauss_laguerre",
     "generalized_binomial",
     "laguerre",
+    "laguerre_ladder",
     "log_factorial",
     "verify_laguerre_integral",
 ]
@@ -31,9 +37,10 @@ _EPS = np.finfo(float).eps
 def laguerre(n: int, mu: float, x):
     """Evaluate the generalized Laguerre polynomial of degree ``n`` and order ``mu``.
 
-    Uses the upward three-term recurrence in the degree, which is stable in
-    the x >= 0, mu >= 0 regime needed here. Exact for n = 0 and n = 1 and
-    normalized so that the value at x = 0 equals binomial(n + mu, n).
+    Uses the upward three-term recurrence in the degree (see
+    ``laguerre_ladder``), which is stable in the x >= 0, mu >= 0 regime
+    needed here. Exact for n = 0 and n = 1 and normalized so that the value
+    at x = 0 equals binomial(n + mu, n).
 
     Parameters
     ----------
@@ -61,15 +68,24 @@ def laguerre(n: int, mu: float, x):
         x = float(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
-    mu = float(mu)
+    return next(itertools.islice(laguerre_ladder(float(mu), x), n, None))
 
+
+def laguerre_ladder(mu: float, x):
+    """Yield L_0^mu(x), L_1^mu(x), L_2^mu(x), ... without end.
+
+    One upward three-term recurrence serves every degree, so a caller that
+    needs degrees 0..n pays for degree n once. ``x`` is used as given:
+    ``laguerre`` is the validating single-degree entry point.
+    """
     p = x * 0.0 + 1.0
-    if n == 0:
-        return p
+    yield p
     q = 1.0 + mu - x
-    for k in range(1, n):
+    k = 1
+    while True:
+        yield q
         p, q = q, ((2.0 * k + mu + 1.0 - x) * q - (k + mu) * p) / (k + 1.0)
-    return q
+        k += 1
 
 
 def log_factorial(n: int) -> float:
@@ -106,6 +122,8 @@ class QuadratureRule:
     (both exactly 1 for this weight). Weights beyond order ~190 underflow
     binary64 at the largest nodes (smallest weight ~ e^{-4 order}); they are
     accepted as zero since their true contribution is far below roundoff.
+    It keeps read-only copies of the node and weight arrays, so a rule can
+    be shared between callers.
     """
 
     nodes: np.ndarray
@@ -113,8 +131,10 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "order", int(self.order))
@@ -134,107 +154,108 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _scaled_pair(order: int, x: float):
-    """Return (L_{order-1}, L_order, log_scale) at x with overflow rescaling.
+def _scaled_ladder(order: int, x: np.ndarray):
+    """Degree-``order`` Laguerre data at every entry of x, with overflow rescaling.
 
-    Plain upward recurrence overflows around degree 220 for x near the top
-    of the order-512 node range, so the pair is renormalized as it grows;
-    only ratios and log magnitudes are ever consumed.
+    Returns (L_{order-1}, L_order, sum_{k < order} L_k^2, log_scale): the
+    pair is divided by e^{log_scale} and the sum by its square. Plain upward
+    recurrence overflows around degree 220 for x near the top of the
+    order-512 node range, so each entry is renormalized as it grows.
     """
-    p = 0.0
-    q = 1.0
-    log_scale = 0.0
+    p = np.zeros_like(x)
+    q = np.ones_like(x)
+    s = np.zeros_like(x)
+    log_scale = np.zeros_like(x)
     for k in range(order):
+        s += q * q
         p, q = q, ((2.0 * k + 1.0 - x) * q - k * p) / (k + 1.0)
-        mag = abs(q)
-        if mag > 1e120:
-            inv = 1.0 / mag
+        mag = np.abs(q)
+        big = mag > 1e120
+        if big.any():
+            inv = np.where(big, 1.0 / mag, 1.0)
             p *= inv
             q *= inv
-            log_scale += math.log(mag)
-    return p, q, log_scale
+            s *= inv * inv
+            log_scale += np.log(np.where(big, mag, 1.0))
+    return p, q, s, log_scale
 
 
-def _newton_node(order: int, x: float, lower: float) -> float:
-    prev_step = math.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        p, q, _ = _scaled_pair(order, x)
-        # x L'_n(x) = n (L_n - L_{n-1}); the running scale cancels in the step
-        denom = order * (q - p)
-        if denom == 0.0:
-            raise RuntimeError(
-                f"Gauss-Laguerre root search stalled at order {order} (x={x})"
-            )
-        step = q * x / denom
-        x_new = x - step
-        if x_new <= lower:
-            x_new = 0.5 * (x + lower)
-            step = x - x_new
-        if abs(step) <= max(_NEWTON_TOL, 4.0 * _EPS * abs(x)) or x_new == x:
-            return x_new
-        # a tiny step that stopped contracting is the roundoff limit cycle of
-        # the iteration; the node cannot be improved further in binary64
-        if abs(step) >= 0.5 * prev_step and abs(step) <= 1e-11 * max(1.0, abs(x)):
-            return x_new
-        prev_step = abs(step)
-        x = x_new
-    raise RuntimeError(f"Gauss-Laguerre root search failed to converge at order {order}")
-
-
-def _node_weight(order: int, x: float) -> float:
-    """Weight at a converged node as the reciprocal Christoffel sum.
+def _christoffel_weights(order: int, x: np.ndarray) -> np.ndarray:
+    """Weights at converged nodes as reciprocal Christoffel sums.
 
     1 / sum_{k < order} L_k(x)^2 equals the textbook derivative formula
     x / [(order+1) L_{order+1}(x)]^2 at the exact roots (Christoffel-Darboux)
     but, being a positive sum, does not amplify the roundoff left in the
     node, which the derivative form does by two orders of magnitude.
     """
-    p = 0.0
-    q = 1.0
-    s = 1.0
-    log_scale = 0.0
-    for k in range(order - 1):
-        p, q = q, ((2.0 * k + 1.0 - x) * q - k * p) / (k + 1.0)
-        s += q * q
-        mag = abs(q)
-        if mag > 1e120:
-            inv = 1.0 / mag
-            p *= inv
-            q *= inv
-            s *= inv * inv
-            log_scale += math.log(mag)
-    return math.exp(-(math.log(s) + 2.0 * log_scale))
+    _, _, s, log_scale = _scaled_ladder(order, x)
+    return np.exp(-(np.log(s) + 2.0 * log_scale))
+
+
+def _newton_polish(order: int, x: np.ndarray) -> np.ndarray:
+    """Newton-refine every root estimate at once, each until it settles.
+
+    A node stops when its step falls below 1e-14 absolute (or four ulps at
+    large abscissas), or when a tiny step stops contracting: that is the
+    roundoff limit cycle, and the node cannot be improved in binary64.
+    """
+    x = x.copy()
+    prev_step = np.full_like(x, math.inf)
+    active = np.arange(order)
+    for _ in range(_NEWTON_MAX_ITER):
+        xa = x[active]
+        p, q, _, _ = _scaled_ladder(order, xa)
+        # x L'_n(x) = n (L_n - L_{n-1}); the running scale cancels in the step
+        denom = order * (q - p)
+        if np.any(denom == 0.0):
+            raise RuntimeError(f"Gauss-Laguerre root search stalled at order {order}")
+        delta = q * xa / denom
+        step = np.abs(delta)
+        x_new = xa - delta
+        x[active] = x_new
+        converged = (step <= np.maximum(_NEWTON_TOL, 4.0 * _EPS * np.abs(xa))) | (x_new == xa)
+        cycling = (step >= 0.5 * prev_step[active]) & (
+            step <= 1e-11 * np.maximum(1.0, np.abs(xa))
+        )
+        prev_step[active] = step
+        active = active[~(converged | cycling)]
+        if active.size == 0:
+            return x
+    raise RuntimeError(f"Gauss-Laguerre root search failed to converge at order {order}")
+
+
+@functools.cache
+def _build_rule(order: int) -> QuadratureRule:
+    # Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    # Jacobi matrix of the Laguerre recurrence (diagonal 2k+1, off-diagonal k)
+    k = np.arange(1.0, order)
+    jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
+    nodes = _newton_polish(order, np.linalg.eigvalsh(jacobi))
+    return QuadratureRule(
+        nodes=nodes, weights=_christoffel_weights(order, nodes), order=order
+    )
 
 
 def gauss_laguerre(order: int) -> QuadratureRule:
-    """Build the Gauss-Laguerre rule with the given number of nodes.
+    """Gauss-Laguerre rule with the given number of nodes, built once per order.
 
-    Nodes are the roots of the degree-``order`` Laguerre polynomial, located
-    by Newton iteration from spaced initial guesses and polished to 1e-14
-    absolute (or one ulp at large abscissas, whichever is coarser). Weights
-    are the Christoffel numbers, evaluated as a reciprocal sum of squares
-    rather than through the equivalent derivative formula; see
-    ``_node_weight``. The rule integrates polynomials of degree
-    <= 2 order - 1 exactly against the weight e^{-u}.
+    Nodes are the roots of the degree-``order`` Laguerre polynomial. They
+    start as the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    (Golub & Welsch, Math. Comp. 1969) and are polished to 1e-14 absolute
+    (or one ulp at large abscissas, whichever is coarser) by Newton
+    iteration run on all nodes at once. Weights are the Christoffel numbers,
+    evaluated as a reciprocal sum of squares rather than through the
+    equivalent derivative formula; see ``_christoffel_weights``. The rule
+    integrates polynomials of degree <= 2 order - 1 exactly against the
+    weight e^{-u}.
+
+    Rules are memoized, one per order (at most 512 of them), and shared by
+    every caller, so their node and weight arrays are read-only.
     """
     order = int(order)
     if not 1 <= order <= _MAX_RULE_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_RULE_ORDER}], got {order}")
-    nodes = np.empty(order)
-    weights = np.empty(order)
-    x = 0.0
-    for i in range(order):
-        if i == 0:
-            x = 3.0 / (1.0 + 2.4 * order)
-        elif i == 1:
-            x = x + 15.0 / (1.0 + 2.5 * order)
-        else:
-            growth = (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1))
-            x = x + growth * (x - nodes[i - 2])
-        x = _newton_node(order, x, nodes[i - 1] if i > 0 else 0.0)
-        nodes[i] = x
-        weights[i] = _node_weight(order, x)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return _build_rule(order)
 
 
 def verify_laguerre_integral(n: int, mu: int, lam: int) -> tuple[float, float]:

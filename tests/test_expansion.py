@@ -17,6 +17,7 @@ from coherent2d import (
     coeff_quadrature,
     modes_up_to,
 )
+from coherent2d.expansion import coeff_quadrature_batch, oracle_orders
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -136,6 +137,52 @@ class TestQuadratureOracle:
             coeff_quadrature(p, ModeIndex(4, 2), radial_order=8, angular_points=64)
         with pytest.warns(UserWarning, match="angular point count"):
             coeff_quadrature(p, ModeIndex(10, 0), radial_order=64, angular_points=48)
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize(
+        "params",
+        [PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED), PacketParams(2.5, 1.0)],
+    )
+    def test_batch_matches_single_mode_calls(self, params):
+        modes = modes_up_to(12)
+        radial, angular = oracle_orders(params, 12, 12)
+        batch = coeff_quadrature_batch(params, modes, radial, angular)
+        for mode, quad in zip(modes, batch):
+            assert abs(quad - coeff_quadrature(params, mode, radial, angular)) <= 1e-15
+
+    def test_amplitude_free_orders_at_the_origin(self):
+        # a point packet keeps the amplitude-free margins
+        assert oracle_orders(PacketParams(0.0, 0.0), 4, 8) == (16, 48)
+        assert oracle_orders(PacketParams(0.0, 0.0), 12, 12) == (26, 80)
+
+    def test_orders_grow_with_amplitude(self):
+        small = oracle_orders(PacketParams(1.0, 1.0), 12, 12)
+        large = oracle_orders(PacketParams(6.0, 3.0), 12, 12)
+        assert large[0] > small[0] and large[1] > small[1]
+        with pytest.warns(UserWarning, match="angular point count"):
+            coeff_quadrature(PacketParams(6.0, 3.0), ModeIndex(-12, 0), large[0], small[1])
+
+    # verify projects N <= 12 at oracle_orders(params, 12, 12) and checks the
+    # circular support on N <= 8
+    @pytest.mark.parametrize(
+        "xi0,eta0", [(2.8, 2.8), (3.0, 3.0), (3.777, 3.777), (6.0, 3.0), (10.0, 5.0)]
+    )
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    def test_meets_verify_tolerances_at_large_amplitudes(self, xi0, eta0, chirality):
+        params = PacketParams(xi0, eta0, chirality=chirality)
+        modes = modes_up_to(12)
+        quads = coeff_quadrature_batch(params, modes, *oracle_orders(params, 12, 12))
+        closed = np.array([coeff_elliptic(params, mode) for mode in modes])
+        assert np.max(np.abs(quads - closed)) <= 1e-10
+        assert np.max(np.abs(quads.imag)) <= 1e-12
+        if xi0 == eta0:
+            wrong_sign = -1 if chirality is Chirality.RETARDED else 1
+            forbidden = [
+                abs(q) for mode, q in zip(modes, quads)
+                if mode.principal <= 8 and (mode.n_r > 0 or mode.m * wrong_sign > 0)
+            ]
+            assert max(forbidden) <= 1e-12
 
 
 class TestAngularIntegral:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln, roots_laguerre
 
+import coherent2d
 from coherent2d import (
     QuadratureRule,
     gauss_laguerre,
@@ -150,12 +155,57 @@ class TestGaussLaguerre:
             got = float(np.dot(rule.weights, rule.nodes**p))
             assert abs(got - exact) / exact < 1e-11
 
-    @pytest.mark.parametrize("order", [5, 20, 64, 150])
+    @pytest.mark.parametrize("order", [5, 20, 64, 96, 150])
     def test_matches_scipy_nodes(self, order):
         rule = gauss_laguerre(order)
         ref_nodes, ref_weights = roots_laguerre(order)
         assert np.max(np.abs(rule.nodes - ref_nodes)) < 1e-12 * max(1.0, rule.nodes[-1])
         assert np.max(np.abs(rule.weights - ref_weights)) < 1e-13
+
+    def test_matches_scipy_where_finite_at_top_order(self):
+        # scipy's recurrence overflows at order 512: compare where it is finite
+        rule = gauss_laguerre(512)
+        with np.errstate(all="ignore"):
+            ref_nodes, ref_weights = roots_laguerre(512)
+        finite = np.isfinite(ref_nodes)
+        assert finite.sum() > 256
+        scale = max(1.0, rule.nodes[-1])
+        assert np.max(np.abs(rule.nodes[finite] - ref_nodes[finite])) < 1e-12 * scale
+        finite = np.isfinite(ref_weights)
+        assert np.all(np.abs(rule.weights[finite] - ref_weights[finite]) < 1e-13)
+
+    def test_rules_are_memoized_per_order(self):
+        assert gauss_laguerre(40) is gauss_laguerre(40)
+        assert gauss_laguerre(np.int64(40)) is gauss_laguerre(order=40)
+
+    def test_rule_arrays_are_read_only(self):
+        rule = gauss_laguerre(12)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
+
+    def test_constructor_keeps_its_own_copies(self):
+        nodes = np.array([2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)])
+        weights = np.array([(2 + math.sqrt(2.0)) / 4, (2 - math.sqrt(2.0)) / 4])
+        rule = QuadratureRule(nodes=nodes, weights=weights, order=2)
+        nodes[0] = 5.0
+        assert rule.nodes[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=0)
+        assert nodes.flags.writeable
+
+    def test_import_builds_no_rule(self):
+        # rules are built on first use, so importing the CLI stays cheap
+        src = str(Path(coherent2d.__file__).resolve().parents[1])
+        code = (
+            "import coherent2d.cli, coherent2d.specialfn as sf; "
+            "print(sf._build_rule.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert done.stdout.strip() == "0"
 
     def test_rule_invariants(self):
         for order in (1, 7, 64, 512):
