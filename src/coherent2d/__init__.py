@@ -12,16 +12,13 @@ from .dynamics import (
     TrajectorySample,
     aligned_max_difference,
     evolve_closed_form,
-    evolve_spectral,
     orbit_signed_area,
     trace_orbit,
 )
 from .expansion import (
     CoefficientTable,
-    angular_integral,
     auto_truncation,
     build_table,
-    coeff_circular,
     coeff_elliptic,
     coeff_quadrature,
 )
@@ -53,7 +50,6 @@ from .states import (
     coherent_1d,
     coherent_2d,
     eigenstate,
-    energy,
     initial_state,
     make_grid,
     modes_up_to,
@@ -76,22 +72,18 @@ __all__ = [
     "SpectralEvolver",
     "TrajectorySample",
     "aligned_max_difference",
-    "angular_integral",
     "auto_truncation",
     "build_table",
     "classical_center",
     "closed_form_energy",
     "closed_form_lz",
-    "coeff_circular",
     "coeff_elliptic",
     "coeff_quadrature",
     "coherent_1d",
     "coherent_2d",
     "compute_report",
     "eigenstate",
-    "energy",
     "evolve_closed_form",
-    "evolve_spectral",
     "gauss_laguerre",
     "generalized_binomial",
     "initial_state",

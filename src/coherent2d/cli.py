@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import dynamics, expansion, observables
 from .specialfn import verify_laguerre_integral
@@ -60,29 +60,25 @@ class RunConfig:
     t_steps: int = 64
     format: str = "csv"
     output_path: str | None = None
+    params: PacketParams = field(init=False)
 
     def __post_init__(self):
-        if self.xi0 < 0.0 or self.eta0 < 0.0:
-            raise ConfigError("amplitudes must be non-negative")
+        packet = PacketParams(self.xi0, self.eta0, self.chirality, self.omega)
+        object.__setattr__(self, "params", packet)
         if self.grid_points < _MIN_GRID_POINTS or self.grid_points % 2 == 0:
             raise ConfigError(
                 f"grid points must be odd and >= {_MIN_GRID_POINTS}, got {self.grid_points}"
             )
-        if self.grid_half_width is not None and self.grid_half_width <= 0.0:
-            raise ConfigError("grid half width must be positive")
+        if self.grid_half_width is not None and not 0.0 < self.grid_half_width < math.inf:
+            raise ConfigError("grid half width must be positive and finite")
         if self.t_steps < 1:
             raise ConfigError("need at least one time step")
-        if self.t_max <= 0.0:
-            raise ConfigError("the time span must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ConfigError("the time span must be positive and finite")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.n_max is not None and self.n_max < 0:
             raise ConfigError("the table cutoff must be non-negative")
-
-    def params(self) -> PacketParams:
-        return PacketParams(
-            xi0=self.xi0, eta0=self.eta0, chirality=self.chirality, omega=self.omega
-        )
 
 
 def _g17(x) -> str:
@@ -149,19 +145,22 @@ def _params_dict(params: PacketParams, n_max: int) -> dict:
 
 def cmd_coeffs(config: RunConfig) -> int:
     """Write the coefficient table sorted by (N, m), with a sum/tail footer."""
-    table = expansion.build_table(config.params(), config.n_max)
-    total = math.fsum(c * c for c in table.entries.values())
+    table = expansion.build_table(config.params, config.n_max)
+    total = math.fsum((table.c * table.c).tolist())
+    rows = zip(
+        table.m.tolist(), table.n_r.tolist(), table.principal.tolist(), table.c.tolist()
+    )
     if config.format == "json":
         entries = [
             {
-                "m": mode.m,
-                "n_r": mode.n_r,
-                "N": mode.principal,
+                "m": m,
+                "n_r": n_r,
+                "N": big_n,
                 "c": c,
                 "c_squared": c * c,
-                "energy": float(mode.principal + 1),
+                "energy": float(big_n + 1),
             }
-            for mode, c in table.entries.items()
+            for m, n_r, big_n, c in rows
         ]
         doc = {
             "params": _params_dict(table.params, table.n_max),
@@ -171,12 +170,12 @@ def cmd_coeffs(config: RunConfig) -> int:
         }
         _emit(_json_dumps(doc) + "\n", config)
     else:
-        rows = [
-            (mode.m, mode.n_r, mode.principal, _g17(c), _g17(c * c), _g17(mode.principal + 1))
-            for mode, c in table.entries.items()
+        lines = [
+            (m, n_r, big_n, _g17(c), _g17(c * c), _g17(big_n + 1))
+            for m, n_r, big_n, c in rows
         ]
-        rows.append(("sum", "", "", "", _g17(total), _g17(table.tail_mass)))
-        _emit(_csv_text(("m", "n_r", "N", "C", "C_squared", "energy"), rows), config)
+        lines.append(("sum", "", "", "", _g17(total), _g17(table.tail_mass)))
+        _emit(_csv_text(("m", "n_r", "N", "C", "C_squared", "energy"), lines), config)
     return EXIT_OK
 
 
@@ -185,7 +184,7 @@ def cmd_observables(config: RunConfig) -> int:
 
     Exits 1 when a prediction differs beyond max(1e-9, 10 tail_mass).
     """
-    params = config.params()
+    params = config.params
     table = expansion.build_table(params, config.n_max)
     report = observables.compute_report(table)
     predicted_lz = observables.closed_form_lz(params)
@@ -234,7 +233,7 @@ def cmd_evolve(config: RunConfig) -> int:
 
     Times are in units of 1/omega, t_steps of them covering [0, t_max).
     """
-    params = config.params()
+    params = config.params
     grid = make_grid(params, config.grid_half_width, config.grid_points)
     table = expansion.build_table(params, config.n_max)
     evolver = dynamics.SpectralEvolver(table, grid)
@@ -287,7 +286,7 @@ def _poisson_pmf(n: int, s: float) -> float:
 
 def run_verification(config: RunConfig) -> list[CheckResult]:
     """Oracle and identity sweeps over every module, on the configured packet."""
-    params = config.params()
+    params = config.params
     checks: list[CheckResult] = []
 
     # closed form vs quadrature for the radial Laguerre integral identity
@@ -333,7 +332,7 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         )
 
     # normalization and the Poisson principal-number marginal
-    total = math.fsum(c * c for c in table.entries.values())
+    total = math.fsum((table.c * table.c).tolist())
     deficit = 1.0 - total
     checks.append(CheckResult("normalization", deficit <= 1e-12, deficit, 1e-12))
     _, p_n = observables.marginals(table)

@@ -23,7 +23,6 @@ __all__ = [
     "TrajectorySample",
     "aligned_max_difference",
     "evolve_closed_form",
-    "evolve_spectral",
     "orbit_signed_area",
     "trace_orbit",
 ]
@@ -55,28 +54,29 @@ def _principal_fields(table: CoefficientTable, grid: Grid2D) -> dict[int, np.nda
     """Partial sums C psi grouped by principal number N.
 
     Grouping by |m| lets one Laguerre ladder, one radial power and one
-    angular phasor serve every mode of that order.
+    angular phasor serve every mode of that order. The groups are taken in
+    ascending |m| and each keeps the table's row order, which fixes the
+    order in which each field is accumulated.
     """
     rho, phi = grid.polar()
     u = rho * rho
     gauss = np.exp(-0.5 * u)
     eiphi = np.exp(1j * phi)
 
-    by_abs_m: dict[int, list] = {}
-    for mode, c in table.entries.items():
-        by_abs_m.setdefault(abs(mode.m), []).append((mode, c))
+    abs_m = np.abs(table.m)
+    principal = table.principal
 
     fields: dict[int, np.ndarray] = {}
     angular = np.ones_like(eiphi)
     radial_pow = np.ones_like(u)
     current = 0
-    for am in sorted(by_abs_m):
+    for am in np.unique(abs_m).tolist():
         while current < am:
             angular = angular * eiphi
             radial_pow = radial_pow * rho
             current += 1
-        group = by_abs_m[am]
-        max_nr = max(mode.n_r for mode, _ in group)
+        group = abs_m == am
+        max_nr = int(table.n_r[group].max())
         ladder = [np.ones_like(u)]
         if max_nr >= 1:
             ladder.append(1.0 + am - u)
@@ -86,15 +86,20 @@ def _principal_fields(table: CoefficientTable, grid: Grid2D) -> dict[int, np.nda
                 / (k + 1.0)
             )
         base = radial_pow * gauss
-        for mode, c in group:
+        rows = zip(
+            table.m[group].tolist(),
+            table.n_r[group].tolist(),
+            principal[group].tolist(),
+            table.c[group].tolist(),
+        )
+        for m, n_r, key, c in rows:
             prefactor = (
                 c
-                * math.exp(0.5 * (log_factorial(mode.n_r) - log_factorial(am + mode.n_r)))
+                * math.exp(0.5 * (log_factorial(n_r) - log_factorial(am + n_r)))
                 / _SQRT_PI
             )
-            contrib = prefactor * base * ladder[mode.n_r]
-            contrib = contrib * (angular if mode.m >= 0 else np.conj(angular))
-            key = mode.principal
+            contrib = prefactor * base * ladder[n_r]
+            contrib = contrib * (angular if m >= 0 else np.conj(angular))
             if key in fields:
                 fields[key] += contrib
             else:
@@ -127,11 +132,6 @@ class SpectralEvolver:
         for big_n, field in self._fields.items():
             values += np.exp(-1j * (big_n + 1) * self._omega * t) * field
         return self._grid.with_values(values)
-
-
-def evolve_spectral(table: CoefficientTable, grid: Grid2D, t: float) -> Grid2D:
-    """One-shot spectral synthesis; use SpectralEvolver to sweep many times."""
-    return SpectralEvolver(table, grid).at(t)
 
 
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:

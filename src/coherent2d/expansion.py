@@ -1,10 +1,11 @@
 """Eigenbasis expansion coefficients of the initial coherent packet.
 
-Closed-form amplitudes for the circular and elliptic ladders, the
-independent projection-integral oracle (Gauss-Laguerre radial quadrature
-crossed with the periodic trapezoid rule in the angle, batched over modes,
-with orders chosen from the packet amplitude), the angular integral
-series, and truncated coefficient tables with Poisson-bounded tails.
+The closed-form amplitudes of the two circular-quanta ladders, evaluated
+by one vectorized function over columns of modes; the coefficient table,
+three read-only columns (m, n_r, c) in (N, m) order with a Poisson-bounded
+cutoff; and the independent projection-integral oracle (Gauss-Laguerre
+radial quadrature crossed with the periodic trapezoid rule in the angle,
+batched over modes, with orders chosen from the packet amplitude).
 """
 
 from __future__ import annotations
@@ -13,19 +14,16 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from .specialfn import gauss_laguerre, laguerre_ladder, log_factorial
-from .states import Chirality, ModeIndex, PacketParams, modes_up_to
+from .states import Chirality, ModeIndex, PacketParams, mode_columns
 
 __all__ = [
     "CoefficientTable",
-    "angular_integral",
     "auto_truncation",
     "build_table",
-    "coeff_circular",
     "coeff_elliptic",
     "coeff_quadrature",
     "coeff_quadrature_batch",
@@ -34,58 +32,89 @@ __all__ = [
 
 _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
-_MAX_TABLE_CUTOFF = 10**4
-_SERIES_CUTOFF = 1e-17
+# Largest principal cutoff a table may have: the closed form runs over all
+# (n_max + 1)(n_max + 2)/2 modes at once, and `coeffs --format json` on a
+# table that fills them peaks near 1.2 GB of RSS at this cutoff.
+_MAX_TABLE_CUTOFF = 1500
+# Standard deviations below the Poisson mean where the cutoff search
+# starts: the left tail skipped there is below e^{-26.5^2/2} < 1e-150.
+_LEFT_TAIL_SIGMAS = 26.5
+# A Poisson term below this, past the mean, ends the cutoff search.
+_NEGLIGIBLE_TERM = 1e-30
+# math.exp of anything at or below this rounds to zero.
+_EXP_UNDERFLOW = -746.0
 _ALIAS_LOG_BOUND = math.log(1e-15)
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Truncated map of eigenmode amplitudes for one packet.
+    """Truncated coefficient table of one packet, as columns.
 
-    Entries are keyed by mode in (N, m) order; exact zeros are omitted, so
-    circular-packet tables only carry the nodeless ladder. ``tail_mass`` is
-    1 - sum C^2, the weight excluded by the truncation.
+    Row k is the mode (m[k], n_r[k]) with amplitude c[k]; the rows are in
+    (N, m) order with N = 2 n_r + |m| (the ``principal`` column), and exact
+    zeros are omitted, so a circular packet's table carries only the
+    nodeless ladder. ``tail_mass`` is 1 - sum c^2, the weight excluded by
+    the truncation. The constructor keeps read-only copies of the columns,
+    so a table can be shared between callers.
     """
 
     params: PacketParams
     n_max: int
-    entries: MappingProxyType
+    m: np.ndarray
+    n_r: np.ndarray
+    c: np.ndarray
     tail_mass: float
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        for name, dtype in (("m", np.int64), ("n_r", np.int64), ("c", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "n_max", int(self.n_max))
-        for mode in self.entries:
-            if mode.principal > self.n_max:
-                raise ValueError(f"mode {mode} exceeds the table cutoff {self.n_max}")
+        if self.m.ndim != 1 or not self.m.shape == self.n_r.shape == self.c.shape:
+            raise ValueError("the m, n_r and c columns must be 1-D and of equal length")
+        if np.any(self.n_r < 0):
+            raise ValueError("radial quantum numbers must be non-negative")
+        if np.any(self.principal > self.n_max):
+            raise ValueError(f"a mode exceeds the table cutoff {self.n_max}")
         if self.tail_mass < 0.0:
             raise ValueError("tail mass cannot be negative")
 
-    def amplitude(self, mode: ModeIndex) -> float:
-        return self.entries.get(mode, 0.0)
-
-    def weight(self, mode: ModeIndex) -> float:
-        c = self.entries.get(mode, 0.0)
-        return c * c
+    @property
+    def principal(self) -> np.ndarray:
+        """Principal number N = 2 n_r + |m| of every row."""
+        return 2 * self.n_r + np.abs(self.m)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.c.size
 
 
-def coeff_circular(xi0: float, mode: ModeIndex) -> float:
-    """Amplitude on the circular ladder: xi0^m e^{-xi0^2/2} / sqrt(m!).
+def _closed_form(params: PacketParams, m: np.ndarray, n_r: np.ndarray) -> np.ndarray:
+    """Closed-form amplitudes of the modes (m[k], n_r[k]), elementwise.
 
-    Supported only on m >= 0, n_r = 0 (a circular classical orbit has a
-    nodeless radial function); zero elsewhere. Evaluated in log space so
-    large m cannot overflow.
+    ``coeff_elliptic`` gives the formula. Magnitudes are summed in log
+    space with an explicit sign and exponentiated by ``math.exp`` one mode
+    at a time, so each amplitude rounds as a scalar evaluation would;
+    ``numpy.exp`` differs from it by an ulp on a few percent of modes.
     """
-    if mode.m < 0 or mode.n_r > 0:
-        return 0.0
-    if xi0 == 0.0:
-        return 1.0 if mode.m == 0 else 0.0
-    log_mag = mode.m * math.log(xi0) - 0.5 * xi0**2 - 0.5 * log_factorial(mode.m)
-    return math.exp(log_mag)
+    m_eff = m if params.chirality is Chirality.RETARDED else -m
+    k_big = np.abs(m_eff) + n_r
+    a, b = params.half_diff, params.half_sum
+    nonneg = m_eff >= 0
+    base_nr, base_big = np.where(nonneg, a, b), np.where(nonneg, b, a)
+    zero = ((base_nr == 0.0) & (n_r > 0)) | ((base_big == 0.0) & (k_big > 0))
+    negative = ((n_r % 2 == 1) & (base_nr >= 0.0)) ^ ((k_big % 2 == 1) & (base_big < 0.0))
+    # a zero base only meets a zero power on the rows kept
+    log_a, log_b = (math.log(abs(x)) if x else 0.0 for x in (a, b))
+    log_fact = np.array([log_factorial(k) for k in range(k_big.max(initial=0) + 1)])
+    log_mag = -0.5 * (log_fact[n_r] + log_fact[k_big]) - 0.5 * params.xi0**2 + a * b
+    log_mag += n_r * np.where(nonneg, log_a, log_b)
+    log_mag += k_big * np.where(nonneg, log_b, log_a)
+    live = np.flatnonzero(~zero & (log_mag > _EXP_UNDERFLOW))
+    magnitude = np.fromiter(map(math.exp, log_mag[live].tolist()), float, live.size)
+    c = np.zeros(m.shape)
+    c[live] = np.where(negative[live], -magnitude, magnitude)
+    return c
 
 
 def coeff_elliptic(params: PacketParams, mode: ModeIndex) -> float:
@@ -97,34 +126,11 @@ def coeff_elliptic(params: PacketParams, mode: ModeIndex) -> float:
             / sqrt(n_r! (m + n_r)!)
 
     and for m < 0 the roles of a and b swap. Advanced chirality mirrors the
-    index to (-m, n_r). Reduces to ``coeff_circular`` when the amplitudes
-    coincide (a = 0 kills every n_r > 0 mode). Magnitudes are accumulated
-    in log space with an explicit sign.
+    index to (-m, n_r). Equal amplitudes (a = 0, a circular orbit) leave
+    only the nodeless m >= 0 ladder, xi0^m e^{-xi0^2/2} / sqrt(m!). This is
+    the one-mode case of the vectorized closed form behind ``build_table``.
     """
-    m = mode.m if params.chirality is Chirality.RETARDED else -mode.m
-    am = abs(m)
-    if m >= 0:
-        base_nr, base_big = params.half_diff, params.half_sum
-    else:
-        base_nr, base_big = params.half_sum, params.half_diff
-    k_nr, k_big = mode.n_r, am + mode.n_r
-    if (base_nr == 0.0 and k_nr > 0) or (base_big == 0.0 and k_big > 0):
-        return 0.0
-    sign = -1.0 if mode.n_r % 2 else 1.0
-    if base_nr < 0.0 and k_nr % 2:
-        sign = -sign
-    if base_big < 0.0 and k_big % 2:
-        sign = -sign
-    log_mag = (
-        -0.5 * (log_factorial(mode.n_r) + log_factorial(k_big))
-        - 0.5 * params.xi0**2
-        + params.half_diff * params.half_sum
-    )
-    if k_nr:
-        log_mag += k_nr * math.log(abs(base_nr))
-    if k_big:
-        log_mag += k_big * math.log(abs(base_big))
-    return sign * math.exp(log_mag)
+    return float(_closed_form(params, np.array([mode.m]), np.array([mode.n_r]))[0])
 
 
 def _log_alias_bound(params: PacketParams, abs_m: int, principal: int, points: int) -> float:
@@ -271,66 +277,56 @@ def coeff_quadrature_batch(
     return out
 
 
-def angular_integral(m: int, params: PacketParams, rho_tilde: float) -> complex:
-    """Angular projection of the packet kernel onto e^{i m phi} at fixed radius.
+def _poisson_terms(s: float, n: int, pmf: float):
+    """Poisson(s) terms (n, pmf), (n + 1, pmf s / (n + 1)), ... upward.
 
-    int_0^{2pi} exp[xi0 xi + i s eta0 eta] e^{-i m phi} dphi with
-    xi = rho cos phi, eta = rho sin phi. Expands as the real series
-    2 pi sum_k (a rho)^k (b rho)^{k + |m|} / (k! (k + |m|)!) with (a, b)
-    the circular-decomposition amplitudes ordered by branch and chirality;
-    terms are accumulated until they drop below 1e-17 of the running sum.
-    On the circular ladder (a = 0) only the k = 0 term survives, giving
-    2 pi (xi0 rho)^m / m! for m >= 0 and zero for m < 0.
+    The stream ends once a term past the mean falls below 1e-30.
     """
-    m_eff = m if params.chirality is Chirality.RETARDED else -m
-    am = abs(m_eff)
-    if m_eff >= 0:
-        a, b = params.half_diff, params.half_sum
-    else:
-        a, b = params.half_sum, params.half_diff
-    rho_tilde = float(rho_tilde)
-    if b == 0.0 and am > 0:
-        return complex(0.0)
-    if b * rho_tilde == 0.0:
-        term = 1.0 if am == 0 else 0.0
-    else:
-        sign = -1.0 if (b < 0.0 and am % 2) else 1.0
-        term = sign * math.exp(am * math.log(abs(b) * rho_tilde) - log_factorial(am))
-    total = 0.0
-    k = 0
-    while True:
-        total += term
-        k += 1
-        term *= (a * rho_tilde) * (b * rho_tilde) / (k * (k + am))
-        if abs(term) <= _SERIES_CUTOFF * max(1.0, abs(total)) or k > 1000:
-            break
-    return complex(2.0 * math.pi * total)
+    while n <= s or pmf >= _NEGLIGIBLE_TERM:
+        yield n, pmf
+        n += 1
+        pmf *= s / n
 
 
 def auto_truncation(params: PacketParams) -> int:
     """Smallest principal cutoff whose Poisson tail is below 1e-13, plus margin.
 
     The principal-number marginal of the packet is Poisson with mean
-    (xi0^2 + eta0^2)/2, so the bound is tight.
+    s = (xi0^2 + eta0^2)/2, so the bound is tight. The upward pmf
+    recurrence starts at n0 = max(0, floor(s - 26.5 sqrt(s))) from a
+    log-space value, so e^{-s} never underflows; the left tail it skips is
+    below 1e-150, and n0 = 0 for s <= 702. Past that the log-space start
+    carries a relative error near 1e-12, enough to hold 1 - cdf above the
+    bound for good (at s = 1250 it stalls at 2.1e-13) or to stop early, so
+    the terms are first scaled to sum to one. A packet whose mean already
+    exceeds the table size guard is refused.
     """
     s = params.mean_quanta
     if s == 0.0:
         return _TAIL_MARGIN
-    pmf = math.exp(-s)
-    cdf = pmf
-    n = 0
-    while 1.0 - cdf >= _TAIL_BOUND and n < 600:
-        n += 1
-        pmf *= s / n
+    if s > _MAX_TABLE_CUTOFF:
+        raise ValueError(
+            f"mean quanta {s:.6g} put the table cutoff past the size guard "
+            f"{_MAX_TABLE_CUTOFF}"
+        )
+    n0 = max(0, math.floor(s - _LEFT_TAIL_SIGMAS * math.sqrt(s)))
+    start = math.exp(-s + n0 * math.log(s) - math.lgamma(n0 + 1.0))
+    if n0:
+        start /= math.fsum(pmf for _, pmf in _poisson_terms(s, n0, start))
+    cdf = 0.0
+    for n, pmf in _poisson_terms(s, n0, start):
         cdf += pmf
+        if 1.0 - cdf < _TAIL_BOUND:
+            break
     return n + _TAIL_MARGIN
 
 
 def build_table(params: PacketParams, n_max: int | None = None) -> CoefficientTable:
     """Closed-form coefficient table over every mode with N <= n_max.
 
-    n_max defaults to the Poisson-tail cutoff of ``auto_truncation``; exact
-    zeros are skipped and tail_mass records 1 - sum C^2 (clamped at zero
+    n_max defaults to the Poisson-tail cutoff of ``auto_truncation``. The
+    closed form runs once over the mode columns of ``mode_columns``; exact
+    zeros are dropped and tail_mass records 1 - sum C^2 (clamped at zero
     against summation roundoff).
     """
     if n_max is None:
@@ -342,15 +338,15 @@ def build_table(params: PacketParams, n_max: int | None = None) -> CoefficientTa
         raise ValueError(
             f"table cutoff {n_max} exceeds the size guard {_MAX_TABLE_CUTOFF}"
         )
-    entries = {}
-    for mode in modes_up_to(n_max):
-        c = coeff_elliptic(params, mode)
-        if c != 0.0:
-            entries[mode] = c
-    captured = math.fsum(c * c for c in entries.values())
+    m, n_r = mode_columns(n_max)
+    c = _closed_form(params, m, n_r)
+    kept = np.flatnonzero(c)
+    c = c[kept]
     return CoefficientTable(
         params=params,
         n_max=n_max,
-        entries=entries,
-        tail_mass=max(0.0, 1.0 - captured),
+        m=m[kept],
+        n_r=n_r[kept],
+        c=c,
+        tail_mass=max(0.0, 1.0 - math.fsum((c * c).tolist())),
     )

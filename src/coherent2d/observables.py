@@ -1,7 +1,8 @@
 """Angular-momentum and energy structure of a coefficient table.
 
-Direct weighted moments over the stored amplitudes, the branch-resolved
-partial moments, their closed-form values, and distribution marginals.
+Direct weighted moments over every stored amplitude, as exactly rounded
+sums of column products, the branch-resolved partial moments, their
+closed-form values, and distribution marginals.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .expansion import CoefficientTable
 from .states import PacketParams
@@ -72,34 +75,34 @@ class LadderMoments(NamedTuple):
 def compute_report(table: CoefficientTable) -> ObservableReport:
     """Weighted moments sum C^2 f(m, n_r) over the stored modes.
 
-    Rejects tables whose truncation tail exceeds 1e-6, since the moments
-    would silently lose that much weight.
+    Each is one ``math.fsum`` of a column product, restricted to a branch
+    by a mask where needed; fsum rounds exactly, so the order of the rows
+    does not matter. Rejects tables whose truncation tail exceeds 1e-6,
+    since the moments would silently lose that much weight.
     """
     if table.tail_mass >= _REPORT_TAIL_LIMIT:
         raise ValueError(
             f"tail mass {table.tail_mass:.3e} too large for trustworthy moments"
         )
-    items = [(mode, c * c) for mode, c in table.entries.items()]
-    mean_m = math.fsum(w * mode.m for mode, w in items)
-    mean_abs_m = math.fsum(w * abs(mode.m) for mode, w in items)
-    mean_nr = math.fsum(w * mode.n_r for mode, w in items)
-    mean_energy = math.fsum(w * (mode.principal + 1) for mode, w in items)
+    m, n_r, w = table.m, table.n_r, table.c * table.c
+    nonneg = m >= 0
+
+    def total(values, where=slice(None)) -> float:
+        return math.fsum((w * values)[where].tolist())
+
+    mean_m = total(m)
     partials = PartialMoments(
-        nr_m_nonneg=math.fsum(w * mode.n_r for mode, w in items if mode.m >= 0),
-        nr_m_neg=math.fsum(w * mode.n_r for mode, w in items if mode.m < 0),
-        ccw_quanta_m_nonneg=math.fsum(
-            w * (mode.m + mode.n_r) for mode, w in items if mode.m >= 0
-        ),
-        cw_quanta_m_neg=math.fsum(
-            w * (-mode.m + mode.n_r) for mode, w in items if mode.m < 0
-        ),
+        nr_m_nonneg=total(n_r, nonneg),
+        nr_m_neg=total(n_r, ~nonneg),
+        ccw_quanta_m_nonneg=total(m + n_r, nonneg),
+        cw_quanta_m_neg=total(-m + n_r, ~nonneg),
     )
     return ObservableReport(
         mean_m=mean_m,
-        mean_abs_m=mean_abs_m,
-        mean_nr=mean_nr,
+        mean_abs_m=total(np.abs(m)),
+        mean_nr=total(n_r),
         mean_lz=mean_m,
-        mean_energy=mean_energy,
+        mean_energy=total(table.principal + 1),
         norm_deficit=table.tail_mass,
         partials=partials,
     )
@@ -149,8 +152,8 @@ def marginals(table: CoefficientTable) -> tuple[dict[int, float], dict[int, floa
     """
     p_m: dict[int, float] = {}
     p_n: dict[int, float] = {}
-    for mode, c in table.entries.items():
+    for m, big_n, c in zip(table.m.tolist(), table.principal.tolist(), table.c.tolist()):
         w = c * c
-        p_m[mode.m] = p_m.get(mode.m, 0.0) + w
-        p_n[mode.principal] = p_n.get(mode.principal, 0.0) + w
+        p_m[m] = p_m.get(m, 0.0) + w
+        p_n[big_n] = p_n.get(big_n, 0.0) + w
     return dict(sorted(p_m.items())), dict(sorted(p_n.items()))

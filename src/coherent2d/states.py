@@ -27,9 +27,9 @@ __all__ = [
     "coherent_1d",
     "coherent_2d",
     "eigenstate",
-    "energy",
     "initial_state",
     "make_grid",
+    "mode_columns",
     "modes_up_to",
     "to_dimensionless",
 ]
@@ -87,10 +87,10 @@ class PacketParams:
         object.__setattr__(self, "eta0", float(self.eta0))
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "chirality", Chirality(self.chirality))
-        if self.xi0 < 0.0 or self.eta0 < 0.0:
-            raise ValueError("packet amplitudes must be non-negative")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not (0.0 <= self.xi0 < math.inf and 0.0 <= self.eta0 < math.inf):
+            raise ValueError("packet amplitudes must be non-negative and finite")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     @property
     def half_diff(self) -> float:
@@ -117,10 +117,10 @@ class PhysicalUnits:
     y0: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass, omega and hbar must be positive")
-        if self.x0 < 0.0 or self.y0 < 0.0:
-            raise ValueError("orbit amplitudes must be non-negative")
+        if not all(0.0 < v < math.inf for v in (self.mass, self.omega, self.hbar)):
+            raise ValueError("mass, omega and hbar must be positive and finite")
+        if not (0.0 <= self.x0 < math.inf and 0.0 <= self.y0 < math.inf):
+            raise ValueError("orbit amplitudes must be non-negative and finite")
 
     @property
     def alpha(self) -> float:
@@ -217,15 +217,23 @@ def make_grid(params: PacketParams, half_width: float | None = None, points: int
     return Grid2D(axis, axis.copy(), values)
 
 
+def mode_columns(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (m, n_r) of every mode with principal number <= n_max.
+
+    Sorted by (N, m): level N holds m = -N, -N + 2, ..., N with
+    n_r = (N - |m|) / 2, so it starts at index N (N + 1) / 2.
+    """
+    n_max = int(n_max)
+    levels = np.arange(n_max + 1)
+    big_n = np.repeat(levels, levels + 1)
+    m = 2 * (np.arange(big_n.size) - big_n * (big_n + 1) // 2) - big_n
+    return m, (big_n - np.abs(m)) // 2
+
+
 def modes_up_to(n_max: int) -> list[ModeIndex]:
     """All mode labels with principal number <= n_max, sorted by (N, m)."""
-    n_max = int(n_max)
-    modes = []
-    for big_n in range(n_max + 1):
-        for m in range(-big_n, big_n + 1):
-            if (big_n - abs(m)) % 2 == 0:
-                modes.append(ModeIndex(m=m, n_r=(big_n - abs(m)) // 2))
-    return modes
+    m, n_r = mode_columns(n_max)
+    return [ModeIndex(m=m, n_r=n_r) for m, n_r in zip(m.tolist(), n_r.tolist())]
 
 
 def eigenstate(mode: ModeIndex, rho_tilde, phi):
@@ -242,11 +250,6 @@ def eigenstate(mode: ModeIndex, rho_tilde, phi):
     radial = prefactor * np.power(rho_tilde, am) * np.exp(-0.5 * u)
     radial = radial * laguerre(mode.n_r, am, u)
     return radial * np.exp(1j * mode.m * np.asarray(phi, dtype=float))
-
-
-def energy(mode: ModeIndex) -> float:
-    """Eigenvalue (N + 1) in units of hbar omega."""
-    return float(mode.principal + 1)
 
 
 def coherent_1d(xi0: float, xi, t: float):

@@ -89,7 +89,7 @@ def test_criterion_3_normalization_and_poisson_marginal():
         for eta0 in SWEEP:
             params = PacketParams(xi0, eta0)
             table = build_table(params)
-            total = math.fsum(c * c for c in table.entries.values())
+            total = math.fsum((table.c * table.c).tolist())
             worst_deficit = max(worst_deficit, 1.0 - total)
             _, p_n = marginals(table)
             s = params.mean_quanta

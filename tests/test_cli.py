@@ -243,5 +243,31 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
 
     def test_oversized_cutoff(self, capsys):
-        code, _, _ = run(["coeffs", "--xi0", "1", "--nmax", "20000"], capsys)
+        code, out, err = run(["coeffs", "--xi0", "1", "--nmax", "20000"], capsys)
         assert code == EXIT_USAGE
+        # the error names both the cutoff asked for and the size guard
+        assert "20000" in err and str(expansion._MAX_TABLE_CUTOFF) in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--xi0", "nan", "--format", "json"],
+            ["observables", "--xi0", "inf"],
+            ["evolve", "--xi0", "1", "--tmax", "inf"],
+            ["evolve", "--xi0", "1", "--grid-half-width", "nan"],
+        ],
+    )
+    def test_rejects_non_finite_input(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_no_silent_truncation_past_the_old_cap(self, capsys):
+        # the cutoff search used to stop at n = 600 and exit 0 with most of
+        # the packet's weight left out
+        for xi0, eta0 in [("22.4", "22.4"), ("40", "0")]:
+            code, out, _ = run(["coeffs", "--xi0", xi0, "--eta0", eta0], capsys)
+            assert code == EXIT_OK
+            assert float(out.strip().splitlines()[-1].split(",")[-1]) < 1e-12

@@ -12,7 +12,6 @@ from coherent2d import (
     classical_center,
     coherent_2d,
     evolve_closed_form,
-    evolve_spectral,
     initial_state,
     make_grid,
     orbit_signed_area,
@@ -58,7 +57,7 @@ class TestSpectralEvolution:
         grid = make_grid(p, points=65)
         table = build_table(p)
         t = 0.8
-        spectral = evolve_spectral(table, grid, t)
+        spectral = SpectralEvolver(table, grid).at(t)
         xi, eta = grid.meshes()
         expect = (
             np.exp(-1j * t)
@@ -78,13 +77,13 @@ class TestSpectralEvolution:
 
     def test_norm_matches_captured_mass(self, elliptic_params, elliptic_grid):
         table = build_table(elliptic_params)
-        spectral = evolve_spectral(table, elliptic_grid, 1.1)
+        spectral = SpectralEvolver(table, elliptic_grid).at(1.1)
         assert spectral.norm() == pytest.approx(1.0 - table.tail_mass, abs=1e-9)
 
     def test_warns_on_heavy_tail(self, elliptic_params, elliptic_grid):
         table = build_table(elliptic_params, n_max=6)
         with pytest.warns(UserWarning, match="tail mass"):
-            evolve_spectral(table, elliptic_grid, 0.0)
+            SpectralEvolver(table, elliptic_grid).at(0.0)
 
     def test_omega_rescales_time(self):
         fast = PacketParams(1.0, 0.5, omega=2.0)
@@ -94,7 +93,7 @@ class TestSpectralEvolution:
         slow_field = evolve_closed_form(slow, grid, 0.7)
         # same phase omega*t means the same density snapshot
         assert np.max(np.abs(fast_field.density() - slow_field.density())) < 1e-12
-        spectral = evolve_spectral(build_table(fast), grid, 0.35)
+        spectral = SpectralEvolver(build_table(fast), grid).at(0.35)
         assert aligned_max_difference(fast_field, spectral) < 1e-8
 
 

@@ -4,60 +4,102 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from coherent2d import (
     Chirality,
     ModeIndex,
     PacketParams,
-    angular_integral,
     auto_truncation,
     build_table,
-    coeff_circular,
     coeff_elliptic,
     coeff_quadrature,
     modes_up_to,
 )
-from coherent2d.expansion import coeff_quadrature_batch, oracle_orders
+from coherent2d.expansion import (
+    _MAX_TABLE_CUTOFF,
+    CoefficientTable,
+    coeff_quadrature_batch,
+    oracle_orders,
+)
+from coherent2d.specialfn import log_factorial
 
-SQRT_PI = math.sqrt(math.pi)
 
+def scalar_coeff_elliptic(params, mode):
+    """The closed form evaluated one mode at a time in scalar log space.
 
-def trapezoid_angular(m, params, rho, points=256):
-    """Direct periodic-trapezoid value of the angular projection integral."""
-    phi = 2.0 * math.pi * np.arange(points) / points
-    s = params.chirality.sign
-    f = np.exp(
-        params.xi0 * rho * np.cos(phi)
-        + 1j * s * params.eta0 * rho * np.sin(phi)
-        - 1j * m * phi
+    The reference the vectorized table must reproduce bit for bit.
+    """
+    m = mode.m if params.chirality is Chirality.RETARDED else -mode.m
+    am = abs(m)
+    if m >= 0:
+        base_nr, base_big = params.half_diff, params.half_sum
+    else:
+        base_nr, base_big = params.half_sum, params.half_diff
+    k_nr, k_big = mode.n_r, am + mode.n_r
+    if (base_nr == 0.0 and k_nr > 0) or (base_big == 0.0 and k_big > 0):
+        return 0.0
+    sign = -1.0 if mode.n_r % 2 else 1.0
+    if base_nr < 0.0 and k_nr % 2:
+        sign = -sign
+    if base_big < 0.0 and k_big % 2:
+        sign = -sign
+    log_mag = (
+        -0.5 * (log_factorial(mode.n_r) + log_factorial(k_big))
+        - 0.5 * params.xi0**2
+        + params.half_diff * params.half_sum
     )
-    return complex(f.mean() * 2.0 * math.pi)
+    if k_nr:
+        log_mag += k_nr * math.log(abs(base_nr))
+    if k_big:
+        log_mag += k_big * math.log(abs(base_big))
+    return sign * math.exp(log_mag)
+
+
+def capped_auto_truncation(s, cap=600):
+    """The Poisson-tail cutoff loop from e^{-s}, with the former cap at 600."""
+    if s == 0.0:
+        return 0
+    pmf = math.exp(-s)
+    cdf = pmf
+    n = 0
+    while 1.0 - cdf >= 1e-13 and n < cap:
+        n += 1
+        pmf *= s / n
+        cdf += pmf
+    return n
+
+
+def circular(xi0):
+    return PacketParams(xi0, xi0)
 
 
 class TestCircularCoefficients:
     def test_ground_amplitude(self):
-        assert coeff_circular(1.0, ModeIndex(0, 0)) == pytest.approx(
+        assert coeff_elliptic(circular(1.0), ModeIndex(0, 0)) == pytest.approx(
             math.exp(-0.5), rel=1e-15
         )
 
     def test_negative_m_vanishes(self):
-        assert coeff_circular(1.0, ModeIndex(-2, 0)) == 0.0
+        assert coeff_elliptic(circular(1.0), ModeIndex(-2, 0)) == 0.0
 
     def test_nodal_modes_vanish(self):
-        assert coeff_circular(1.0, ModeIndex(3, 1)) == 0.0
+        assert coeff_elliptic(circular(1.0), ModeIndex(3, 1)) == 0.0
 
     def test_log_space_value(self):
         expect = 2.0**4 * math.exp(-2.0) / math.sqrt(24.0)
-        assert coeff_circular(2.0, ModeIndex(4, 0)) == pytest.approx(expect, rel=1e-13)
+        assert coeff_elliptic(circular(2.0), ModeIndex(4, 0)) == pytest.approx(
+            expect, rel=1e-13
+        )
 
     def test_large_m_does_not_overflow(self):
-        c = coeff_circular(3.0, ModeIndex(400, 0))
+        c = coeff_elliptic(circular(3.0), ModeIndex(400, 0))
         assert math.isfinite(c)
         assert c >= 0.0
 
     def test_point_packet(self):
-        assert coeff_circular(0.0, ModeIndex(0, 0)) == 1.0
-        assert coeff_circular(0.0, ModeIndex(1, 0)) == 0.0
+        assert coeff_elliptic(circular(0.0), ModeIndex(0, 0)) == 1.0
+        assert coeff_elliptic(circular(0.0), ModeIndex(1, 0)) == 0.0
 
 
 class TestEllipticCoefficients:
@@ -65,9 +107,15 @@ class TestEllipticCoefficients:
         for xi0 in (0.0, 1.0, 2.5):
             p = PacketParams(xi0, xi0)
             for mode in modes_up_to(8):
-                assert coeff_elliptic(p, mode) == pytest.approx(
-                    coeff_circular(xi0, mode), abs=1e-15
-                )
+                if mode.m >= 0 and mode.n_r == 0:
+                    expect = (
+                        xi0**mode.m
+                        * math.exp(-0.5 * xi0**2)
+                        / math.sqrt(math.factorial(mode.m))
+                    )
+                else:
+                    expect = 0.0
+                assert coeff_elliptic(p, mode) == pytest.approx(expect, abs=1e-15)
 
     def test_straight_line_packet_value(self):
         p = PacketParams(1.0, 0.0)
@@ -185,67 +233,37 @@ class TestBatchedOracle:
             assert max(forbidden) <= 1e-12
 
 
-class TestAngularIntegral:
-    def test_circular_negative_m_vanishes(self):
-        p = PacketParams(1.3, 1.3)
-        for rho in (0.0, 0.5, 2.0):
-            assert angular_integral(-1, p, rho) == 0.0
-
-    def test_circular_closed_form(self):
-        p = PacketParams(1.0, 1.0)
-        assert angular_integral(2, p, 1.0) == pytest.approx(math.pi, rel=1e-14)
-        for m in range(5):
-            for rho in (0.3, 1.0, 2.2):
-                expect = 2.0 * math.pi * (1.0 * rho) ** m / math.factorial(m)
-                assert angular_integral(m, p, rho) == pytest.approx(expect, rel=1e-13)
-
-    @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2, 5])
-    def test_series_matches_trapezoid(self, m):
-        for params in (PacketParams(1.5, 0.5), PacketParams(0.3, 2.1)):
-            for rho in (0.0, 0.7, 1.9, 3.5):
-                got = angular_integral(m, params, rho)
-                ref = trapezoid_angular(m, params, rho)
-                assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
-
-    def test_advanced_mirrors_m(self):
-        ret = PacketParams(1.5, 0.5)
-        adv = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
-        for m in (-2, 0, 3):
-            assert angular_integral(m, adv, 1.1) == angular_integral(-m, ret, 1.1)
-
-    def test_zero_radius(self):
-        p = PacketParams(1.5, 0.5)
-        assert angular_integral(0, p, 0.0) == pytest.approx(2.0 * math.pi, rel=1e-15)
-        assert angular_integral(2, p, 0.0) == 0.0
+def captured(table):
+    return math.fsum((table.c * table.c).tolist())
 
 
 class TestCoefficientTable:
     def test_point_packet_single_entry(self):
         table = build_table(PacketParams(0.0, 0.0))
-        assert dict(table.entries) == {ModeIndex(0, 0): 1.0}
+        assert table.m.tolist() == [0]
+        assert table.n_r.tolist() == [0]
+        assert table.c.tolist() == [1.0]
         assert table.tail_mass == 0.0
 
     def test_circular_support(self):
         table = build_table(PacketParams(1.0, 1.0))
-        assert all(mode.m >= 0 and mode.n_r == 0 for mode in table.entries)
-        for mode, c in table.entries.items():
-            assert c * c == pytest.approx(
-                math.exp(-1.0) / math.factorial(mode.m), rel=1e-12
-            )
+        assert np.all(table.m >= 0) and np.all(table.n_r == 0)
+        for m, c in zip(table.m.tolist(), table.c.tolist()):
+            assert c * c == pytest.approx(math.exp(-1.0) / math.factorial(m), rel=1e-12)
 
     def test_advanced_circular_support(self):
         table = build_table(PacketParams(1.0, 1.0, chirality=Chirality.ADVANCED))
-        assert all(mode.m <= 0 and mode.n_r == 0 for mode in table.entries)
+        assert np.all(table.m <= 0) and np.all(table.n_r == 0)
 
     def test_cutoff_respected(self):
         table = build_table(PacketParams(1.5, 0.5), n_max=6)
-        assert all(mode.principal <= 6 for mode in table.entries)
+        assert np.all(table.principal <= 6)
 
     def test_normalization_at_auto_cutoff(self):
         for xi0 in (0.0, 1.0, 3.0):
             for eta0 in (0.0, 1.5, 3.0):
                 table = build_table(PacketParams(xi0, eta0))
-                total = math.fsum(c * c for c in table.entries.values())
+                total = captured(table)
                 assert total >= 1.0 - 1e-12
                 assert total + table.tail_mass == pytest.approx(1.0, abs=1e-9)
 
@@ -253,20 +271,31 @@ class TestCoefficientTable:
         p = PacketParams(1.5, 0.5)
         previous = -1.0
         for n_max in range(0, 21, 2):
-            total = math.fsum(
-                c * c for c in build_table(p, n_max=n_max).entries.values()
-            )
+            total = captured(build_table(p, n_max=n_max))
             assert total >= previous
             previous = total
 
     def test_rejects_oversized_cutoff(self):
-        with pytest.raises(ValueError):
-            build_table(PacketParams(1, 1), n_max=10_001)
+        over = _MAX_TABLE_CUTOFF + 1
+        with pytest.raises(ValueError, match=f"{over}.*{_MAX_TABLE_CUTOFF}"):
+            build_table(PacketParams(1, 1), n_max=over)
 
     def test_entries_read_only(self):
         table = build_table(PacketParams(1.0, 1.0))
-        with pytest.raises(TypeError):
-            table.entries[ModeIndex(0, 0)] = 2.0
+        for column in (table.m, table.n_r, table.c):
+            with pytest.raises(ValueError):
+                column[0] = 2
+
+    def test_constructor_keeps_its_own_copies(self):
+        m, n_r, c = np.array([0, 1]), np.array([0, 0]), np.array([0.6, 0.8])
+        table = CoefficientTable(PacketParams(1.0, 1.0), 1, m, n_r, c, 0.0)
+        c[0] = 5.0
+        assert table.c.tolist() == [0.6, 0.8]
+        assert len(table) == 2
+        with pytest.raises(ValueError, match="cutoff"):
+            CoefficientTable(PacketParams(1.0, 1.0), 0, m, n_r, c, 0.0)
+        with pytest.raises(ValueError, match="equal length"):
+            CoefficientTable(PacketParams(1.0, 1.0), 1, m, n_r[:1], c, 0.0)
 
     def test_auto_truncation_grows_with_packet(self):
         assert auto_truncation(PacketParams(0, 0)) < auto_truncation(PacketParams(2, 1))
@@ -278,8 +307,7 @@ class TestCoefficientTable:
     )
     def test_normalization_random_packets(self, xi0, eta0):
         table = build_table(PacketParams(xi0, eta0))
-        total = math.fsum(c * c for c in table.entries.values())
-        assert total >= 1.0 - 1e-12
+        assert captured(table) >= 1.0 - 1e-12
 
     def test_principal_marginal_is_poisson(self):
         # the two circular quanta are independent Poisson variables, so the
@@ -288,8 +316,86 @@ class TestCoefficientTable:
         table = build_table(p)
         s = p.mean_quanta
         level_mass: dict[int, float] = {}
-        for mode, c in table.entries.items():
-            level_mass[mode.principal] = level_mass.get(mode.principal, 0.0) + c * c
+        for big_n, c in zip(table.principal.tolist(), table.c.tolist()):
+            level_mass[big_n] = level_mass.get(big_n, 0.0) + c * c
         for big_n in range(21):
             pmf = math.exp(-s + big_n * math.log(s) - math.lgamma(big_n + 1))
             assert level_mass.get(big_n, 0.0) == pytest.approx(pmf, abs=1e-10)
+
+
+class TestColumnarTable:
+    @pytest.mark.parametrize(
+        "xi0,eta0",
+        [(1.5, 0.5), (0.3, 2.1), (2.5, 2.5), (0.0, 0.0), (1.0, 0.0), (0.0, 3.0),
+         (8.0, 8.0), (8.0, 3.0), (2.0, 8.0)],
+    )
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    def test_bitwise_equal_to_scalar_closed_form(self, xi0, eta0, chirality):
+        params = PacketParams(xi0, eta0, chirality=chirality)
+        table = build_table(params)
+        expect = {}
+        for mode in modes_up_to(table.n_max):
+            c = scalar_coeff_elliptic(params, mode)
+            if c != 0.0:
+                expect[mode.m, mode.n_r] = c
+        rows = list(zip(table.m.tolist(), table.n_r.tolist()))
+        assert rows == list(expect)
+        got = np.array(table.c.tolist())
+        assert got.tobytes() == np.array(list(expect.values())).tobytes()
+
+    def test_one_mode_call_matches_the_table(self):
+        params = PacketParams(2.1, 0.7, chirality=Chirality.ADVANCED)
+        table = build_table(params)
+        for m, n_r, c in zip(table.m.tolist(), table.n_r.tolist(), table.c.tolist()):
+            assert coeff_elliptic(params, ModeIndex(m, n_r)) == c
+
+    @given(
+        xi0=st.floats(min_value=0.0, max_value=20.0),
+        eta0=st.floats(min_value=0.0, max_value=20.0),
+        chirality=st.sampled_from(list(Chirality)),
+    )
+    def test_sweep_invariants(self, xi0, eta0, chirality):
+        table = build_table(PacketParams(xi0, eta0, chirality=chirality))
+        keys = np.stack([table.principal, table.m], axis=1)
+        later = keys[1:]
+        earlier = keys[:-1]
+        assert np.all(
+            (later[:, 0] > earlier[:, 0])
+            | ((later[:, 0] == earlier[:, 0]) & (later[:, 1] > earlier[:, 1]))
+        )
+        assert np.array_equal(table.principal, 2 * table.n_r + np.abs(table.m))
+        assert captured(table) + table.tail_mass == pytest.approx(1.0, abs=1e-12)
+        if xi0 == eta0:
+            assert np.all(table.n_r == 0)
+            assert np.all(table.m * table.params.chirality.sign >= 0)
+        for column in (table.m, table.n_r, table.c):
+            with pytest.raises(ValueError):
+                column[:1] = 0
+
+
+class TestAutoTruncation:
+    def test_matches_the_capped_loop_wherever_it_converged(self):
+        # the search used to stop at n = 600 without saying so; below
+        # s ~ 470 it ended on its own, and there the cutoff must not move
+        grid = np.concatenate([np.linspace(1e-6, 10.0, 401), np.linspace(10.0, 470.0, 1841)])
+        for s in grid:
+            params = PacketParams(math.sqrt(2.0 * s), 0.0)
+            reference = capped_auto_truncation(params.mean_quanta)
+            if reference < 600:
+                assert auto_truncation(params) == reference + 4
+
+    @pytest.mark.parametrize(
+        "xi0,eta0", [(22.4, 22.4), (40.0, 0.0), (30.0, 30.0), (45.0, 20.0)]
+    )
+    def test_smallest_cutoff_past_the_old_cap(self, xi0, eta0):
+        # P(N > n_max - margin) is below the bound and P(N > n_max - margin - 1)
+        # is not, up to the search's summation roundoff (~5e-15 in the tail)
+        params = PacketParams(xi0, eta0)
+        n_max = auto_truncation(params)
+        assert n_max > 604
+        assert poisson.sf(n_max - 4, params.mean_quanta) < 1.1e-13
+        assert poisson.sf(n_max - 5, params.mean_quanta) > 0.9e-13
+
+    def test_refuses_packets_past_the_size_guard(self):
+        with pytest.raises(ValueError, match=f"size guard {_MAX_TABLE_CUTOFF}"):
+            auto_truncation(PacketParams(80.0, 80.0))

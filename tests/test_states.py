@@ -14,7 +14,6 @@ from coherent2d import (
     coherent_1d,
     coherent_2d,
     eigenstate,
-    energy,
     gauss_laguerre,
     initial_state,
     make_grid,
@@ -63,6 +62,12 @@ class TestPacketParams:
         with pytest.raises(ValueError):
             PacketParams(1.0, 1.0, omega=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, value):
+        for args in [(value, 1.0), (1.0, value), (1.0, 1.0, "retarded", value)]:
+            with pytest.raises(ValueError, match="finite"):
+                PacketParams(*args)
+
     def test_chirality_from_string(self):
         assert PacketParams(1, 1, chirality="advanced").chirality is Chirality.ADVANCED
 
@@ -95,6 +100,14 @@ class TestUnits:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PhysicalUnits(mass=0, omega=1, hbar=1)
+
+    @pytest.mark.parametrize("field", ["mass", "omega", "hbar", "x0", "y0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        values = dict(mass=1.0, omega=1.0, hbar=1.0, x0=1.0, y0=1.0)
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalUnits(**values)
 
 
 class TestEigenstate:
@@ -132,10 +145,6 @@ class TestEigenstate:
                 overlap = 0.5 * complex(np.dot(rule.weights, angular))
                 expect = 1.0 if i == j else 0.0
                 assert abs(overlap - expect) < 1e-10
-
-    def test_energy_values(self):
-        assert energy(ModeIndex(0, 0)) == 1.0
-        assert energy(ModeIndex(-3, 2)) == 8.0
 
 
 class TestCoherent1D:
