@@ -82,7 +82,10 @@ class RunConfig:
 
 
 def _g17(x) -> str:
-    return format(float(x), ".17g")
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(f"refusing to print the non-finite number {value}")
+    return format(value, ".17g")
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
@@ -90,6 +93,7 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
     The stdlib encoder renders floats with repr, which cannot be pinned to
     a digit count; this walker handles the flat structures emitted here.
+    A non-finite float raises ``ValueError``: JSON has no spelling for it.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -232,6 +236,8 @@ def cmd_evolve(config: RunConfig) -> int:
     """Per-time orbit trace with the spectral-vs-closed-form residual column.
 
     Times are in units of 1/omega, t_steps of them covering [0, t_max).
+    A non-finite value exits 1 with an error naming its column and time,
+    and nothing is written.
     """
     params = config.params
     grid = make_grid(params, config.grid_half_width, config.grid_points)
@@ -258,6 +264,13 @@ def cmd_evolve(config: RunConfig) -> int:
                 "spectral_max_err": err,
             }
         )
+    for row in rows:
+        for name, value in row.items():
+            if not math.isfinite(value):
+                print(
+                    f"error: {name} is {value} at t={_g17(row['t'])}", file=sys.stderr
+                )
+                return EXIT_VERIFY_FAIL
     if config.format == "json":
         doc = {"params": _params_dict(params, table.n_max), "rows": rows}
         _emit(_json_dumps(doc) + "\n", config)
@@ -278,69 +291,84 @@ class CheckResult:
     tolerance: float
 
 
+def _worst(residuals) -> float:
+    """Largest residual, 0 for none; NaN as soon as one is not finite.
+
+    Every check reduces through this, because ``max(worst, nan)`` keeps
+    ``worst`` and would let a check pass on NaN.
+    """
+    values = [float(r) for r in residuals]
+    if not all(math.isfinite(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
+def _check(name: str, residual: float, tolerance: float) -> CheckResult:
+    """A check that passes when the residual is at most the tolerance; NaN fails."""
+    return CheckResult(name, residual <= tolerance, residual, tolerance)
+
+
 def _poisson_pmf(n: int, s: float) -> float:
     if s == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-s + n * math.log(s) - math.lgamma(n + 1.0))
 
 
-def run_verification(config: RunConfig) -> list[CheckResult]:
-    """Oracle and identity sweeps over every module, on the configured packet."""
+def run_verification(
+    config: RunConfig, table: expansion.CoefficientTable
+) -> list[CheckResult]:
+    """Oracle and identity sweeps over every module, on the configured packet.
+
+    ``table`` is the packet's coefficient table at the configured cutoff.
+    """
     params = config.params
     checks: list[CheckResult] = []
 
     # closed form vs quadrature for the radial Laguerre integral identity
-    worst = 0.0
+    residuals = []
     for n in range(7):
         for mu in range(5):
             for lam in range(7):
                 closed, quad = verify_laguerre_integral(n, mu, lam)
-                worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
-    checks.append(CheckResult("laguerre-integral-identity", worst <= 1e-10, worst, 1e-10))
+                residuals.append(abs(closed - quad) / max(1.0, abs(closed)))
+    checks.append(_check("laguerre-integral-identity", _worst(residuals), 1e-10))
 
     # analytic coefficients vs the projection-integral oracle, every mode
     # projected in one batch at the orders the highest checked level needs
-    table = expansion.build_table(params, config.n_max)
     modes = modes_up_to(min(_ORACLE_LEVELS, table.n_max))
     radial_order, angular_points = expansion.oracle_orders(
         params, _ORACLE_LEVELS, _ORACLE_LEVELS
     )
     quads = expansion.coeff_quadrature_batch(params, modes, radial_order, angular_points)
-    worst = 0.0
-    worst_imag = 0.0
-    for mode, quad in zip(modes, quads.tolist()):
-        analytic = expansion.coeff_elliptic(params, mode)
-        worst = max(worst, abs(quad - analytic))
-        worst_imag = max(worst_imag, abs(quad.imag))
-    checks.append(CheckResult("coefficient-oracle", worst <= 1e-10, worst, 1e-10))
+    quads = quads.tolist()
+    worst = _worst(
+        abs(quad - expansion.coeff_elliptic(params, mode))
+        for mode, quad in zip(modes, quads)
+    )
+    checks.append(_check("coefficient-oracle", worst, 1e-10))
     checks.append(
-        CheckResult("coefficient-oracle-imag", worst_imag <= 1e-12, worst_imag, 1e-12)
+        _check("coefficient-oracle-imag", _worst(abs(q.imag) for q in quads), 1e-12)
     )
 
     if params.xi0 == params.eta0:
         # circular packets live on the nodeless single-signed-m ladder; the
         # levels checked here are a prefix of the batch above
-        forbidden = 0.0
-        for mode, quad in zip(modes, quads.tolist()):
+        forbidden = []
+        for mode, quad in zip(modes, quads):
             if mode.principal > _SUPPORT_LEVELS:
                 break
             wrong_m = mode.m < 0 if params.chirality is Chirality.RETARDED else mode.m > 0
             if mode.n_r > 0 or wrong_m:
-                forbidden = max(forbidden, abs(quad))
-        checks.append(
-            CheckResult("circular-support", forbidden <= 1e-12, forbidden, 1e-12)
-        )
+                forbidden.append(abs(quad))
+        checks.append(_check("circular-support", _worst(forbidden), 1e-12))
 
     # normalization and the Poisson principal-number marginal
     total = math.fsum((table.c * table.c).tolist())
-    deficit = 1.0 - total
-    checks.append(CheckResult("normalization", deficit <= 1e-12, deficit, 1e-12))
+    checks.append(_check("normalization", _worst([1.0 - total]), 1e-12))
     _, p_n = observables.marginals(table)
     s = params.mean_quanta
-    worst = 0.0
-    for n in range(21):
-        worst = max(worst, abs(p_n.get(n, 0.0) - _poisson_pmf(n, s)))
-    checks.append(CheckResult("poisson-marginal", worst <= 1e-10, worst, 1e-10))
+    worst = _worst(abs(p_n.get(n, 0.0) - _poisson_pmf(n, s)) for n in range(21))
+    checks.append(_check("poisson-marginal", worst, 1e-10))
 
     # branch-moment identities and the closed-form observables
     report = observables.compute_report(table)
@@ -351,40 +379,41 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         expect_cw, expect_ccw = a2, b2
     else:
         expect_cw, expect_ccw = b2, a2
-    worst = max(
-        abs(moments.cw_quanta - expect_cw),
-        abs(moments.ccw_quanta - expect_ccw),
-        abs(moments.principal - (a2 + b2)),
-        abs(moments.net_m - observables.closed_form_lz(params)),
-        abs(report.mean_lz - observables.closed_form_lz(params)),
-        abs(report.mean_energy - observables.closed_form_energy(params)),
+    worst = _worst(
+        [
+            abs(moments.cw_quanta - expect_cw),
+            abs(moments.ccw_quanta - expect_ccw),
+            abs(moments.principal - (a2 + b2)),
+            abs(moments.net_m - observables.closed_form_lz(params)),
+            abs(report.mean_lz - observables.closed_form_lz(params)),
+            abs(report.mean_energy - observables.closed_form_energy(params)),
+        ]
     )
-    checks.append(CheckResult("moment-identities", worst <= 1e-9, worst, 1e-9))
+    checks.append(_check("moment-identities", worst, 1e-9))
 
     # classical correspondence: rigid translation along the ellipse
     grid = make_grid(params, config.grid_half_width, config.grid_points)
     period = 2.0 * math.pi / params.omega
     times = [period * k / config.t_steps for k in range(config.t_steps)]
     samples = dynamics.trace_orbit(params, times, grid)
-    worst = 0.0
+    residuals = []
     for t, sample in zip(times, samples):
         cx, cy = classical_center(params, t)
-        worst = max(
-            worst,
+        residuals += [
             abs(sample.centroid_xi - cx),
             abs(sample.centroid_eta - cy),
             abs(sample.var_xi - 0.5),
             abs(sample.var_eta - 0.5),
-        )
+        ]
         if params.xi0 > 0.0 and params.eta0 > 0.0:
-            worst = max(
-                worst,
+            residuals.append(
                 abs(
                     (sample.centroid_xi / params.xi0) ** 2
                     + (sample.centroid_eta / params.eta0) ** 2
                     - 1.0
-                ),
+                )
             )
+    worst = _worst(residuals)
     orbit_ok = worst <= 1e-6
     if params.xi0 > 0.0 and params.eta0 > 0.0:
         area = dynamics.orbit_signed_area(samples)
@@ -393,24 +422,50 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
 
     # spectral synthesis against the closed form, phase-quotient
     evolver = dynamics.SpectralEvolver(table, grid)
-    worst = 0.0
-    for t in (0.0, 0.7 / params.omega, math.pi / params.omega, 5.1 / params.omega):
-        closed = dynamics.evolve_closed_form(params, grid, t)
-        worst = max(worst, dynamics.aligned_max_difference(closed, evolver.at(t)))
-    checks.append(CheckResult("spectral-completeness", worst <= 1e-8, worst, 1e-8))
+    residuals = [
+        dynamics.aligned_max_difference(
+            dynamics.evolve_closed_form(params, grid, t), evolver.at(t)
+        )
+        for t in (0.0, 0.7 / params.omega, math.pi / params.omega, 5.1 / params.omega)
+    ]
+    checks.append(_check("spectral-completeness", _worst(residuals), 1e-8))
     return checks
 
 
 def cmd_verify(config: RunConfig) -> int:
-    """Run every check suite and print one PASS/FAIL line per check."""
-    checks = run_verification(config)
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name} "
-        f"residual={_g17(c.residual)} tol={_g17(c.tolerance)}"
-        for c in checks
-    ]
-    _emit("\n".join(lines) + "\n", config)
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAIL
+    """Run every check suite and report one verdict per check.
+
+    Text output is one PASS/FAIL line per check; JSON holds the packet
+    parameters, each check, and the overall verdict. A non-finite residual
+    fails its check and prints as ``nan`` (JSON ``null``).
+    """
+    table = expansion.build_table(config.params, config.n_max)
+    checks = run_verification(config, table)
+    passed = all(c.passed for c in checks)
+    if config.format == "json":
+        doc = {
+            "params": _params_dict(config.params, table.n_max),
+            "checks": [
+                {
+                    "name": c.name,
+                    "passed": c.passed,
+                    "residual": c.residual if math.isfinite(c.residual) else None,
+                    "tolerance": c.tolerance,
+                }
+                for c in checks
+            ],
+            "passed": passed,
+        }
+        _emit(_json_dumps(doc) + "\n", config)
+    else:
+        lines = [
+            f"{'PASS' if c.passed else 'FAIL'} {c.name} residual="
+            f"{_g17(c.residual) if math.isfinite(c.residual) else 'nan'} "
+            f"tol={_g17(c.tolerance)}"
+            for c in checks
+        ]
+        _emit("\n".join(lines) + "\n", config)
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 _COMMANDS = {

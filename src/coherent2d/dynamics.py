@@ -16,7 +16,7 @@ import numpy as np
 
 from .expansion import CoefficientTable
 from .specialfn import log_factorial
-from .states import Grid2D, PacketParams, coherent_2d
+from .states import Grid2D, PacketParams, _packet_factors, coherent_2d
 
 __all__ = [
     "SpectralEvolver",
@@ -45,28 +45,49 @@ class TrajectorySample:
 
 
 def evolve_closed_form(params: PacketParams, grid: Grid2D, t: float) -> Grid2D:
-    """Sample the closed-form packet on the grid at time t."""
-    xi, eta = grid.meshes()
-    return grid.with_values(coherent_2d(params, xi, eta, t))
+    """Sample the closed-form packet on the grid at time t.
 
-
-def _principal_fields(table: CoefficientTable, grid: Grid2D) -> dict[int, np.ndarray]:
-    """Partial sums C psi grouped by principal number N.
-
-    Grouping by |m| lets one Laguerre ladder, one radial power and one
-    angular phasor serve every mode of that order. The groups are taken in
-    ascending |m| and each keeps the table's row order, which fixes the
-    order in which each field is accumulated.
+    The packet is evaluated on the xi column and the eta row, so the grid
+    costs O(P) exponentials and one outer product.
     """
-    rho, phi = grid.polar()
+    values = coherent_2d(params, grid.xi_axis[:, None], grid.eta_axis[None, :], t)
+    return grid.with_values(values)
+
+
+def _mirror_start(eta_axis: np.ndarray) -> int:
+    """First eta column on which the spectral fields need to be built.
+
+    When the eta axis is exactly antisymmetric, as ``make_grid`` builds it,
+    this is the first eta >= 0 column: rho is even in eta, the polar angle
+    odd and C real, so F_N(xi, -eta) = conj F_N(xi, eta), bitwise. Any other
+    axis needs every column, so this is 0.
+    """
+    return eta_axis.size // 2 if np.array_equal(eta_axis, -eta_axis[::-1]) else 0
+
+
+def _principal_fields(
+    table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
+) -> list[np.ndarray | None]:
+    """Partial sums C psi grouped by principal number N, indexed by N.
+
+    Each field has shape (len(xi_axis), len(eta_axis)); levels with no
+    stored mode hold None. Grouping by |m| lets one Laguerre ladder, one
+    radial power and one angular phasor serve every mode of that order.
+    The groups are taken in ascending |m| and each keeps the table's row
+    order, which fixes the order in which each field is accumulated.
+    """
+    xi, eta = np.meshgrid(xi_axis, eta_axis, indexing="ij")
+    rho = np.hypot(xi, eta)
     u = rho * rho
     gauss = np.exp(-0.5 * u)
-    eiphi = np.exp(1j * phi)
+    eiphi = np.exp(1j * np.arctan2(eta, xi))
 
     abs_m = np.abs(table.m)
     principal = table.principal
 
-    fields: dict[int, np.ndarray] = {}
+    fields: list[np.ndarray | None] = [None] * (table.n_max + 1)
+    radial = np.empty_like(u)
+    term = np.empty_like(eiphi)
     angular = np.ones_like(eiphi)
     radial_pow = np.ones_like(u)
     current = 0
@@ -86,6 +107,7 @@ def _principal_fields(table: CoefficientTable, grid: Grid2D) -> dict[int, np.nda
                 / (k + 1.0)
             )
         base = radial_pow * gauss
+        conj_angular = np.conj(angular)
         rows = zip(
             table.m[group].tolist(),
             table.n_r[group].tolist(),
@@ -98,20 +120,27 @@ def _principal_fields(table: CoefficientTable, grid: Grid2D) -> dict[int, np.nda
                 * math.exp(0.5 * (log_factorial(n_r) - log_factorial(am + n_r)))
                 / _SQRT_PI
             )
-            contrib = prefactor * base * ladder[n_r]
-            contrib = contrib * (angular if m >= 0 else np.conj(angular))
-            if key in fields:
-                fields[key] += contrib
+            np.multiply(prefactor, base, out=radial)
+            radial *= ladder[n_r]
+            if fields[key] is None:
+                fields[key] = radial * (angular if m >= 0 else conj_angular)
             else:
-                fields[key] = contrib
+                np.multiply(radial, angular if m >= 0 else conj_angular, out=term)
+                fields[key] += term
     return fields
 
 
 class SpectralEvolver:
     """Reusable spectral synthesis for one table on one grid.
 
-    Building the per-N partial fields once makes evaluation at each time a
-    handful of phased grid additions, so sweeping many times is cheap.
+    The fields F_N are built once, on the eta columns from
+    ``_mirror_start`` on: the eta >= 0 half of a ``make_grid`` grid, all
+    columns of any other. They are kept as flat chunks stacked over the
+    stored levels, each chunk no larger than one grid's values. With
+    w_N = e^{-i (N+1) w t}, the sums U = sum Re(w_N) F_N and
+    V = sum Im(w_N) F_N take one real matrix product per chunk. The built
+    columns are U + iV; the mirrored ones are conj(U - iV), read in
+    reverse, since F_N(xi, -eta) = conj F_N(xi, eta).
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -123,14 +152,44 @@ class SpectralEvolver:
             )
         self._grid = grid
         self._omega = table.params.omega
-        self._fields = _principal_fields(table, grid)
+        self._first = _mirror_start(grid.eta_axis)
+        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis[self._first :])
+        self._levels = np.array([n for n, field in enumerate(fields) if field is not None])
+        flat = [field.reshape(-1) for field in fields if field is not None]
+        built = grid.xi_axis.size * (grid.eta_axis.size - self._first)
+        # a chunk, and its product with the two weight rows, stay within
+        # one grid's values
+        step = max(1, grid.values.size // max(2, len(flat)))
+        self._chunks = [
+            np.stack([field[lo : lo + step] for field in flat])
+            for lo in range(0, built if flat else 0, step)
+        ]
+        self._u = np.zeros(built, dtype=complex)
+        self._v = np.zeros(built, dtype=complex)
 
     def at(self, t: float) -> Grid2D:
-        values = np.zeros(
-            (self._grid.xi_axis.size, self._grid.eta_axis.size), dtype=complex
-        )
-        for big_n, field in self._fields.items():
-            values += np.exp(-1j * (big_n + 1) * self._omega * t) * field
+        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
+        phase = (self._levels + 1) * (self._omega * t)
+        weights = np.stack([np.cos(phase), -np.sin(phase)])
+        lo = 0
+        for chunk in self._chunks:
+            hi = lo + chunk.shape[1]
+            product = weights @ chunk.view(float)
+            self._u[lo:hi] = product[0].view(complex)
+            self._v[lo:hi] = product[1].view(complex)
+            lo = hi
+        first = self._first
+        values = np.empty(self._grid.values.shape, dtype=complex)
+        u = self._u.reshape(values.shape[0], -1)
+        v = self._v.reshape(values.shape[0], -1)
+        built = values[:, first:]
+        np.multiply(v, 1j, out=built)
+        built += u
+        if first:
+            mirrored = values[:, :first]
+            np.multiply(v[:, : -first - 1 : -1], -1j, out=mirrored)
+            mirrored += u[:, : -first - 1 : -1]
+            np.conjugate(mirrored, out=mirrored)
         return self._grid.with_values(values)
 
 
@@ -153,6 +212,10 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
 def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySample]:
     """Centroid, variance, norm and peak of the closed-form density per time.
 
+    The density is |X(xi)|^2 |Y(eta)|^2, so each time costs O(P): the mass
+    is a product of two axis sums and each centroid and variance a ratio
+    of sums along its own axis.
+
     The grid must span at least +/- (max(xi0, eta0) + 6) per axis so the
     Riemann sums see the whole Gaussian; integrals then carry errors far
     below the 1e-6 trajectory tolerances.
@@ -166,25 +229,25 @@ def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySam
         or grid.eta_axis[-1] < need - slack
     ):
         raise ValueError(f"grid must span at least +/-{need} on both axes")
-    xi, eta = grid.meshes()
-    cell = grid.cell_area
+    xi, eta = grid.xi_axis, grid.eta_axis
     samples = []
     for t in times:
-        density = np.abs(coherent_2d(params, xi, eta, t)) ** 2
-        mass = float(np.sum(density)) * cell
-        cx = float(np.sum(xi * density)) * cell / mass
-        cy = float(np.sum(eta * density)) * cell / mass
-        vx = float(np.sum((xi - cx) ** 2 * density)) * cell / mass
-        vy = float(np.sum((eta - cy) ** 2 * density)) * cell / mass
+        x_factor, y_factor = _packet_factors(params, xi, eta, t)
+        wx = np.abs(x_factor) ** 2
+        wy = np.abs(y_factor) ** 2
+        mass_x = float(np.sum(wx))
+        mass_y = float(np.sum(wy))
+        cx = float(np.sum(xi * wx)) / mass_x
+        cy = float(np.sum(eta * wy)) / mass_y
         samples.append(
             TrajectorySample(
                 t=float(t),
                 centroid_xi=cx,
                 centroid_eta=cy,
-                var_xi=vx,
-                var_eta=vy,
-                norm=mass,
-                peak_density=float(np.max(density)),
+                var_xi=float(np.sum((xi - cx) ** 2 * wx)) / mass_x,
+                var_eta=float(np.sum((eta - cy) ** 2 * wy)) / mass_y,
+                norm=mass_x * mass_y * grid.cell_area,
+                peak_density=float(np.max(wx) * np.max(wy)),
             )
         )
     return samples

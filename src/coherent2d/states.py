@@ -181,11 +181,6 @@ class Grid2D:
         """Coordinate meshes (XI, ETA), each of the value shape."""
         return np.meshgrid(self.xi_axis, self.eta_axis, indexing="ij")
 
-    def polar(self):
-        """Polar meshes (rho, phi) with rho = hypot(xi, eta), phi = atan2(eta, xi)."""
-        xi, eta = self.meshes()
-        return np.hypot(xi, eta), np.arctan2(eta, xi)
-
     def with_values(self, values) -> "Grid2D":
         return Grid2D(self.xi_axis, self.eta_axis, values)
 
@@ -268,25 +263,47 @@ def coherent_1d(xi0: float, xi, t: float):
     return math.pi**-0.25 * np.exp(expo)
 
 
+def _packet_factors(params: PacketParams, xi, eta, t: float):
+    """The x and y factors whose product is ``coherent_2d``.
+
+    The packet's exponent has no xi-eta cross term, so it splits into an x
+    part and a y part, each exponentiated on its own. The constant phase
+    and the 1/sqrt(pi) normalization ride on the x factor. The y factor
+    keeps the e^{2i theta} and e^{-i theta} of the joint exponent rather
+    than being ``coherent_1d`` at a shifted time, whose rounded shift would
+    be multiplied by eta0^2 / 4.
+    """
+    s = params.chirality.sign
+    theta = params.omega * t
+    twice = np.exp(2.0j * theta)
+    back = np.exp(-1.0j * theta)
+    x_expo = (
+        -1.0j * theta
+        + 0.25j * s * math.pi
+        - 0.5 * np.multiply(xi, xi)
+        - 0.25 * params.xi0**2 * (1.0 + twice)
+        + params.xi0 * np.asarray(xi) * back
+    )
+    y_expo = (
+        -0.5 * np.multiply(eta, eta)
+        - 0.25 * params.eta0**2 * (1.0 - twice)
+        + 1j * s * params.eta0 * np.asarray(eta) * back
+    )
+    return np.exp(x_expo) / _SQRT_PI, np.exp(y_expo)
+
+
 def coherent_2d(params: PacketParams, xi, eta, t: float):
     """2D coherent packet: the x packet times the pi/2 phase-shifted y packet.
 
     Retarded chirality shifts the y phase by -pi/2 (counter-clockwise center
     motion), advanced by +pi/2. At t = 0 this equals ``initial_state`` times
-    the constant phase e^{i s pi/4}.
+    the constant phase e^{i s pi/4}. The x factor is evaluated at ``xi`` and
+    the y factor at ``eta`` before they are multiplied, so passing a column
+    of xi and a row of eta gives the whole grid from O(P) exponentials;
+    scalars and meshes broadcast as well.
     """
-    s = params.chirality.sign
-    theta = params.omega * t
-    cross = params.xi0 * np.asarray(xi) + 1j * s * params.eta0 * np.asarray(eta)
-    expo = (
-        -1.0j * theta
-        + 0.25j * s * math.pi
-        - 0.5 * (np.multiply(xi, xi) + np.multiply(eta, eta))
-        - 0.25 * params.xi0**2 * (1.0 + np.exp(2.0j * theta))
-        - 0.25 * params.eta0**2 * (1.0 - np.exp(2.0j * theta))
-        + cross * np.exp(-1.0j * theta)
-    )
-    return np.exp(expo) / _SQRT_PI
+    x_factor, y_factor = _packet_factors(params, xi, eta, t)
+    return x_factor * y_factor
 
 
 def initial_state(params: PacketParams, xi, eta):

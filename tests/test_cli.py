@@ -10,10 +10,27 @@ from coherent2d.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     RunConfig,
+    _check,
+    _g17,
+    _json_dumps,
+    _worst,
     main,
 )
 
 FAST = ["--grid-points", "65", "--tsteps", "8"]
+# A cutoff far past the packet on a wide coarse grid: rho^|m| overflows at
+# the grid corners, so the spectral fields hold NaN.
+OVERFLOWING = [
+    "--xi0", "1.5", "--eta0", "0.5", "--nmax", "170", "--grid-half-width", "60",
+    "--grid-points", "33", "--tsteps", "2",
+]
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(args, capsys):
@@ -206,6 +223,87 @@ class TestVerify:
         assert any(
             line.startswith("FAIL coefficient-oracle") for line in out.strip().splitlines()
         )
+
+
+class TestVerifyJson:
+    def test_matches_text_verdicts(self, capsys):
+        argv = ["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST
+        text_code, text, _ = run(argv, capsys)
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == text_code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["params"]["xi0"] == 1.5
+        assert doc["params"]["n_max"] >= 0
+        assert doc["passed"] is True
+        lines = [line.split() for line in text.strip().splitlines()]
+        assert [c["name"] for c in doc["checks"]] == [line[1] for line in lines]
+        for check, line in zip(doc["checks"], lines):
+            assert set(check) == {"name", "passed", "residual", "tolerance"}
+            assert check["passed"] == (line[0] == "PASS")
+            assert check["residual"] == float(line[2].removeprefix("residual="))
+
+    def test_failure_keeps_exit_code(self, capsys, monkeypatch):
+        true_coeff = expansion.coeff_elliptic
+        monkeypatch.setattr(
+            expansion, "coeff_elliptic", lambda params, mode: -true_coeff(params, mode)
+        )
+        code, out, _ = run(
+            ["verify", "--xi0", "1.5", "--eta0", "0.5", "--format", "json"] + FAST,
+            capsys,
+        )
+        assert code == EXIT_VERIFY_FAIL
+        doc = strict_json(out)
+        assert doc["passed"] is False
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert "coefficient-oracle" in failed
+
+
+class TestNonFinite:
+    def test_worst_propagates_non_finite(self):
+        assert math.isnan(_worst([1e-3, math.nan, 2e-3]))
+        assert math.isnan(_worst([math.inf]))
+        assert math.isnan(_worst(iter([0.0, -math.inf])))
+        assert _worst([3e-12, 1e-11, 2e-12]) == 1e-11
+        assert _worst([-4e-16]) == -4e-16
+        assert _worst([]) == 0.0
+
+    def test_nan_residual_fails(self):
+        assert not _check("x", math.nan, 1e-8).passed
+        assert _check("x", 1e-9, 1e-8).passed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_emitters_refuse_non_finite(self, value):
+        with pytest.raises(ValueError):
+            _g17(value)
+        with pytest.raises(ValueError):
+            _json_dumps(value)
+        with pytest.raises(ValueError):
+            _json_dumps({"rows": [{"t": 0.0, "x": value}]})
+        assert _json_dumps({"x": None}) == '{\n  "x": null\n}'
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_evolve_refuses_nan(self, capsys):
+        code, out, err = run(["evolve", *OVERFLOWING, "--format", "json"], capsys)
+        assert code == EXIT_VERIFY_FAIL
+        assert out == ""
+        assert err.startswith("error: spectral_max_err is nan at t=0")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_fails_on_nan(self, capsys):
+        code, out, _ = run(["verify", *OVERFLOWING], capsys)
+        assert code == EXIT_VERIFY_FAIL
+        assert "FAIL spectral-completeness residual=nan tol=1e-08" in out.splitlines()
+        code, out, _ = run(["verify", *OVERFLOWING, "--format", "json"], capsys)
+        assert code == EXIT_VERIFY_FAIL
+        (check,) = [
+            c for c in strict_json(out)["checks"] if c["name"] == "spectral-completeness"
+        ]
+        assert check == {
+            "name": "spectral-completeness",
+            "passed": False,
+            "residual": None,
+            "tolerance": 1e-8,
+        }
 
 
 class TestErrorPaths:

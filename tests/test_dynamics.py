@@ -5,18 +5,79 @@ import pytest
 
 from coherent2d import (
     Chirality,
+    Grid2D,
+    ModeIndex,
     PacketParams,
     SpectralEvolver,
     aligned_max_difference,
     build_table,
     classical_center,
     coherent_2d,
+    eigenstate,
     evolve_closed_form,
     initial_state,
     make_grid,
     orbit_signed_area,
     trace_orbit,
 )
+from coherent2d.dynamics import _mirror_start, _principal_fields
+from coherent2d.expansion import CoefficientTable
+from coherent2d.specialfn import log_factorial
+
+SQRT_PI = math.sqrt(math.pi)
+
+
+def full_grid_fields(table, grid):
+    """Reference per-N fields: every grid point built directly, no mirroring.
+
+    The same grouping by |m|, Laguerre ladder and accumulation order as the
+    library, over the whole grid.
+    """
+    xi, eta = grid.meshes()
+    rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
+    u = rho * rho
+    gauss = np.exp(-0.5 * u)
+    eiphi = np.exp(1j * phi)
+    abs_m = np.abs(table.m)
+    fields = {}
+    angular = np.ones_like(eiphi)
+    radial_pow = np.ones_like(u)
+    current = 0
+    for am in np.unique(abs_m).tolist():
+        while current < am:
+            angular = angular * eiphi
+            radial_pow = radial_pow * rho
+            current += 1
+        group = abs_m == am
+        max_nr = int(table.n_r[group].max())
+        ladder = [np.ones_like(u)]
+        if max_nr >= 1:
+            ladder.append(1.0 + am - u)
+        for k in range(1, max_nr):
+            ladder.append(
+                ((2.0 * k + am + 1.0 - u) * ladder[k] - (k + am) * ladder[k - 1])
+                / (k + 1.0)
+            )
+        base = radial_pow * gauss
+        rows = zip(
+            table.m[group].tolist(),
+            table.n_r[group].tolist(),
+            table.principal[group].tolist(),
+            table.c[group].tolist(),
+        )
+        for m, n_r, key, c in rows:
+            prefactor = (
+                c
+                * math.exp(0.5 * (log_factorial(n_r) - log_factorial(am + n_r)))
+                / SQRT_PI
+            )
+            contrib = prefactor * base * ladder[n_r]
+            contrib = contrib * (angular if m >= 0 else np.conj(angular))
+            if key in fields:
+                fields[key] += contrib
+            else:
+                fields[key] = contrib
+    return fields
 
 
 class TestClosedFormEvolution:
@@ -97,7 +158,125 @@ class TestSpectralEvolution:
         assert aligned_max_difference(fast_field, spectral) < 1e-8
 
 
+def offset_grid(params, points):
+    """A grid whose eta axis is shifted by half a step, so it has no mirror."""
+    axis = make_grid(params, points=points).xi_axis
+    step = axis[1] - axis[0]
+    return Grid2D(axis, axis + 0.5 * step, np.zeros((points, points), dtype=complex))
+
+
+class TestPrincipalFields:
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize(
+        "xi0,eta0,points",
+        [(1.5, 0.5, 257), (3.0, 1.0, 129), (0.0, 2.0, 128), (2.5, 2.5, 97)],
+    )
+    def test_half_build_is_bitwise_the_full_build(self, xi0, eta0, points, chirality):
+        p = PacketParams(xi0, eta0, chirality=chirality)
+        grid = make_grid(p, points=points)
+        table = build_table(p)
+        first = _mirror_start(grid.eta_axis)
+        assert first == points // 2
+        assert np.all(grid.eta_axis[first:] >= 0.0)
+        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis[first:])
+        expect = full_grid_fields(table, grid)
+        assert len(fields) == table.n_max + 1
+        for big_n, field in enumerate(fields):
+            if big_n not in expect:
+                assert field is None
+                continue
+            assert np.array_equal(field, expect[big_n][:, first:])
+            # the columns left out are the conjugate mirror image, exactly
+            mirrored = np.conj(expect[big_n][:, : -first - 1 : -1])
+            assert np.array_equal(expect[big_n][:, :first], mirrored)
+
+    def test_unmirrored_grid_matches_eigenstate_sums(self):
+        p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
+        grid = offset_grid(p, 65)
+        assert _mirror_start(grid.eta_axis) == 0
+        table = build_table(p)
+        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        xi, eta = grid.meshes()
+        rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
+        expect = {}
+        for m, n_r, c in zip(table.m.tolist(), table.n_r.tolist(), table.c.tolist()):
+            mode = ModeIndex(m, n_r)
+            term = c * eigenstate(mode, rho, phi)
+            expect[mode.principal] = expect.get(mode.principal, 0.0) + term
+        for big_n, field in enumerate(fields):
+            assert (field is None) == (big_n not in expect)
+            if field is not None:
+                assert np.max(np.abs(field - expect[big_n])) < 1e-12
+
+    def test_level_without_modes_holds_no_array(self):
+        p = PacketParams(0.0, 0.0)
+        grid = make_grid(p, points=33)
+        fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
+        assert fields[0] is not None
+        assert fields[1:] == [None, None, None]
+
+
+class TestSynthesis:
+    @pytest.mark.parametrize(
+        "params,points,mirrored",
+        [
+            (PacketParams(1.5, 0.5), 129, True),
+            (PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED), 128, True),
+            (PacketParams(2.0, 2.0, omega=2.0), 97, True),
+            (PacketParams(2.0, 0.7), 65, False),
+        ],
+    )
+    def test_matches_direct_sum(self, params, points, mirrored):
+        grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
+        table = build_table(params)
+        fields = full_grid_fields(table, grid)
+        evolver = SpectralEvolver(table, grid)
+        for t in (0.0, 0.7, 3.1, 29.3):
+            direct = sum(
+                np.exp(-1j * (big_n + 1) * params.omega * t) * field
+                for big_n, field in fields.items()
+            )
+            assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
+
+    def test_empty_table_synthesizes_zero(self):
+        p = PacketParams(1.0, 0.0)
+        empty = CoefficientTable(p, 2, [], [], [], tail_mass=1.0)
+        with pytest.warns(UserWarning, match="tail mass"):
+            evolver = SpectralEvolver(empty, make_grid(p, points=33))
+        assert not np.any(evolver.at(0.3).values)
+
+
 class TestTrajectory:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PacketParams(1.5, 0.5),
+            PacketParams(3.7, 0.9, chirality=Chirality.ADVANCED),
+            PacketParams(0.0, 2.2, omega=0.6),
+            PacketParams(4.0, 4.0),
+        ],
+    )
+    def test_moments_match_grid_sums(self, params):
+        grid = make_grid(params, points=129)
+        xi, eta = grid.meshes()
+        cell = grid.cell_area
+        times = [0.0, 0.4, 2.9, 17.3]
+        for t, sample in zip(times, trace_orbit(params, times, grid)):
+            density = np.abs(coherent_2d(params, xi, eta, t)) ** 2
+            mass = float(np.sum(density)) * cell
+            cx = float(np.sum(xi * density)) * cell / mass
+            cy = float(np.sum(eta * density)) * cell / mass
+            expect = {
+                "norm": mass,
+                "centroid_xi": cx,
+                "centroid_eta": cy,
+                "var_xi": float(np.sum((xi - cx) ** 2 * density)) * cell / mass,
+                "var_eta": float(np.sum((eta - cy) ** 2 * density)) * cell / mass,
+                "peak_density": float(np.max(density)),
+            }
+            for name, value in expect.items():
+                assert abs(getattr(sample, name) - value) < 1e-13, name
+
     def test_centroid_tracks_classical_ellipse(self, elliptic_params, elliptic_grid, period):
         times = [period * k / 64 for k in range(64)]
         samples = trace_orbit(elliptic_params, times, elliptic_grid)

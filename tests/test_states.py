@@ -225,6 +225,47 @@ class TestCoherent2D:
             d_ret_mirror = np.abs(coherent_2d(ret, xi, -eta, t)) ** 2
             assert np.max(np.abs(d_adv - d_ret_mirror)) < 1e-12
 
+    def test_matches_high_precision_exponent(self):
+        # the seed's joint exponent at 40 digits, at 200 seeded points near
+        # the packet center, amplitudes up to 20 and t in [-10, 30]
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rng = np.random.default_rng(20260501)
+        worst = 0.0
+        for k in range(200):
+            chirality = (Chirality.RETARDED, Chirality.ADVANCED)[k % 2]
+            xi0, eta0 = rng.uniform(0.0, 20.0, size=2)
+            p = PacketParams(xi0, eta0, chirality=chirality)
+            t = float(rng.uniform(-10.0, 30.0))
+            cx, cy = classical_center(p, t)
+            xi = cx + float(rng.uniform(-2.0, 2.0))
+            eta = cy + float(rng.uniform(-2.0, 2.0))
+            s = chirality.sign
+            theta, x, y = mp.mpf(t), mp.mpf(xi), mp.mpf(eta)
+            a, b = mp.mpf(p.xi0), mp.mpf(p.eta0)
+            expo = (
+                -1j * theta
+                + 0.25j * s * mp.pi
+                - (x * x + y * y) / 2
+                - a * a / 4 * (1 + mp.exp(2j * theta))
+                - b * b / 4 * (1 - mp.exp(2j * theta))
+                + (a * x + 1j * s * b * y) * mp.exp(-1j * theta)
+            )
+            expect = complex(mp.exp(expo) / mp.sqrt(mp.pi))
+            worst = max(worst, abs(coherent_2d(p, xi, eta, t) - expect))
+        assert worst < 1e-13
+
+    def test_axes_and_meshes_agree_bitwise(self):
+        for chirality in Chirality:
+            p = PacketParams(2.5, 1.3, chirality=chirality)
+            grid = make_grid(p, points=65)
+            xi, eta = grid.meshes()
+            column, row = grid.xi_axis[:, None], grid.eta_axis[None, :]
+            for t in (0.0, 1.7, 23.4):
+                on_axes = coherent_2d(p, column, row, t)
+                assert on_axes.shape == xi.shape
+                assert np.array_equal(on_axes, coherent_2d(p, xi, eta, t))
+
     def test_initial_state_trivial_value(self):
         assert initial_state(PacketParams(0, 0), 0.0, 0.0) == pytest.approx(
             1.0 / SQRT_PI, rel=1e-15
