@@ -23,6 +23,7 @@ from .states import (
     Chirality,
     PacketParams,
     PhysicalUnits,
+    _default_half_width,
     classical_center,
     make_grid,
     modes_up_to,
@@ -35,10 +36,24 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _MIN_GRID_POINTS = 33
+# Widest grid spacing accepted: the unit-width packet's orbit moments are
+# exact to 2e-14 at 0.5, and fail their 1e-6 tolerance from about 0.8.
+_MAX_GRID_SPACING = 0.5
+# Fewest times `verify` accepts: its orientation test needs a centroid
+# polygon with non-zero area.
+_MIN_VERIFY_STEPS = 3
 # Levels N checked against the quadrature oracle, and the prefix of them
 # checked for circular-packet support.
 _ORACLE_LEVELS = 12
 _SUPPORT_LEVELS = 8
+# Rows of the coefficient table rendered per chunk, and the row templates;
+# '%.17g' % x is format(x, '.17g'), as _g17 prints, and N + 1 is an integer.
+_COEFF_CHUNK = 4096
+_CSV_ROW = "%d,%d,%d,%.17g,%.17g,%d\n"
+_JSON_ROW = (
+    '    {\n      "m": %d,\n      "n_r": %d,\n      "N": %d,\n'
+    '      "c": %.17g,\n      "c_squared": %.17g,\n      "energy": %d\n    }'
+)
 
 
 class ConfigError(ValueError):
@@ -71,6 +86,15 @@ class RunConfig:
             )
         if self.grid_half_width is not None and not 0.0 < self.grid_half_width < math.inf:
             raise ConfigError("grid half width must be positive and finite")
+        half_width = self.grid_half_width
+        if half_width is None:
+            half_width = _default_half_width(packet)
+        spacing = 2.0 * half_width / (self.grid_points - 1)
+        if spacing > _MAX_GRID_SPACING:
+            raise ConfigError(
+                f"grid spacing {spacing:.6g} exceeds {_MAX_GRID_SPACING}: the packet "
+                "is not resolved; raise --grid-points or lower --grid-half-width"
+            )
         if self.t_steps < 1:
             raise ConfigError("need at least one time step")
         if not 0.0 < self.t_max < math.inf:
@@ -129,12 +153,13 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(pieces, config: RunConfig) -> None:
+    """Write an iterable of text pieces to stdout or, opened once, ``--out``."""
     if config.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _params_dict(params: PacketParams, n_max: int) -> dict:
@@ -147,39 +172,63 @@ def _params_dict(params: PacketParams, n_max: int) -> dict:
     }
 
 
+def _coeff_chunks(table: expansion.CoefficientTable, template: str, separator: str):
+    """The table's rows rendered through ``template``, a chunk at a time.
+
+    A row is (m, n_r, N, c, c^2, N + 1); rows, and chunks, are joined by
+    ``separator``. Only one chunk of rows is ever held as Python objects.
+    """
+    m, n_r, big_n, c = table.m, table.n_r, table.principal, table.c
+    for lo in range(0, c.size, _COEFF_CHUNK):
+        hi = lo + _COEFF_CHUNK
+        chunk = c[lo:hi]
+        rows = zip(
+            m[lo:hi].tolist(),
+            n_r[lo:hi].tolist(),
+            big_n[lo:hi].tolist(),
+            chunk.tolist(),
+            (chunk * chunk).tolist(),
+            (big_n[lo:hi] + 1).tolist(),
+        )
+        if lo:
+            yield separator
+        yield separator.join(map(template.__mod__, rows))
+
+
+def _coeff_document(table: expansion.CoefficientTable, fmt: str, total: float):
+    """The ``coeffs`` document as a stream of text pieces."""
+    if fmt == "json":
+        params = _json_dumps(_params_dict(table.params, table.n_max), 1)
+        yield '{\n  "params": ' + params + ',\n  "entries": '
+        if len(table):
+            yield "[\n"
+            yield from _coeff_chunks(table, _JSON_ROW, ",\n")
+            yield "\n  ]"
+        else:
+            yield "[]"
+        yield (
+            f',\n  "sum_c_squared": {_g17(total)},'
+            f'\n  "tail_mass": {_g17(table.tail_mass)}\n}}\n'
+        )
+    else:
+        yield "m,n_r,N,C,C_squared,energy\n"
+        yield from _coeff_chunks(table, _CSV_ROW, "")
+        yield f"sum,,,,{_g17(total)},{_g17(table.tail_mass)}\n"
+
+
 def cmd_coeffs(config: RunConfig) -> int:
-    """Write the coefficient table sorted by (N, m), with a sum/tail footer."""
+    """Write the coefficient table sorted by (N, m), with a sum/tail footer.
+
+    The rows are streamed, so every printed value is checked to be finite
+    before anything is opened or written.
+    """
     table = expansion.build_table(config.params, config.n_max)
     total = math.fsum((table.c * table.c).tolist())
-    rows = zip(
-        table.m.tolist(), table.n_r.tolist(), table.principal.tolist(), table.c.tolist()
-    )
-    if config.format == "json":
-        entries = [
-            {
-                "m": m,
-                "n_r": n_r,
-                "N": big_n,
-                "c": c,
-                "c_squared": c * c,
-                "energy": float(big_n + 1),
-            }
-            for m, n_r, big_n, c in rows
-        ]
-        doc = {
-            "params": _params_dict(table.params, table.n_max),
-            "entries": entries,
-            "sum_c_squared": total,
-            "tail_mass": table.tail_mass,
-        }
-        _emit(_json_dumps(doc) + "\n", config)
-    else:
-        lines = [
-            (m, n_r, big_n, _g17(c), _g17(c * c), _g17(big_n + 1))
-            for m, n_r, big_n, c in rows
-        ]
-        lines.append(("sum", "", "", "", _g17(total), _g17(table.tail_mass)))
-        _emit(_csv_text(("m", "n_r", "N", "C", "C_squared", "energy"), lines), config)
+    # min and max propagate NaN; _g17 raises on the first non-finite value
+    lowest, highest = table.c.min(initial=0.0), table.c.max(initial=0.0)
+    for value in (lowest, highest, total, table.tail_mass):
+        _g17(value)
+    _emit(_coeff_document(table, config.format, total), config)
     return EXIT_OK
 
 
@@ -222,13 +271,13 @@ def cmd_observables(config: RunConfig) -> int:
         ("status", "pass" if ok else "fail"),
     ]
     if config.format == "json":
-        _emit(_json_dumps(dict(fields)) + "\n", config)
+        _emit([_json_dumps(dict(fields)) + "\n"], config)
     else:
         rows = [
             (name, value if isinstance(value, str) else _g17(value))
             for name, value in fields
         ]
-        _emit(_csv_text(("quantity", "value"), rows), config)
+        _emit([_csv_text(("quantity", "value"), rows)], config)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -273,11 +322,11 @@ def cmd_evolve(config: RunConfig) -> int:
                 return EXIT_VERIFY_FAIL
     if config.format == "json":
         doc = {"params": _params_dict(params, table.n_max), "rows": rows}
-        _emit(_json_dumps(doc) + "\n", config)
+        _emit([_json_dumps(doc) + "\n"], config)
     else:
         header = tuple(rows[0].keys())
         _emit(
-            _csv_text(header, [tuple(_g17(row[k]) for k in header) for row in rows]),
+            [_csv_text(header, [tuple(_g17(row[k]) for k in header) for row in rows])],
             config,
         )
     return EXIT_OK
@@ -456,7 +505,7 @@ def cmd_verify(config: RunConfig) -> int:
             ],
             "passed": passed,
         }
-        _emit(_json_dumps(doc) + "\n", config)
+        _emit([_json_dumps(doc) + "\n"], config)
     else:
         lines = [
             f"{'PASS' if c.passed else 'FAIL'} {c.name} residual="
@@ -464,7 +513,7 @@ def cmd_verify(config: RunConfig) -> int:
             f"tol={_g17(c.tolerance)}"
             for c in checks
         ]
-        _emit("\n".join(lines) + "\n", config)
+        _emit(["\n".join(lines) + "\n"], config)
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -553,6 +602,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         xi0 = args.xi0 if args.xi0 is not None else 0.0
         eta0 = args.eta0 if args.eta0 is not None else 0.0
         omega = 1.0
+    if args.command == "verify" and args.tsteps < _MIN_VERIFY_STEPS:
+        raise ConfigError(
+            f"verify needs at least {_MIN_VERIFY_STEPS} time steps to test the "
+            f"orbit's orientation, got {args.tsteps}"
+        )
     return RunConfig(
         xi0=xi0,
         eta0=eta0,

@@ -16,7 +16,13 @@ import numpy as np
 
 from .expansion import CoefficientTable
 from .specialfn import log_factorial
-from .states import Grid2D, PacketParams, _packet_factors, coherent_2d
+from .states import (
+    Grid2D,
+    PacketParams,
+    _default_half_width,
+    _packet_factors,
+    coherent_2d,
+)
 
 __all__ = [
     "SpectralEvolver",
@@ -201,12 +207,16 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     """
     ref = reference.values
     cand = candidate.values
-    idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+    modulus = np.abs(ref)
+    idx = np.unravel_index(np.argmax(modulus), ref.shape)
     if cand[idx] == 0.0:
-        return float(np.max(np.abs(ref - cand)))
-    factor = ref[idx] / cand[idx]
-    factor /= abs(factor)
-    return float(np.max(np.abs(ref - factor * cand)))
+        diff = ref - cand
+    else:
+        factor = ref[idx] / cand[idx]
+        factor /= abs(factor)
+        diff = np.multiply(factor, cand)
+        np.subtract(ref, diff, out=diff)
+    return float(np.max(np.abs(diff, out=modulus)))
 
 
 def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySample]:
@@ -216,11 +226,11 @@ def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySam
     is a product of two axis sums and each centroid and variance a ratio
     of sums along its own axis.
 
-    The grid must span at least +/- (max(xi0, eta0) + 6) per axis so the
-    Riemann sums see the whole Gaussian; integrals then carry errors far
-    below the 1e-6 trajectory tolerances.
+    The grid must span at least +/- (max(xi0, eta0) + 6) per axis, the
+    default half width, so the Riemann sums see the whole Gaussian;
+    integrals then carry errors far below the 1e-6 trajectory tolerances.
     """
-    need = max(params.xi0, params.eta0) + 6.0
+    need = _default_half_width(params)
     slack = 1e-9
     if (
         grid.xi_axis[0] > -need + slack

@@ -33,8 +33,10 @@ __all__ = [
 _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
 # Largest principal cutoff a table may have: the closed form runs over all
-# (n_max + 1)(n_max + 2)/2 modes at once, and `coeffs --format json` on a
-# table that fills them peaks near 1.2 GB of RSS at this cutoff.
+# (n_max + 1)(n_max + 2)/2 modes at once. At this cutoff a full table holds
+# 1.13 M rows and `coeffs`, which streams them, peaks near 150 MB of RSS.
+# It stays here because `observables` loses precision from amplitude ~49
+# and `evolve` holds one grid-sized field per level, so both bind first.
 _MAX_TABLE_CUTOFF = 1500
 # Standard deviations below the Poisson mean where the cutoff search
 # starts: the left tail skipped there is below e^{-26.5^2/2} < 1e-150.

@@ -9,6 +9,7 @@ the dimensionless (xi, eta); physical scaling enters only through
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -148,10 +149,8 @@ class Grid2D:
     def __post_init__(self):
         xi = np.asarray(self.xi_axis, dtype=float)
         eta = np.asarray(self.eta_axis, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "xi_axis", xi)
         object.__setattr__(self, "eta_axis", eta)
-        object.__setattr__(self, "values", values)
         for axis in (xi, eta):
             if axis.ndim != 1 or axis.size < 2:
                 raise ValueError("axes must be 1-D with at least two points")
@@ -160,10 +159,16 @@ class Grid2D:
                 raise ValueError("axis spacing must be strictly positive")
             if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
                 raise ValueError("axes must be uniformly spaced")
-        if values.shape != (xi.size, eta.size):
+        self._set_values(self.values)
+
+    def _set_values(self, values) -> None:
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (self.xi_axis.size, self.eta_axis.size):
             raise ValueError(
-                f"values shape {values.shape} does not match axes {(xi.size, eta.size)}"
+                f"values shape {values.shape} does not match axes "
+                f"{(self.xi_axis.size, self.eta_axis.size)}"
             )
+        object.__setattr__(self, "values", values)
 
     @property
     def dxi(self) -> float:
@@ -182,7 +187,10 @@ class Grid2D:
         return np.meshgrid(self.xi_axis, self.eta_axis, indexing="ij")
 
     def with_values(self, values) -> "Grid2D":
-        return Grid2D(self.xi_axis, self.eta_axis, values)
+        """The same grid with new samples; the axes, already valid, are shared."""
+        grid = copy.copy(self)
+        grid._set_values(values)
+        return grid
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -192,15 +200,19 @@ class Grid2D:
         return float(np.sum(self.density()) * self.cell_area)
 
 
+def _default_half_width(params: PacketParams) -> float:
+    """max(xi0, eta0) + 6: past it the packet's Gaussian tails are below 1e-15."""
+    return max(params.xi0, params.eta0) + 6.0
+
+
 def make_grid(params: PacketParams, half_width: float | None = None, points: int = 257) -> Grid2D:
     """Centered square grid; the default half-width is max(xi0, eta0) + 6.
 
     Axes are built antisymmetric about zero (index offsets times spacing) so
-    mirror-symmetry comparisons hold to rounding; the default extent keeps
-    Gaussian tails below 1e-15 at the boundary. Values start at zero.
+    mirror-symmetry comparisons hold to rounding. Values start at zero.
     """
     if half_width is None:
-        half_width = max(params.xi0, params.eta0) + 6.0
+        half_width = _default_half_width(params)
     points = int(points)
     if points < 2:
         raise ValueError("a grid needs at least two points per axis")

@@ -1,14 +1,17 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from coherent2d import expansion
+from coherent2d import PacketParams, cli, expansion
 from coherent2d.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
+    ConfigError,
     RunConfig,
     _check,
     _g17,
@@ -18,12 +21,44 @@ from coherent2d.cli import (
 )
 
 FAST = ["--grid-points", "65", "--tsteps", "8"]
-# A cutoff far past the packet on a wide coarse grid: rho^|m| overflows at
-# the grid corners, so the spectral fields hold NaN.
+# A cutoff far past the packet on a wide grid at the coarsest accepted
+# spacing: rho^|m| overflows at the grid corners, so the spectral fields
+# hold NaN.
 OVERFLOWING = [
     "--xi0", "1.5", "--eta0", "0.5", "--nmax", "170", "--grid-half-width", "60",
-    "--grid-points", "33", "--tsteps", "2",
+    "--grid-points", "241", "--tsteps", "3",
 ]
+
+
+def reference_coeffs(table, fmt):
+    """``coeffs`` output as rendered row by row: dicts through ``_json_dumps``,
+    tuples through ``csv.writer``."""
+    total = math.fsum((table.c * table.c).tolist())
+    rows = zip(
+        table.m.tolist(), table.n_r.tolist(), table.principal.tolist(), table.c.tolist()
+    )
+    if fmt == "json":
+        entries = [
+            {"m": m, "n_r": n_r, "N": big_n, "c": c, "c_squared": c * c,
+             "energy": float(big_n + 1)}
+            for m, n_r, big_n, c in rows
+        ]
+        doc = {
+            "params": cli._params_dict(table.params, table.n_max),
+            "entries": entries,
+            "sum_c_squared": total,
+            "tail_mass": table.tail_mass,
+        }
+        return _json_dumps(doc) + "\n"
+    lines = [
+        (m, n_r, big_n, _g17(c), _g17(c * c), _g17(big_n + 1)) for m, n_r, big_n, c in rows
+    ]
+    lines.append(("sum", "", "", "", _g17(total), _g17(table.tail_mass)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("m", "n_r", "N", "C", "C_squared", "energy"))
+    writer.writerows(lines)
+    return buf.getvalue()
 
 
 def strict_json(text):
@@ -55,6 +90,16 @@ class TestConfig:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):
             RunConfig(xi0=1.0, eta0=1.0, format="xml")
+
+    def test_rejects_unresolved_grid(self):
+        RunConfig(xi0=1.5, eta0=0.5, grid_points=33)  # half width 7.5: 0.47
+        RunConfig(xi0=1.5, eta0=0.5, grid_half_width=60.0, grid_points=241)  # 0.5
+        with pytest.raises(ConfigError, match="grid spacing 0.504202 exceeds 0.5"):
+            RunConfig(xi0=1.5, eta0=0.5, grid_half_width=60.0, grid_points=239)
+        # the default half width grows with the amplitude
+        RunConfig(xi0=58.0, eta0=0.0, grid_points=257)
+        with pytest.raises(ConfigError, match="grid spacing"):
+            RunConfig(xi0=0.0, eta0=58.5, grid_points=257)
 
 
 class TestCoeffs:
@@ -98,6 +143,67 @@ class TestCoeffs:
             parts = line.split(",")
             keys.append((int(parts[2]), int(parts[0])))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--xi0", "1", "--eta0", "1"],
+            ["--xi0", "2.5", "--eta0", "2.5", "--chirality", "advanced"],
+            ["--xi0", "0", "--eta0", "0"],
+            ["--xi0", "1.5", "--eta0", "0.5", "--nmax", "0"],
+            ["--xi0", "3.2", "--eta0", "1.1", "--chirality", "advanced"],
+            # 16,653 rows: more than two chunks
+            ["--xi0", "12", "--eta0", "7"],
+            # every mode underflows: no rows
+            ["--xi0", "55", "--eta0", "0", "--nmax", "0"],
+        ],
+    )
+    def test_bytes_match_row_by_row_rendering(self, argv, fmt, capsys):
+        code, out, err = run(["coeffs", *argv, "--format", fmt], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        config = cli._config_from_args(cli.build_parser().parse_args(["coeffs", *argv]))
+        table = expansion.build_table(config.params, config.n_max)
+        assert out == reference_coeffs(table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 7, 9, 45])
+    def test_chunk_boundaries(self, chunk, fmt, capsys, monkeypatch):
+        # (1.5, 0.5) at n_max 8 has 45 rows: 45 chunks of 1, 5 of 9, one of
+        # 45, and 6 of 7 plus a partial one
+        monkeypatch.setattr(cli, "_COEFF_CHUNK", chunk)
+        params = PacketParams(1.5, 0.5)
+        table = expansion.build_table(params, 8)
+        assert len(table) == 45
+        code, out, _ = run(
+            ["coeffs", "--xi0", "1.5", "--eta0", "0.5", "--nmax", "8", "--format", fmt],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out == reference_coeffs(table, fmt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_table_writes_nothing(self, bad, fmt, capsys, monkeypatch, tmp_path):
+        true_build = expansion.build_table
+
+        def poisoned(params, n_max=None):
+            table = true_build(params, n_max)
+            c = table.c.copy()
+            c[len(c) // 2] = bad
+            return expansion.CoefficientTable(
+                table.params, table.n_max, table.m, table.n_r, c, table.tail_mass
+            )
+
+        monkeypatch.setattr(expansion, "build_table", poisoned)
+        argv = ["coeffs", "--xi0", "1.5", "--eta0", "0.5", "--format", fmt]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: refusing to print the non-finite number {bad}\n"
+        path = tmp_path / "table.out"
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert not path.exists()
 
     def test_byte_stable_across_runs(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -335,6 +441,26 @@ class TestErrorPaths:
         )
         assert code == EXIT_IO
         assert "error" in err
+
+    def test_unresolved_grid(self, capsys):
+        code, out, err = run(
+            ["verify", "--xi0", "1.5", "--eta0", "0.5", "--grid-half-width", "60",
+             "--grid-points", "33"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: grid spacing 3.75 exceeds 0.5")
+
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    def test_verify_needs_three_times(self, steps, capsys):
+        argv = ["--xi0", "1.5", "--eta0", "0.5", "--tsteps", steps, "--grid-points", "65"]
+        code, out, err = run(["verify", *argv], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "at least 3 time steps" in err
+        # evolve still traces one or two times
+        code, out, _ = run(["evolve", *argv], capsys)
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 1 + int(steps)
 
     def test_negative_amplitude(self, capsys):
         code, _, _ = run(["coeffs", "--xi0", "-1"], capsys)

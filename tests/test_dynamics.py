@@ -347,3 +347,21 @@ class TestPhaseAlignment:
         a = evolve_closed_form(elliptic_params, elliptic_grid, 0.6)
         b = a.with_values(a.values * np.exp(0.77j))
         assert aligned_max_difference(a, b) < 1e-13
+
+    def test_bitwise_equal_to_the_unbuffered_form(self, elliptic_params, elliptic_grid):
+        def reference(a, b):
+            ref, cand = a.values, b.values
+            idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+            if cand[idx] == 0.0:
+                return float(np.max(np.abs(ref - cand)))
+            factor = ref[idx] / cand[idx]
+            factor /= abs(factor)
+            return float(np.max(np.abs(ref - factor * cand)))
+
+        evolver = SpectralEvolver(build_table(elliptic_params), elliptic_grid)
+        zero = elliptic_grid.with_values(np.zeros_like(elliptic_grid.values))
+        for t in (0.0, 0.7, math.pi, 5.1):
+            closed = evolve_closed_form(elliptic_params, elliptic_grid, t)
+            shifted = evolve_closed_form(elliptic_params, elliptic_grid, t + 0.3)
+            for cand in (evolver.at(t), shifted, zero):
+                assert aligned_max_difference(closed, cand) == reference(closed, cand)

@@ -337,6 +337,10 @@ class TestGrid:
         grid = make_grid(PacketParams(1, 1), points=65)
         with pytest.raises(ValueError):
             grid.with_values(np.zeros((3, 3)))
+        other = grid.with_values(np.ones((65, 65)))
+        assert other.xi_axis is grid.xi_axis and other.eta_axis is grid.eta_axis
+        assert other.values.dtype == complex and np.all(other.values == 1.0)
+        assert np.all(grid.values == 0.0)
 
     def test_rejects_non_uniform_axis(self):
         from coherent2d import Grid2D
