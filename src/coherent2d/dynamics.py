@@ -3,7 +3,9 @@
 The closed-form packet and the truncated spectral synthesis
 sum C e^{-i (N+1) w t} psi_{m n_r} must agree up to a constant phase;
 this module provides both, plus centroid/variance trajectory extraction
-and the phase-quotient comparison used to confront them.
+and the phase-quotient comparison used to confront them. The spectral
+route stays in the polar (m, n_r) eigenbasis, built from normalized real
+ladders on one grid quadrant, and calls nothing of the closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import CoefficientTable
-from .specialfn import log_factorial
 from .states import (
     Grid2D,
     PacketParams,
@@ -35,6 +36,10 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _SPECTRAL_TAIL_LIMIT = 1e-10
+# Largest m n k of one synthesis product. OpenBLAS computes a product up to
+# 2^18 on the calling thread; a larger one wakes worker threads, which spin
+# on after it returns. Products near 2^16 also ran fastest on one thread.
+_SERIAL_PRODUCT = 2**16
 
 
 @dataclass(frozen=True)
@@ -60,93 +65,111 @@ def evolve_closed_form(params: PacketParams, grid: Grid2D, t: float) -> Grid2D:
     return grid.with_values(values)
 
 
-def _mirror_start(eta_axis: np.ndarray) -> int:
-    """First eta column on which the spectral fields need to be built.
+def _mirror_start(axis: np.ndarray) -> int:
+    """First index of the axis on which the spectral fields need to be built.
 
-    When the eta axis is exactly antisymmetric, as ``make_grid`` builds it,
-    this is the first eta >= 0 column: rho is even in eta, the polar angle
-    odd and C real, so F_N(xi, -eta) = conj F_N(xi, eta), bitwise. Any other
-    axis needs every column, so this is 0.
+    When the axis is exactly antisymmetric, as ``make_grid`` builds it,
+    this is its first coordinate >= 0: the fields at the negative
+    coordinates are symmetry images of those built (``SpectralEvolver``).
+    Any other axis is built whole, so this is 0.
     """
-    return eta_axis.size // 2 if np.array_equal(eta_axis, -eta_axis[::-1]) else 0
+    return axis.size // 2 if np.array_equal(axis, -axis[::-1]) else 0
 
 
 def _principal_fields(
     table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
-) -> list[np.ndarray | None]:
-    """Partial sums C psi grouped by principal number N, indexed by N.
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Partial sums F_N = sum C psi grouped by principal number N, indexed by N.
 
-    Each field has shape (len(xi_axis), len(eta_axis)); levels with no
-    stored mode hold None. Grouping by |m| lets one Laguerre ladder, one
-    radial power and one angular phasor serve every mode of that order.
-    The groups are taken in ascending |m| and each keeps the table's row
-    order, which fixes the order in which each field is accumulated.
+    Each entry is the pair (Re F_N, Im F_N) of real arrays of shape
+    (len(xi_axis), len(eta_axis)); levels with no stored mode hold None.
+    With z = xi + i eta and u = |z|^2, psi_{a,k} = l_k s_a and
+    psi_{-a,k} = l_k conj(s_a) for the normalized ladders
+
+        s_a = z^a e^{-u/2} / sqrt(pi a!),      s_{a+1} = z s_a / sqrt(a + 1),
+        l_k = sqrt(k! a! / (k + a)!) L_k^a(u),
+
+    l_k by the three-term Laguerre recurrence. C is real, so each (a, k)
+    adds (C_+ + C_-) l_k Re s_a to Re F_N and (C_+ - C_-) l_k Im s_a to
+    Im F_N, in ascending a. No factor is a bare power of rho, so the fields
+    stay finite where rho^|m| overflows. Past u ~ 1490 e^{-u/2} underflows
+    to zero, and where l_k overflows there too the fields are NaN.
     """
-    xi, eta = np.meshgrid(xi_axis, eta_axis, indexing="ij")
-    rho = np.hypot(xi, eta)
-    u = rho * rho
-    gauss = np.exp(-0.5 * u)
-    eiphi = np.exp(1j * np.arctan2(eta, xi))
+    m, n_r, c = table.m, table.n_r, table.c
+    plus = np.zeros((table.n_max + 1, table.n_max // 2 + 1))
+    minus = np.zeros_like(plus)
+    np.add.at(plus, (m[m >= 0], n_r[m >= 0]), c[m >= 0])
+    np.add.at(minus, (-m[m < 0], n_r[m < 0]), c[m < 0])
+    stored = np.zeros(plus.shape, dtype=bool)
+    stored[np.abs(m), n_r] = True
+    re_coef = plus + minus
+    im_coef = plus - minus
+    im_coef[0] = 0.0  # s_0 is real
 
-    abs_m = np.abs(table.m)
-    principal = table.principal
-
-    fields: list[np.ndarray | None] = [None] * (table.n_max + 1)
-    radial = np.empty_like(u)
-    term = np.empty_like(eiphi)
-    angular = np.ones_like(eiphi)
-    radial_pow = np.ones_like(u)
-    current = 0
-    for am in np.unique(abs_m).tolist():
-        while current < am:
-            angular = angular * eiphi
-            radial_pow = radial_pow * rho
-            current += 1
-        group = abs_m == am
-        max_nr = int(table.n_r[group].max())
-        ladder = [np.ones_like(u)]
-        if max_nr >= 1:
-            ladder.append(1.0 + am - u)
-        for k in range(1, max_nr):
-            ladder.append(
-                ((2.0 * k + am + 1.0 - u) * ladder[k] - (k + am) * ladder[k - 1])
-                / (k + 1.0)
-            )
-        base = radial_pow * gauss
-        conj_angular = np.conj(angular)
-        rows = zip(
-            table.m[group].tolist(),
-            table.n_r[group].tolist(),
-            principal[group].tolist(),
-            table.c[group].tolist(),
-        )
-        for m, n_r, key, c in rows:
-            prefactor = (
-                c
-                * math.exp(0.5 * (log_factorial(n_r) - log_factorial(am + n_r)))
-                / _SQRT_PI
-            )
-            np.multiply(prefactor, base, out=radial)
-            radial *= ladder[n_r]
-            if fields[key] is None:
-                fields[key] = radial * (angular if m >= 0 else conj_angular)
-            else:
-                np.multiply(radial, angular if m >= 0 else conj_angular, out=term)
-                fields[key] += term
+    x = xi_axis[:, None]
+    y = eta_axis[None, :]
+    u = x * x + y * y
+    s_re = np.exp(-0.5 * u) / _SQRT_PI
+    s_im = np.zeros_like(u)
+    scratch = np.empty_like(u)
+    term = np.empty_like(u)
+    fields: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (table.n_max + 1)
+    a = 0
+    for am in np.flatnonzero(stored.any(axis=1)).tolist():
+        while a < am:
+            gx = x / math.sqrt(a + 1.0)
+            gy = y / math.sqrt(a + 1.0)
+            np.multiply(s_re, gx, out=scratch)
+            np.multiply(s_im, gy, out=term)
+            scratch -= term
+            np.multiply(s_im, gx, out=term)
+            np.multiply(s_re, gy, out=s_im)
+            s_im += term
+            s_re, scratch = scratch, s_re
+            a += 1
+        coefs = (re_coef[a].tolist(), im_coef[a].tolist())
+        prev = np.zeros_like(u)
+        ladder = np.ones_like(u)
+        k = 0
+        for top in np.flatnonzero(stored[a]).tolist():
+            while k < top:
+                np.subtract(2.0 * k + a + 1.0, u, out=scratch)
+                scratch *= ladder
+                prev *= math.sqrt(k * (k + a))
+                scratch -= prev
+                scratch /= math.sqrt((k + 1.0) * (k + a + 1.0))
+                prev, ladder, scratch = ladder, scratch, prev
+                k += 1
+            big_n = a + 2 * k
+            if fields[big_n] is None:
+                fields[big_n] = (np.zeros_like(u), np.zeros_like(u))
+            for part, s_part, coef in zip(fields[big_n], (s_re, s_im), coefs):
+                if coef[k]:
+                    np.multiply(ladder, s_part, out=term)
+                    term *= coef[k]
+                    part += term
     return fields
 
 
 class SpectralEvolver:
     """Reusable spectral synthesis for one table on one grid.
 
-    The fields F_N are built once, on the eta columns from
-    ``_mirror_start`` on: the eta >= 0 half of a ``make_grid`` grid, all
-    columns of any other. They are kept as flat chunks stacked over the
-    stored levels, each chunk no larger than one grid's values. With
-    w_N = e^{-i (N+1) w t}, the sums U = sum Re(w_N) F_N and
-    V = sum Im(w_N) F_N take one real matrix product per chunk. The built
-    columns are U + iV; the mirrored ones are conj(U - iV), read in
-    reverse, since F_N(xi, -eta) = conj F_N(xi, eta).
+    The fields F_N = R_N + i I_N are built once, on the rows and columns
+    from ``_mirror_start``: the xi >= 0, eta >= 0 quadrant of a
+    ``make_grid`` grid, the whole of an axis that is not antisymmetric.
+    C is real and N = |m| (mod 2), so the rest of the grid holds images:
+
+        F_N(xi, -eta) = conj F_N(xi, eta),
+        F_N(-xi, eta) = (-1)^N conj F_N(xi, eta).
+
+    The quadrant is cut into blocks of whole rows, and [R; I] over the K
+    stored levels into (count, 2K, band) real stacks of consecutive points.
+    At time t one (8, 2K) matrix of the cos and sin of (N+1) w t, with the
+    parity signs, times a stack gives the real and imaginary parts of
+    sum_N e^{-i (N+1) w t} F_N at its points and at their three images,
+    written into the block's (8, points) product. Each band's product is
+    small enough to run on the calling thread, so no BLAS worker wakes.
+    The block's product is then written into strided views of the frame.
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -158,44 +181,72 @@ class SpectralEvolver:
             )
         self._grid = grid
         self._omega = table.params.omega
-        self._first = _mirror_start(grid.eta_axis)
-        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis[self._first :])
+        xi, eta = grid.xi_axis, grid.eta_axis
+        self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
+        fields = _principal_fields(table, xi[row0:], eta[col0:])
+        built = [field for field in fields if field is not None]
         self._levels = np.array([n for n, field in enumerate(fields) if field is not None])
-        flat = [field.reshape(-1) for field in fields if field is not None]
-        built = grid.xi_axis.size * (grid.eta_axis.size - self._first)
-        # a chunk, and its product with the two weight rows, stay within
-        # one grid's values
-        step = max(1, grid.values.size // max(2, len(flat)))
-        self._chunks = [
-            np.stack([field[lo : lo + step] for field in flat])
-            for lo in range(0, built if flat else 0, step)
-        ]
-        self._u = np.zeros(built, dtype=complex)
-        self._v = np.zeros(built, dtype=complex)
+        self._parity = np.tile(1 - 2 * (self._levels % 2), 2)
+        flat = [re.reshape(-1) for re, _ in built] + [im.reshape(-1) for _, im in built]
+        planes = max(1, len(flat))
+        rows, cols = xi.size - row0, eta.size - col0
+        size = grid.values.size
+        # A band's (8, 2K) @ (2K, band) product has m n k <= _SERIAL_PRODUCT.
+        # A stack holds at most one grid's values (2 size reals), and so does
+        # a block's (8, points) product, its points padded to whole bands.
+        capacity = size // 4
+        band = max(1, min(_SERIAL_PRODUCT // (8 * planes), 2 * size // planes,
+                          capacity - cols + 1))
+        per_stack = max(1, 2 * size // (band * planes))
+        height = max(1, min(rows, (capacity - band + 1) // cols))
+        self._width = -(-height * cols // band) * band
+        self._blocks = []
+        for i in range(0, rows if flat else 0, height):
+            first, points = i * cols, (min(i + height, rows) - i) * cols
+            stacks = []
+            for lo in range(0, points, per_stack * band):
+                count = -(-min(per_stack * band, points - lo) // band)
+                n = min(count * band, points - lo)
+                chunk = np.zeros((len(flat), count * band))
+                for plane, part in zip(flat, chunk):
+                    part[:n] = plane[first + lo : first + lo + n]
+                stacks.append(chunk.reshape(-1, count, band).transpose(1, 0, 2).copy())
+            self._blocks.append((i, points, stacks))
 
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
         phase = (self._levels + 1) * (self._omega * t)
-        weights = np.stack([np.cos(phase), -np.sin(phase)])
-        lo = 0
-        for chunk in self._chunks:
-            hi = lo + chunk.shape[1]
-            product = weights @ chunk.view(float)
-            self._u[lo:hi] = product[0].view(complex)
-            self._v[lo:hi] = product[1].view(complex)
-            lo = hi
-        first = self._first
-        values = np.empty(self._grid.values.shape, dtype=complex)
-        u = self._u.reshape(values.shape[0], -1)
-        v = self._v.reshape(values.shape[0], -1)
-        built = values[:, first:]
-        np.multiply(v, 1j, out=built)
-        built += u
-        if first:
-            mirrored = values[:, :first]
-            np.multiply(v[:, : -first - 1 : -1], -1j, out=mirrored)
-            mirrored += u[:, : -first - 1 : -1]
-            np.conjugate(mirrored, out=mirrored)
+        c, s = np.cos(phase), np.sin(phase)
+        # Re and Im rows at (xi, eta) and (xi, -eta), then their (-xi, .) images
+        upper = np.array([[c, s], [-s, c], [c, -s], [-s, -c]]).reshape(4, -1)
+        weights = np.concatenate([upper, upper[[2, 3, 0, 1]] * self._parity])
+        values = np.zeros(self._grid.values.shape, dtype=complex)
+        row0, col0 = self._start
+        # The frame seen from the built quadrant and from its images at -eta,
+        # -xi and both, indexed like the quadrant; an axis that is not
+        # antisymmetric has none. The quadrant is written last, over the
+        # zero of an odd axis, which is its own image.
+        views = (
+            values[row0:, col0:],
+            values[row0:, ::-1][:, col0:] if col0 else None,
+            values[::-1, col0:][row0:] if row0 else None,
+            values[::-1, ::-1][row0:, col0:] if row0 and col0 else None,
+        )
+        cols = values.shape[1] - col0
+        buffer = np.empty((8, self._width))
+        for i, points, stacks in self._blocks:
+            lo = 0
+            for stack in stacks:
+                count, _, band = stack.shape
+                out = buffer[:, lo : lo + count * band].reshape(8, count, band)
+                np.matmul(weights, stack, out=out.transpose(1, 0, 2))
+                lo += count * band
+            product = buffer[:, :points].reshape(8, -1, cols)
+            for q in (3, 2, 1, 0):
+                if views[q] is not None:
+                    target = views[q][i : i + product.shape[1]]
+                    target.real = product[2 * q]
+                    target.imag = product[2 * q + 1]
         return self._grid.with_values(values)
 
 

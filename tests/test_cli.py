@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coherent2d import PacketParams, cli, expansion
+from coherent2d import PacketParams, cli, dynamics, expansion
 from coherent2d.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -16,18 +16,12 @@ from coherent2d.cli import (
     _check,
     _g17,
     _json_dumps,
+    _resolved_grid,
     _worst,
     main,
 )
 
 FAST = ["--grid-points", "65", "--tsteps", "8"]
-# A cutoff far past the packet on a wide grid at the coarsest accepted
-# spacing: rho^|m| overflows at the grid corners, so the spectral fields
-# hold NaN.
-OVERFLOWING = [
-    "--xi0", "1.5", "--eta0", "0.5", "--nmax", "170", "--grid-half-width", "60",
-    "--grid-points", "241", "--tsteps", "3",
-]
 
 
 def reference_coeffs(table, fmt):
@@ -91,15 +85,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(xi0=1.0, eta0=1.0, format="xml")
 
+
+
+class TestGridSpacing:
     def test_rejects_unresolved_grid(self):
-        RunConfig(xi0=1.5, eta0=0.5, grid_points=33)  # half width 7.5: 0.47
-        RunConfig(xi0=1.5, eta0=0.5, grid_half_width=60.0, grid_points=241)  # 0.5
+        def grid(xi0=1.5, **kwargs):
+            return _resolved_grid(RunConfig(xi0=xi0, **kwargs))
+
+        grid(eta0=0.5, grid_points=33)  # half width 7.5: 0.47
+        grid(eta0=0.5, grid_half_width=60.0, grid_points=241)  # 0.5
         with pytest.raises(ConfigError, match="grid spacing 0.504202 exceeds 0.5"):
-            RunConfig(xi0=1.5, eta0=0.5, grid_half_width=60.0, grid_points=239)
+            grid(eta0=0.5, grid_half_width=60.0, grid_points=239)
         # the default half width grows with the amplitude
-        RunConfig(xi0=58.0, eta0=0.0, grid_points=257)
+        grid(xi0=58.0, eta0=0.0, grid_points=257)
         with pytest.raises(ConfigError, match="grid spacing"):
-            RunConfig(xi0=0.0, eta0=58.5, grid_points=257)
+            grid(xi0=0.0, eta0=58.5, grid_points=257)
+        # the configuration itself does not depend on a grid
+        RunConfig(xi0=0.0, eta0=58.5, grid_points=257)
+
+    def test_only_grid_commands_check_spacing(self, capsys):
+        argv = ["--xi0", "60", "--eta0", "0", "--nmax", "10"]
+        code, out, err = run(["coeffs", *argv], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith("\nsum,,,,0,1\n")
+        assert "grid spacing" not in run(["observables", *argv], capsys)[2]
+        for command in ("evolve", "verify"):
+            code, out, err = run([command, *argv], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: grid spacing 0.515625 exceeds 0.5")
 
 
 class TestCoeffs:
@@ -331,6 +344,26 @@ class TestVerify:
         )
 
 
+    def test_normalization_is_two_sided(self, capsys, monkeypatch):
+        true_build = expansion.build_table
+
+        def inflated(params, n_max=None):
+            table = true_build(params, n_max)
+            scale = math.sqrt((1.0 + 1e-9) / math.fsum((table.c * table.c).tolist()))
+            return expansion.CoefficientTable(
+                table.params, table.n_max, table.m, table.n_r, table.c * scale,
+                table.tail_mass,
+            )
+
+        monkeypatch.setattr(expansion, "build_table", inflated)
+        code, out, _ = run(["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST, capsys)
+        assert code == EXIT_VERIFY_FAIL
+        (line,) = [line for line in out.splitlines() if " normalization " in line]
+        assert line.startswith("FAIL normalization residual=")
+        residual = float(line.split()[2].removeprefix("residual="))
+        assert residual == pytest.approx(1e-9, rel=1e-6)
+
+
 class TestVerifyJson:
     def test_matches_text_verdicts(self, capsys):
         argv = ["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST
@@ -387,19 +420,33 @@ class TestNonFinite:
             _json_dumps({"rows": [{"t": 0.0, "x": value}]})
         assert _json_dumps({"x": None}) == '{\n  "x": null\n}'
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.fixture
+    def nan_frames(self, monkeypatch):
+        """Every synthesized frame carries one NaN, at a grid corner."""
+        true_at = dynamics.SpectralEvolver.at
+
+        def poisoned(evolver, t):
+            frame = true_at(evolver, t)
+            frame.values[0, 0] = math.nan
+            return frame
+
+        monkeypatch.setattr(dynamics.SpectralEvolver, "at", poisoned)
+
+    @pytest.mark.usefixtures("nan_frames")
     def test_evolve_refuses_nan(self, capsys):
-        code, out, err = run(["evolve", *OVERFLOWING, "--format", "json"], capsys)
+        argv = ["evolve", "--xi0", "1.5", "--eta0", "0.5", "--format", "json", *FAST]
+        code, out, err = run(argv, capsys)
         assert code == EXIT_VERIFY_FAIL
         assert out == ""
         assert err.startswith("error: spectral_max_err is nan at t=0")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.usefixtures("nan_frames")
     def test_verify_fails_on_nan(self, capsys):
-        code, out, _ = run(["verify", *OVERFLOWING], capsys)
+        argv = ["verify", "--xi0", "1.5", "--eta0", "0.5", *FAST]
+        code, out, _ = run(argv, capsys)
         assert code == EXIT_VERIFY_FAIL
         assert "FAIL spectral-completeness residual=nan tol=1e-08" in out.splitlines()
-        code, out, _ = run(["verify", *OVERFLOWING, "--format", "json"], capsys)
+        code, out, _ = run([*argv, "--format", "json"], capsys)
         assert code == EXIT_VERIFY_FAIL
         (check,) = [
             c for c in strict_json(out)["checks"] if c["name"] == "spectral-completeness"

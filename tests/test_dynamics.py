@@ -20,7 +20,7 @@ from coherent2d import (
     orbit_signed_area,
     trace_orbit,
 )
-from coherent2d.dynamics import _mirror_start, _principal_fields
+from coherent2d.dynamics import _SERIAL_PRODUCT, _mirror_start, _principal_fields
 from coherent2d.expansion import CoefficientTable
 from coherent2d.specialfn import log_factorial
 
@@ -28,10 +28,11 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def full_grid_fields(table, grid):
-    """Reference per-N fields: every grid point built directly, no mirroring.
+    """Reference per-N fields by the direct polar build, on every grid point.
 
-    The same grouping by |m|, Laguerre ladder and accumulation order as the
-    library, over the whole grid.
+    rho^|m|, e^{i m phi}, log-factorial prefactors and the unnormalized
+    Laguerre ladder, one complex term per mode: an algorithm independent of
+    the library's normalized real ladders.
     """
     xi, eta = grid.meshes()
     rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
@@ -158,11 +159,32 @@ class TestSpectralEvolution:
         assert aligned_max_difference(fast_field, spectral) < 1e-8
 
 
-def offset_grid(params, points):
-    """A grid whose eta axis is shifted by half a step, so it has no mirror."""
+def offset_grid(params, points, xi_shift=0.0, eta_shift=0.5):
+    """A grid with axes shifted by fractions of a step; a shifted axis has no mirror."""
     axis = make_grid(params, points=points).xi_axis
     step = axis[1] - axis[0]
-    return Grid2D(axis, axis + 0.5 * step, np.zeros((points, points), dtype=complex))
+    return Grid2D(
+        axis + xi_shift * step,
+        axis + eta_shift * step,
+        np.zeros((points, points), dtype=complex),
+    )
+
+
+def complex_fields(fields):
+    """The builder's (Re F_N, Im F_N) pairs as complex arrays keyed by N."""
+    return {n: pair[0] + 1j * pair[1] for n, pair in enumerate(fields) if pair is not None}
+
+
+def eigenstate_sum(table, grid, t):
+    """sum C e^{-i (N+1) w t} psi_{m n_r} on the grid, one ``eigenstate`` per mode."""
+    xi, eta = grid.meshes()
+    rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
+    total = np.zeros(xi.shape, dtype=complex)
+    for m, n_r, c in zip(table.m.tolist(), table.n_r.tolist(), table.c.tolist()):
+        mode = ModeIndex(m, n_r)
+        phase = np.exp(-1j * (mode.principal + 1) * table.params.omega * t)
+        total += c * phase * eigenstate(mode, rho, phi)
+    return total
 
 
 class TestPrincipalFields:
@@ -172,30 +194,54 @@ class TestPrincipalFields:
         [(1.5, 0.5, 257), (3.0, 1.0, 129), (0.0, 2.0, 128), (2.5, 2.5, 97)],
     )
     def test_half_build_is_bitwise_the_full_build(self, xi0, eta0, points, chirality):
+        """The quadrant build equals the full-axes build there, bitwise, and
+        the other three quadrants of the full build are its exact images."""
         p = PacketParams(xi0, eta0, chirality=chirality)
         grid = make_grid(p, points=points)
         table = build_table(p)
-        first = _mirror_start(grid.eta_axis)
-        assert first == points // 2
-        assert np.all(grid.eta_axis[first:] >= 0.0)
-        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis[first:])
-        expect = full_grid_fields(table, grid)
-        assert len(fields) == table.n_max + 1
-        for big_n, field in enumerate(fields):
-            if big_n not in expect:
-                assert field is None
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+        assert row0 == col0 == points // 2
+        assert np.all(grid.xi_axis[row0:] >= 0.0)
+        built = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+        full = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        assert len(built) == len(full) == table.n_max + 1
+        for big_n, (quadrant, whole) in enumerate(zip(built, full)):
+            assert (quadrant is None) == (whole is None)
+            if quadrant is None:
                 continue
-            assert np.array_equal(field, expect[big_n][:, first:])
-            # the columns left out are the conjugate mirror image, exactly
-            mirrored = np.conj(expect[big_n][:, : -first - 1 : -1])
-            assert np.array_equal(expect[big_n][:, :first], mirrored)
+            for part_q, part_w in zip(quadrant, whole):
+                assert np.array_equal(part_q, part_w[row0:, col0:])
+            # F(xi, -eta) = conj F(xi, eta); F(-xi, eta) = (-1)^N conj F(xi, eta)
+            re, im = whole
+            sign = (-1) ** big_n
+            assert np.array_equal(re[:, ::-1], re)
+            assert np.array_equal(im[:, ::-1], -im)
+            assert np.array_equal(re[::-1, :], sign * re)
+            assert np.array_equal(im[::-1, :], -sign * im)
+
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize(
+        "params,points",
+        [(PacketParams(1.5, 0.5), 129), (PacketParams(3.0, 1.0), 128),
+         (PacketParams(4.0, 4.0), 97)],
+    )
+    def test_matches_the_polar_reference(self, params, points, chirality):
+        """Within 1e-13 of the direct rho^|m|, e^{i m phi} build on every point."""
+        p = PacketParams(params.xi0, params.eta0, chirality=chirality)
+        grid = make_grid(p, points=points)
+        table = build_table(p)
+        fields = complex_fields(_principal_fields(table, grid.xi_axis, grid.eta_axis))
+        expect = full_grid_fields(table, grid)
+        assert fields.keys() == expect.keys()
+        for big_n, field in fields.items():
+            assert np.max(np.abs(field - expect[big_n])) < 1e-13
 
     def test_unmirrored_grid_matches_eigenstate_sums(self):
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = offset_grid(p, 65)
         assert _mirror_start(grid.eta_axis) == 0
         table = build_table(p)
-        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        fields = complex_fields(_principal_fields(table, grid.xi_axis, grid.eta_axis))
         xi, eta = grid.meshes()
         rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
         expect = {}
@@ -203,10 +249,23 @@ class TestPrincipalFields:
             mode = ModeIndex(m, n_r)
             term = c * eigenstate(mode, rho, phi)
             expect[mode.principal] = expect.get(mode.principal, 0.0) + term
-        for big_n, field in enumerate(fields):
-            assert (field is None) == (big_n not in expect)
-            if field is not None:
-                assert np.max(np.abs(field - expect[big_n])) < 1e-12
+        assert fields.keys() == expect.keys()
+        for big_n, field in fields.items():
+            assert np.max(np.abs(field - expect[big_n])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "xi_shift,eta_shift,points", [(0.0, 0.5, 65), (0.25, 0.0, 65), (0.0, 0.5, 64)]
+    )
+    def test_one_mirrored_axis_synthesizes_eigenstate_sums(self, xi_shift, eta_shift, points):
+        p = PacketParams(2.0, 0.7, chirality=Chirality.ADVANCED)
+        grid = offset_grid(p, points, xi_shift, eta_shift)
+        starts = (_mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis))
+        assert sorted(starts) == [0, points // 2]
+        table = build_table(p)
+        evolver = SpectralEvolver(table, grid)
+        for t in (0.0, 1.9):
+            err = np.max(np.abs(evolver.at(t).values - eigenstate_sum(table, grid, t)))
+            assert err < 1e-12
 
     def test_level_without_modes_holds_no_array(self):
         p = PacketParams(0.0, 0.0)
@@ -214,6 +273,24 @@ class TestPrincipalFields:
         fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
         assert fields[0] is not None
         assert fields[1:] == [None, None, None]
+
+    def test_finite_where_the_radial_power_overflows(self):
+        """A cutoff far past the packet on a wide, coarse grid: rho^|m| is
+        inf at the corners, the normalized ladders stay finite there."""
+        p = PacketParams(1.5, 0.5)
+        grid = make_grid(p, half_width=60.0, points=33)
+        table = build_table(p, n_max=170)
+        assert int(np.abs(table.m).max()) == 170
+        xi, eta = grid.meshes()
+        rho = np.hypot(xi, eta)
+        overflowing = 170 * np.log10(rho, where=rho > 0, out=np.zeros_like(rho)) > 308
+        assert np.count_nonzero(overflowing) >= 4
+        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        for pair in fields:
+            for part in pair:
+                assert np.all(np.isfinite(part[overflowing]))
+                assert np.all(np.isfinite(part))
+        assert np.all(np.isfinite(SpectralEvolver(table, grid).at(0.4).values))
 
 
 class TestSynthesis:
@@ -231,12 +308,40 @@ class TestSynthesis:
         table = build_table(params)
         fields = full_grid_fields(table, grid)
         evolver = SpectralEvolver(table, grid)
+        for _, _, stacks in evolver._blocks:
+            for stack in stacks:
+                count, planes, band = stack.shape
+                assert 8 * planes * band <= _SERIAL_PRODUCT
         for t in (0.0, 0.7, 3.1, 29.3):
             direct = sum(
                 np.exp(-1j * (big_n + 1) * params.omega * t) * field
                 for big_n, field in fields.items()
             )
             assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
+
+    def test_tiles_past_one_row_per_stack(self):
+        """With many levels a band holds less than a quadrant row: each
+        stack stays within one grid's values and each band's product within
+        _SERIAL_PRODUCT; the sum is unchanged."""
+        p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
+        grid = make_grid(p, points=33)
+        table = build_table(p, n_max=120)
+        evolver = SpectralEvolver(table, grid)
+        cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
+        stacks = [stack for _, _, block in evolver._blocks for stack in block]
+        assert len(evolver._blocks) > 1
+        assert np.empty((8, evolver._width)).nbytes <= grid.values.nbytes
+        for stack in stacks:
+            count, planes, band = stack.shape
+            assert band < cols
+            assert stack.nbytes <= grid.values.nbytes
+            assert 8 * planes * band <= _SERIAL_PRODUCT
+        fields = full_grid_fields(table, grid)
+        t = 0.9
+        direct = sum(
+            np.exp(-1j * (big_n + 1) * t) * field for big_n, field in fields.items()
+        )
+        assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
 
     def test_empty_table_synthesizes_zero(self):
         p = PacketParams(1.0, 0.0)
