@@ -305,9 +305,10 @@ def cmd_evolve(config: RunConfig) -> int:
     real_times = [tau / params.omega for tau in taus]
     samples = dynamics.trace_orbit(params, real_times, grid)
     rows = []
-    for tau, t, sample in zip(taus, real_times, samples):
+    frames = evolver.frames(real_times)
+    for tau, t, sample, frame in zip(taus, real_times, samples, frames):
         closed = dynamics.evolve_closed_form(params, grid, t)
-        err = dynamics.aligned_max_difference(closed, evolver.at(t))
+        err = dynamics.aligned_max_difference(closed, frame)
         cx, cy = classical_center(params, t)
         rows.append(
             {
@@ -480,11 +481,10 @@ def run_verification(
 
     # spectral synthesis against the closed form, phase-quotient
     evolver = dynamics.SpectralEvolver(table, grid)
+    times = [0.0, 0.7 / params.omega, math.pi / params.omega, 5.1 / params.omega]
     residuals = [
-        dynamics.aligned_max_difference(
-            dynamics.evolve_closed_form(params, grid, t), evolver.at(t)
-        )
-        for t in (0.0, 0.7 / params.omega, math.pi / params.omega, 5.1 / params.omega)
+        dynamics.aligned_max_difference(dynamics.evolve_closed_form(params, grid, t), frame)
+        for t, frame in zip(times, evolver.frames(times))
     ]
     checks.append(_check("spectral-completeness", _worst(residuals), 1e-8))
     return checks

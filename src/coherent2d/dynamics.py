@@ -10,8 +10,10 @@ ladders on one grid quadrant, and calls nothing of the closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,9 @@ _SPECTRAL_TAIL_LIMIT = 1e-10
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
 # on after it returns. Products near 2^16 also ran fastest on one thread.
 _SERIAL_PRODUCT = 2**16
+# Times synthesized per pass over the field stacks. A pass reads every
+# stack once, so this divides the memory traffic of each time.
+_TIMES_PER_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,13 @@ def _mirror_start(axis: np.ndarray) -> int:
 
 def _principal_fields(
     table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Partial sums F_N = sum C psi grouped by principal number N, indexed by N.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums F_N = sum C psi grouped by principal number N.
 
-    Each entry is the pair (Re F_N, Im F_N) of real arrays of shape
-    (len(xi_axis), len(eta_axis)); levels with no stored mode hold None.
+    Returns the K levels N that hold a stored mode, ascending, and their
+    fields as one real array of shape (2, K, len(xi_axis), len(eta_axis)):
+    Re F_N, then Im F_N, of each level.
+
     With z = xi + i eta and u = |z|^2, psi_{a,k} = l_k s_a and
     psi_{-a,k} = l_k conj(s_a) for the normalized ladders
 
@@ -106,14 +113,17 @@ def _principal_fields(
     im_coef = plus - minus
     im_coef[0] = 0.0  # s_0 is real
 
+    levels = np.unique(table.principal)
+    slot = {n: i for i, n in enumerate(levels.tolist())}
+
     x = xi_axis[:, None]
     y = eta_axis[None, :]
     u = x * x + y * y
+    fields = np.zeros((2, levels.size, *u.shape))
     s_re = np.exp(-0.5 * u) / _SQRT_PI
     s_im = np.zeros_like(u)
     scratch = np.empty_like(u)
     term = np.empty_like(u)
-    fields: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (table.n_max + 1)
     a = 0
     for am in np.flatnonzero(stored.any(axis=1)).tolist():
         while a < am:
@@ -140,15 +150,12 @@ def _principal_fields(
                 scratch /= math.sqrt((k + 1.0) * (k + a + 1.0))
                 prev, ladder, scratch = ladder, scratch, prev
                 k += 1
-            big_n = a + 2 * k
-            if fields[big_n] is None:
-                fields[big_n] = (np.zeros_like(u), np.zeros_like(u))
-            for part, s_part, coef in zip(fields[big_n], (s_re, s_im), coefs):
+            for part, s_part, coef in zip(fields[:, slot[a + 2 * k]], (s_re, s_im), coefs):
                 if coef[k]:
                     np.multiply(ladder, s_part, out=term)
                     term *= coef[k]
                     part += term
-    return fields
+    return levels, fields
 
 
 class SpectralEvolver:
@@ -164,12 +171,15 @@ class SpectralEvolver:
 
     The quadrant is cut into blocks of whole rows, and [R; I] over the K
     stored levels into (count, 2K, band) real stacks of consecutive points.
-    At time t one (8, 2K) matrix of the cos and sin of (N+1) w t, with the
+    At time t an (8, 2K) matrix of the cos and sin of (N+1) w t, with the
     parity signs, times a stack gives the real and imaginary parts of
-    sum_N e^{-i (N+1) w t} F_N at its points and at their three images,
-    written into the block's (8, points) product. Each band's product is
+    sum_N e^{-i (N+1) w t} F_N at its points and at their three images.
+    Up to g = ``_TIMES_PER_PASS`` times share one pass over the stacks:
+    their matrices are stacked into one (8g, 2K) matrix, whose product with
+    a block's stacks fills an (8g, points) buffer. Each band's product is
     small enough to run on the calling thread, so no BLAS worker wakes.
-    The block's product is then written into strided views of the frame.
+    Each time's (8, points) rows are then written into strided views of
+    its own frame.
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -183,71 +193,94 @@ class SpectralEvolver:
         self._omega = table.params.omega
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
-        fields = _principal_fields(table, xi[row0:], eta[col0:])
-        built = [field for field in fields if field is not None]
-        self._levels = np.array([n for n, field in enumerate(fields) if field is not None])
-        self._parity = np.tile(1 - 2 * (self._levels % 2), 2)
-        flat = [re.reshape(-1) for re, _ in built] + [im.reshape(-1) for _, im in built]
-        planes = max(1, len(flat))
+        self._levels, fields = _principal_fields(table, xi[row0:], eta[col0:])
+        self._parity = 1 - 2 * (self._levels % 2)
         rows, cols = xi.size - row0, eta.size - col0
+        flat = fields.reshape(2 * self._levels.size, rows * cols)
+        planes = max(1, len(flat))
         size = grid.values.size
-        # A band's (8, 2K) @ (2K, band) product has m n k <= _SERIAL_PRODUCT.
+        # A band's (8g, 2K) @ (2K, band) product has m n k <= _SERIAL_PRODUCT.
         # A stack holds at most one grid's values (2 size reals), and so does
-        # a block's (8, points) product, its points padded to whole bands.
-        capacity = size // 4
-        band = max(1, min(_SERIAL_PRODUCT // (8 * planes), 2 * size // planes,
+        # a block's (8g, points) product, its points padded to whole bands.
+        lines = 8 * _TIMES_PER_PASS
+        capacity = 2 * size // lines
+        band = max(1, min(_SERIAL_PRODUCT // (lines * planes), 2 * size // planes,
                           capacity - cols + 1))
         per_stack = max(1, 2 * size // (band * planes))
         height = max(1, min(rows, (capacity - band + 1) // cols))
         self._width = -(-height * cols // band) * band
         self._blocks = []
-        for i in range(0, rows if flat else 0, height):
+        for i in range(0, rows if len(flat) else 0, height):
             first, points = i * cols, (min(i + height, rows) - i) * cols
             stacks = []
-            for lo in range(0, points, per_stack * band):
-                count = -(-min(per_stack * band, points - lo) // band)
-                n = min(count * band, points - lo)
-                chunk = np.zeros((len(flat), count * band))
-                for plane, part in zip(flat, chunk):
-                    part[:n] = plane[first + lo : first + lo + n]
-                stacks.append(chunk.reshape(-1, count, band).transpose(1, 0, 2).copy())
+            for lo in range(first, first + points, per_stack * band):
+                full, rest = divmod(min(per_stack * band, first + points - lo), band)
+                tail = lo + full * band
+                stack = np.empty((full + (rest > 0), len(flat), band))
+                stack[:full] = flat[:, lo:tail].reshape(len(flat), full, band).transpose(1, 0, 2)
+                stack[full:, :, :rest] = flat[:, tail : tail + rest]
+                stack[full:, :, rest:] = 0.0
+                stacks.append(stack)
             self._blocks.append((i, points, stacks))
 
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
-        phase = (self._levels + 1) * (self._omega * t)
+        return self._synthesize([t])[0]
+
+    def frames(self, times) -> Iterator[Grid2D]:
+        """The synthesized packet at each of the times, in order.
+
+        The times are taken ``_TIMES_PER_PASS`` at a time, each group in
+        one pass over the stacks, so at most that many frames are held here.
+        """
+        times = iter(times)
+        while group := list(itertools.islice(times, _TIMES_PER_PASS)):
+            yield from self._synthesize(group)
+
+    def _synthesize(self, times: list) -> list[Grid2D]:
+        """The frames at up to ``_TIMES_PER_PASS`` times, from one pass."""
+        phase = np.outer(self._omega * np.asarray(times, dtype=float), self._levels + 1)
         c, s = np.cos(phase), np.sin(phase)
-        # Re and Im rows at (xi, eta) and (xi, -eta), then their (-xi, .) images
-        upper = np.array([[c, s], [-s, c], [c, -s], [-s, -c]]).reshape(4, -1)
-        weights = np.concatenate([upper, upper[[2, 3, 0, 1]] * self._parity])
-        values = np.zeros(self._grid.values.shape, dtype=complex)
+        # Re and Im rows at (xi, eta) and (xi, -eta), then their (-xi, .)
+        # images, each (2, times, K); stacked per time as (8 times, 2K)
+        upper = np.array([[c, s], [-s, c], [c, -s], [-s, -c]])
+        rows = np.concatenate([upper, upper[[2, 3, 0, 1]] * self._parity])
+        weights = rows.transpose(2, 0, 1, 3).reshape(8 * len(times), 2 * self._levels.size)
+        # The blocks and their images cover the grid; with no level there is
+        # no block and the frames stay zero.
+        alloc = np.empty if self._blocks else np.zeros
+        frames = [alloc(self._grid.values.shape, dtype=complex) for _ in times]
         row0, col0 = self._start
-        # The frame seen from the built quadrant and from its images at -eta,
-        # -xi and both, indexed like the quadrant; an axis that is not
+        # Each frame seen from the built quadrant and from its images at
+        # -eta, -xi and both, indexed like the quadrant; an axis that is not
         # antisymmetric has none. The quadrant is written last, over the
         # zero of an odd axis, which is its own image.
-        views = (
-            values[row0:, col0:],
-            values[row0:, ::-1][:, col0:] if col0 else None,
-            values[::-1, col0:][row0:] if row0 else None,
-            values[::-1, ::-1][row0:, col0:] if row0 and col0 else None,
-        )
-        cols = values.shape[1] - col0
-        buffer = np.empty((8, self._width))
+        views = [
+            (
+                values[row0:, col0:],
+                values[row0:, ::-1][:, col0:] if col0 else None,
+                values[::-1, col0:][row0:] if row0 else None,
+                values[::-1, ::-1][row0:, col0:] if row0 and col0 else None,
+            )
+            for values in frames
+        ]
+        cols = self._grid.values.shape[1] - col0
+        buffer = np.empty((weights.shape[0], self._width))
         for i, points, stacks in self._blocks:
             lo = 0
             for stack in stacks:
                 count, _, band = stack.shape
-                out = buffer[:, lo : lo + count * band].reshape(8, count, band)
+                out = buffer[:, lo : lo + count * band].reshape(-1, count, band)
                 np.matmul(weights, stack, out=out.transpose(1, 0, 2))
                 lo += count * band
-            product = buffer[:, :points].reshape(8, -1, cols)
-            for q in (3, 2, 1, 0):
-                if views[q] is not None:
-                    target = views[q][i : i + product.shape[1]]
-                    target.real = product[2 * q]
-                    target.imag = product[2 * q + 1]
-        return self._grid.with_values(values)
+            for j, images in enumerate(views):
+                product = buffer[8 * j : 8 * j + 8, :points].reshape(8, -1, cols)
+                for q in (3, 2, 1, 0):
+                    if images[q] is not None:
+                        target = images[q][i : i + product.shape[1]]
+                        target.real = product[2 * q]
+                        target.imag = product[2 * q + 1]
+        return [self._grid.with_values(values) for values in frames]
 
 
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:

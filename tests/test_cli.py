@@ -423,14 +423,14 @@ class TestNonFinite:
     @pytest.fixture
     def nan_frames(self, monkeypatch):
         """Every synthesized frame carries one NaN, at a grid corner."""
-        true_at = dynamics.SpectralEvolver.at
+        true_frames = dynamics.SpectralEvolver.frames
 
-        def poisoned(evolver, t):
-            frame = true_at(evolver, t)
-            frame.values[0, 0] = math.nan
-            return frame
+        def poisoned(evolver, times):
+            for frame in true_frames(evolver, times):
+                frame.values[0, 0] = math.nan
+                yield frame
 
-        monkeypatch.setattr(dynamics.SpectralEvolver, "at", poisoned)
+        monkeypatch.setattr(dynamics.SpectralEvolver, "frames", poisoned)
 
     @pytest.mark.usefixtures("nan_frames")
     def test_evolve_refuses_nan(self, capsys):

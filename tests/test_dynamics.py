@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherent2d import (
     Chirality,
@@ -20,9 +22,15 @@ from coherent2d import (
     orbit_signed_area,
     trace_orbit,
 )
-from coherent2d.dynamics import _SERIAL_PRODUCT, _mirror_start, _principal_fields
+from coherent2d.dynamics import (
+    _SERIAL_PRODUCT,
+    _TIMES_PER_PASS,
+    _mirror_start,
+    _principal_fields,
+)
 from coherent2d.expansion import CoefficientTable
 from coherent2d.specialfn import log_factorial
+from coherent2d.states import _default_half_width
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -170,9 +178,10 @@ def offset_grid(params, points, xi_shift=0.0, eta_shift=0.5):
     )
 
 
-def complex_fields(fields):
-    """The builder's (Re F_N, Im F_N) pairs as complex arrays keyed by N."""
-    return {n: pair[0] + 1j * pair[1] for n, pair in enumerate(fields) if pair is not None}
+def complex_fields(built):
+    """The builder's (levels, [Re; Im] fields) as complex arrays keyed by N."""
+    levels, (re, im) = built
+    return {n: re[i] + 1j * im[i] for i, n in enumerate(levels.tolist())}
 
 
 def eigenstate_sum(table, grid, t):
@@ -202,17 +211,13 @@ class TestPrincipalFields:
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         assert row0 == col0 == points // 2
         assert np.all(grid.xi_axis[row0:] >= 0.0)
-        built = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        full = _principal_fields(table, grid.xi_axis, grid.eta_axis)
-        assert len(built) == len(full) == table.n_max + 1
-        for big_n, (quadrant, whole) in enumerate(zip(built, full)):
-            assert (quadrant is None) == (whole is None)
-            if quadrant is None:
-                continue
-            for part_q, part_w in zip(quadrant, whole):
-                assert np.array_equal(part_q, part_w[row0:, col0:])
+        levels, quadrant = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+        full_levels, whole = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        assert np.array_equal(levels, full_levels)
+        assert np.array_equal(levels, np.unique(table.principal))
+        assert np.array_equal(quadrant, whole[:, :, row0:, col0:])
+        for big_n, re, im in zip(levels.tolist(), whole[0], whole[1]):
             # F(xi, -eta) = conj F(xi, eta); F(-xi, eta) = (-1)^N conj F(xi, eta)
-            re, im = whole
             sign = (-1) ** big_n
             assert np.array_equal(re[:, ::-1], re)
             assert np.array_equal(im[:, ::-1], -im)
@@ -270,9 +275,9 @@ class TestPrincipalFields:
     def test_level_without_modes_holds_no_array(self):
         p = PacketParams(0.0, 0.0)
         grid = make_grid(p, points=33)
-        fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
-        assert fields[0] is not None
-        assert fields[1:] == [None, None, None]
+        levels, fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
+        assert levels.tolist() == [0]
+        assert fields.shape == (2, 1, 33, 33)
 
     def test_finite_where_the_radial_power_overflows(self):
         """A cutoff far past the packet on a wide, coarse grid: rho^|m| is
@@ -285,39 +290,100 @@ class TestPrincipalFields:
         rho = np.hypot(xi, eta)
         overflowing = 170 * np.log10(rho, where=rho > 0, out=np.zeros_like(rho)) > 308
         assert np.count_nonzero(overflowing) >= 4
-        fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
-        for pair in fields:
-            for part in pair:
-                assert np.all(np.isfinite(part[overflowing]))
-                assert np.all(np.isfinite(part))
+        levels, fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        assert levels.size == 171
+        assert np.all(np.isfinite(fields[:, :, overflowing]))
+        assert np.all(np.isfinite(fields))
         assert np.all(np.isfinite(SpectralEvolver(table, grid).at(0.4).values))
+
+    @settings(max_examples=5)
+    @given(
+        xi0=st.floats(min_value=0.0, max_value=20.0),
+        eta0=st.floats(min_value=0.0, max_value=20.0),
+        chirality=st.sampled_from(list(Chirality)),
+    )
+    def test_finite_up_to_amplitude_20(self, xi0, eta0, chirality):
+        """Every field is finite at the automatic cutoff on a grid that
+        reaches the default half width, where u is largest at its corners."""
+        p = PacketParams(xi0, eta0, chirality=chirality)
+        grid = make_grid(p, points=17)
+        assert grid.xi_axis[-1] == pytest.approx(_default_half_width(p))
+        _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
+        assert np.all(np.isfinite(fields))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="past u ~ 1490 e^{-u/2} underflows to 0 where l_k overflows: inf * 0",
+    )
+    def test_finite_at_amplitude_28(self):
+        p = PacketParams(28.0, 0.0)
+        grid = make_grid(p, points=17)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
+        assert np.all(np.isfinite(fields))
+
+
+SYNTHESIS_PACKETS = [
+    (PacketParams(1.5, 0.5), 129, True),
+    (PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED), 128, True),
+    (PacketParams(2.0, 2.0, omega=2.0), 97, True),
+    (PacketParams(2.0, 0.7), 65, False),
+]
+
+
+def direct_sum(fields, omega, t):
+    return sum(np.exp(-1j * (big_n + 1) * omega * t) * field for big_n, field in fields.items())
+
+
+def assert_within_serial_bounds(evolver, grid):
+    """Every band's product, counting all 8 g rows of a pass, has m n k <=
+    _SERIAL_PRODUCT; every stack and the (8 g, width) block buffer hold at
+    most one grid's values."""
+    lines = 8 * _TIMES_PER_PASS
+    assert np.empty((lines, evolver._width)).nbytes <= grid.values.nbytes
+    for _, _, stacks in evolver._blocks:
+        for stack in stacks:
+            count, planes, band = stack.shape
+            assert lines * planes * band <= _SERIAL_PRODUCT
+            assert stack.nbytes <= grid.values.nbytes
 
 
 class TestSynthesis:
-    @pytest.mark.parametrize(
-        "params,points,mirrored",
-        [
-            (PacketParams(1.5, 0.5), 129, True),
-            (PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED), 128, True),
-            (PacketParams(2.0, 2.0, omega=2.0), 97, True),
-            (PacketParams(2.0, 0.7), 65, False),
-        ],
-    )
+    @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
     def test_matches_direct_sum(self, params, points, mirrored):
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         fields = full_grid_fields(table, grid)
         evolver = SpectralEvolver(table, grid)
-        for _, _, stacks in evolver._blocks:
+        assert_within_serial_bounds(evolver, grid)
+        for t in (0.0, 0.7, 3.1, 29.3):
+            direct = direct_sum(fields, params.omega, t)
+            assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
+
+    @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
+    def test_stacks_hold_the_quadrant_planes(self, params, points, mirrored):
+        """Each stack is bitwise the zero-padded (count, 2K, band) copy of
+        the [Re; Im] planes over its points, in consecutive bands."""
+        grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
+        table = build_table(params)
+        evolver = SpectralEvolver(table, grid)
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+        levels, fields = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+        flat = list(fields.reshape(2 * levels.size, -1))
+        cols = grid.eta_axis.size - col0
+        for i, points_in_block, stacks in evolver._blocks:
+            lo = i * cols
+            end = lo + points_in_block
             for stack in stacks:
                 count, planes, band = stack.shape
-                assert 8 * planes * band <= _SERIAL_PRODUCT
-        for t in (0.0, 0.7, 3.1, 29.3):
-            direct = sum(
-                np.exp(-1j * (big_n + 1) * params.omega * t) * field
-                for big_n, field in fields.items()
-            )
-            assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
+                n = min(count * band, end - lo)
+                expect = np.zeros((planes, count * band))
+                for plane, part in zip(flat, expect):
+                    part[:n] = plane[lo : lo + n]
+                expect = expect.reshape(planes, count, band).transpose(1, 0, 2)
+                assert stack.tobytes() == np.ascontiguousarray(expect).tobytes()
+                lo += n
+            assert lo == end
 
     def test_tiles_past_one_row_per_stack(self):
         """With many levels a band holds less than a quadrant row: each
@@ -328,20 +394,35 @@ class TestSynthesis:
         table = build_table(p, n_max=120)
         evolver = SpectralEvolver(table, grid)
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
-        stacks = [stack for _, _, block in evolver._blocks for stack in block]
         assert len(evolver._blocks) > 1
-        assert np.empty((8, evolver._width)).nbytes <= grid.values.nbytes
-        for stack in stacks:
-            count, planes, band = stack.shape
-            assert band < cols
-            assert stack.nbytes <= grid.values.nbytes
-            assert 8 * planes * band <= _SERIAL_PRODUCT
+        assert_within_serial_bounds(evolver, grid)
+        for _, _, stacks in evolver._blocks:
+            for stack in stacks:
+                assert stack.shape[2] < cols
         fields = full_grid_fields(table, grid)
         t = 0.9
-        direct = sum(
-            np.exp(-1j * (big_n + 1) * t) * field for big_n, field in fields.items()
-        )
-        assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
+        assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
+        frames = list(evolver.frames([0.2, t, 2.0]))
+        assert np.max(np.abs(frames[1].values - direct_sum(fields, 1.0, t))) < 1e-13
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
+    def test_frames_match_direct_sum(self, count):
+        """Full and partial groups of _TIMES_PER_PASS times each give every
+        time's frame, in order."""
+        p = PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED)
+        grid = make_grid(p, points=65)
+        table = build_table(p)
+        fields = full_grid_fields(table, grid)
+        evolver = SpectralEvolver(table, grid)
+        times = [0.37 * k - 1.1 for k in range(count)]
+        frames = list(evolver.frames(iter(times)))
+        assert len(frames) == count
+        for t, frame in zip(times, frames):
+            assert frame.values.shape == grid.values.shape
+            assert np.array_equal(frame.xi_axis, grid.xi_axis)
+            assert np.max(np.abs(frame.values - direct_sum(fields, 1.0, t))) < 1e-13
+        for t, frame in zip(times, frames):
+            assert np.max(np.abs(evolver.at(t).values - frame.values)) <= 1e-15
 
     def test_empty_table_synthesizes_zero(self):
         p = PacketParams(1.0, 0.0)
@@ -349,6 +430,10 @@ class TestSynthesis:
         with pytest.warns(UserWarning, match="tail mass"):
             evolver = SpectralEvolver(empty, make_grid(p, points=33))
         assert not np.any(evolver.at(0.3).values)
+        frames = list(evolver.frames([0.0, 0.3, 1.0, 2.0, 5.0]))
+        assert len(frames) == 5
+        assert not any(np.any(frame.values) for frame in frames)
+        assert list(evolver.frames([])) == []
 
 
 class TestTrajectory:
