@@ -11,6 +11,7 @@ from .dynamics import (
     SpectralEvolver,
     TrajectorySample,
     aligned_max_difference,
+    closed_form_factors,
     evolve_closed_form,
     orbit_signed_area,
     trace_orbit,
@@ -76,6 +77,7 @@ __all__ = [
     "build_table",
     "classical_center",
     "closed_form_energy",
+    "closed_form_factors",
     "closed_form_lz",
     "coeff_elliptic",
     "coeff_quadrature",

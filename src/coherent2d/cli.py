@@ -303,12 +303,11 @@ def cmd_evolve(config: RunConfig) -> int:
     evolver = dynamics.SpectralEvolver(table, grid)
     taus = [config.t_max * k / config.t_steps for k in range(config.t_steps)]
     real_times = [tau / params.omega for tau in taus]
-    samples = dynamics.trace_orbit(params, real_times, grid)
+    factors = dynamics.closed_form_factors(params, grid, real_times)
+    samples = dynamics.trace_orbit(params, real_times, grid, factors)
+    errors = evolver.residuals(real_times, factors)
     rows = []
-    frames = evolver.frames(real_times)
-    for tau, t, sample, frame in zip(taus, real_times, samples, frames):
-        closed = dynamics.evolve_closed_form(params, grid, t)
-        err = dynamics.aligned_max_difference(closed, frame)
+    for tau, t, sample, err in zip(taus, real_times, samples, errors):
         cx, cy = classical_center(params, t)
         rows.append(
             {
@@ -454,7 +453,9 @@ def run_verification(
     # classical correspondence: rigid translation along the ellipse
     period = 2.0 * math.pi / params.omega
     times = [period * k / config.t_steps for k in range(config.t_steps)]
-    samples = dynamics.trace_orbit(params, times, grid)
+    samples = dynamics.trace_orbit(
+        params, times, grid, dynamics.closed_form_factors(params, grid, times)
+    )
     residuals = []
     for t, sample in zip(times, samples):
         cx, cy = classical_center(params, t)
@@ -482,10 +483,7 @@ def run_verification(
     # spectral synthesis against the closed form, phase-quotient
     evolver = dynamics.SpectralEvolver(table, grid)
     times = [0.0, 0.7 / params.omega, math.pi / params.omega, 5.1 / params.omega]
-    residuals = [
-        dynamics.aligned_max_difference(dynamics.evolve_closed_form(params, grid, t), frame)
-        for t, frame in zip(times, evolver.frames(times))
-    ]
+    residuals = evolver.residuals(times, dynamics.closed_form_factors(params, grid, times))
     checks.append(_check("spectral-completeness", _worst(residuals), 1e-8))
     return checks
 

@@ -10,7 +10,6 @@ ladders on one grid quadrant, and calls nothing of the closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -31,6 +30,7 @@ __all__ = [
     "SpectralEvolver",
     "TrajectorySample",
     "aligned_max_difference",
+    "closed_form_factors",
     "evolve_closed_form",
     "orbit_signed_area",
     "trace_orbit",
@@ -93,14 +93,15 @@ def _principal_fields(
     With z = xi + i eta and u = |z|^2, psi_{a,k} = l_k s_a and
     psi_{-a,k} = l_k conj(s_a) for the normalized ladders
 
-        s_a = z^a e^{-u/2} / sqrt(pi a!),      s_{a+1} = z s_a / sqrt(a + 1),
-        l_k = sqrt(k! a! / (k + a)!) L_k^a(u),
+        s_a = z^a e^{-u/4} / sqrt(pi a!),      s_{a+1} = z s_a / sqrt(a + 1),
+        l_k = e^{-u/4} sqrt(k! a! / (k + a)!) L_k^a(u),
 
     l_k by the three-term Laguerre recurrence. C is real, so each (a, k)
     adds (C_+ + C_-) l_k Re s_a to Re F_N and (C_+ - C_-) l_k Im s_a to
     Im F_N, in ascending a. No factor is a bare power of rho, so the fields
-    stay finite where rho^|m| overflows. Past u ~ 1490 e^{-u/2} underflows
-    to zero, and where l_k overflows there too the fields are NaN.
+    stay finite where rho^|m| overflows. Each ladder carries half of the
+    Gaussian, so neither starts at zero before e^{-u/4} underflows, past
+    u ~ 2980; where l_k overflows there the fields are NaN.
     """
     m, n_r, c = table.m, table.n_r, table.c
     plus = np.zeros((table.n_max + 1, table.n_max // 2 + 1))
@@ -120,7 +121,8 @@ def _principal_fields(
     y = eta_axis[None, :]
     u = x * x + y * y
     fields = np.zeros((2, levels.size, *u.shape))
-    s_re = np.exp(-0.5 * u) / _SQRT_PI
+    quarter = np.exp(-0.25 * u)
+    s_re = quarter / _SQRT_PI
     s_im = np.zeros_like(u)
     scratch = np.empty_like(u)
     term = np.empty_like(u)
@@ -139,7 +141,7 @@ def _principal_fields(
             a += 1
         coefs = (re_coef[a].tolist(), im_coef[a].tolist())
         prev = np.zeros_like(u)
-        ladder = np.ones_like(u)
+        ladder = quarter.copy()
         k = 0
         for top in np.flatnonzero(stored[a]).tolist():
             while k < top:
@@ -169,17 +171,34 @@ class SpectralEvolver:
         F_N(xi, -eta) = conj F_N(xi, eta),
         F_N(-xi, eta) = (-1)^N conj F_N(xi, eta).
 
-    The quadrant is cut into blocks of whole rows, and [R; I] over the K
-    stored levels into (count, 2K, band) real stacks of consecutive points.
-    At time t an (8, 2K) matrix of the cos and sin of (N+1) w t, with the
-    parity signs, times a stack gives the real and imaginary parts of
-    sum_N e^{-i (N+1) w t} F_N at its points and at their three images.
-    Up to g = ``_TIMES_PER_PASS`` times share one pass over the stacks:
-    their matrices are stacked into one (8g, 2K) matrix, whose product with
-    a block's stacks fills an (8g, points) buffer. Each band's product is
-    small enough to run on the calling thread, so no BLAS worker wakes.
-    Each time's (8, points) rows are then written into strided views of
-    its own frame.
+    With Q(t) = sum_N e^{-i (N+1) w t} F_N on the quadrant, the packet is
+    conj Q(-t) at (xi, -eta), -conj Q(-t - pi/w) at (-xi, eta) and
+    -Q(t + pi/w) at (-xi, -eta).
+
+    The quadrant is cut into blocks of whole rows, and each block's
+    [Re F_N, Im F_N] pairs over the K stored levels into (count, band, 2K)
+    real stacks of consecutive points, no larger than one grid's values.
+    Every use of the fields is one pass over the blocks, each block going
+    through a transform and then into a consumer:
+
+    - The product transform takes any times, up to g = ``_TIMES_PER_PASS``
+      per pass: a (2K, 8g) matrix of the cos and sin of (N+1) w t, with the
+      parity signs, times a stack gives the packet at its points and their
+      three images at each time. Each band's product is small enough to
+      run on the calling thread, so no BLAS worker wakes.
+    - The FFT transform takes T times that sweep M whole periods in equal
+      steps, w t_k = 2 pi M k / T, when T is even. It folds the levels
+      into T bins, G_r = sum of F_N over N + 1 = r (mod T), and takes one
+      length-T FFT per point, whose bin j is Q at w t = 2 pi j / T. Time k
+      is bin M k (mod T) and its three images are the bins at -t, -t - pi/w
+      and t + pi/w, so only the quadrant is transformed. The blocks go
+      through it a few rows at a time, so that the folded (points, T)
+      buffer and its transform hold one grid between them.
+
+    ``at`` writes the frame at one time from the product transform; it is
+    the only consumer that builds a frame. ``residuals`` compares the
+    synthesis with a separable reference, block by block, through the FFT
+    transform where the times allow it and the product transform otherwise.
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -195,92 +214,290 @@ class SpectralEvolver:
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
         self._levels, fields = _principal_fields(table, xi[row0:], eta[col0:])
         self._parity = 1 - 2 * (self._levels % 2)
-        rows, cols = xi.size - row0, eta.size - col0
-        flat = fields.reshape(2 * self._levels.size, rows * cols)
-        planes = max(1, len(flat))
+        # (flip xi, flip eta) of the quadrant and its images, the quadrant first
+        self._images = [
+            (fx, fy) for fx in (False, True)[: 1 + bool(row0)]
+            for fy in (False, True)[: 1 + bool(col0)]
+        ]
+        rows, self._cols = xi.size - row0, eta.size - col0
+        cols, levels = self._cols, self._levels.size
+        planes = max(1, 2 * levels)
         size = grid.values.size
-        # A band's (8g, 2K) @ (2K, band) product has m n k <= _SERIAL_PRODUCT.
+        # A band's (band, 2K) @ (2K, 8g) product has m n k <= _SERIAL_PRODUCT.
         # A stack holds at most one grid's values (2 size reals), and so does
-        # a block's (8g, points) product, its points padded to whole bands.
+        # a block's (points, 8g) product, its points padded to whole bands.
         lines = 8 * _TIMES_PER_PASS
         capacity = 2 * size // lines
         band = max(1, min(_SERIAL_PRODUCT // (lines * planes), 2 * size // planes,
                           capacity - cols + 1))
         per_stack = max(1, 2 * size // (band * planes))
-        height = max(1, min(rows, (capacity - band + 1) // cols))
+        self._height = height = max(1, min(rows, (capacity - band + 1) // cols))
         self._width = -(-height * cols // band) * band
+        flat = fields.reshape(2, levels, rows * cols)
         self._blocks = []
-        for i in range(0, rows if len(flat) else 0, height):
+        for i in range(0, rows, height):
             first, points = i * cols, (min(i + height, rows) - i) * cols
             stacks = []
             for lo in range(first, first + points, per_stack * band):
-                full, rest = divmod(min(per_stack * band, first + points - lo), band)
-                tail = lo + full * band
-                stack = np.empty((full + (rest > 0), len(flat), band))
-                stack[:full] = flat[:, lo:tail].reshape(len(flat), full, band).transpose(1, 0, 2)
-                stack[full:, :, :rest] = flat[:, tail : tail + rest]
-                stack[full:, :, rest:] = 0.0
+                n = min(per_stack * band, first + points - lo)
+                count = -(-n // band)
+                stack = np.zeros((count, band, 2 * levels))
+                pairs = stack.reshape(count * band, 2 * levels)
+                # level by level: one copy of the whole transpose ran 4x slower
+                for level, pair in enumerate(flat[:, :, lo : lo + n].transpose(1, 0, 2)):
+                    pairs[:n, 2 * level : 2 * level + 2] = pair.T
                 stacks.append(stack)
             self._blocks.append((i, points, stacks))
 
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
-        return self._synthesize([t])[0]
+        values = np.empty(self._grid.values.shape, dtype=complex)
+        row0, col0 = self._start
+        # The frame seen from the quadrant and from each image, indexed like
+        # the quadrant. The quadrant is written last, over the zero of an
+        # odd axis, which is its own image.
+        views = [
+            values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
+            for fx, fy in self._images
+        ]
+        for i, height, series in self._product_blocks([t]):
+            for q in reversed(range(len(views))):
+                views[q][i : i + height] = series[:, q].reshape(height, self._cols)
+        return self._grid.with_values(values)
 
-    def frames(self, times) -> Iterator[Grid2D]:
-        """The synthesized packet at each of the times, in order.
+    def residuals(self, times, factors) -> list[float]:
+        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
 
-        The times are taken ``_TIMES_PER_PASS`` at a time, each group in
-        one pass over the stacks, so at most that many frames are held here.
+        ``factors`` holds one (X_k, Y_k) pair of reference factors per time,
+        on the xi and eta axes; S(t) is the synthesized packet and f_k the
+        unit phase that ``aligned_max_difference`` would take, from the
+        reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
+        each block's transform is reduced against the outer product of the
+        factors over its rows. A NaN anywhere makes that time's maximum NaN.
         """
-        times = iter(times)
-        while group := list(itertools.islice(times, _TIMES_PER_PASS)):
-            yield from self._synthesize(group)
+        times = [float(t) for t in times]
+        if not times:
+            return []
+        x = np.array([pair[0] for pair in factors], dtype=complex)
+        y = np.array([pair[1] for pair in factors], dtype=complex)
+        if x.shape != (len(times), self._grid.xi_axis.size) or y.shape != (
+            len(times), self._grid.eta_axis.size
+        ):
+            raise ValueError("need one pair of factors on the grid axes per time")
+        unit = self._alignment(times, x, y)
+        turns = self._whole_turns(times)
+        if turns:
+            passes = self._fft_passes(len(times), turns, x, y, unit)
+        else:
+            passes = self._product_passes(times, x, y, unit)
+        worst = np.zeros(len(times))
+        with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
+            for blocks, plans in passes:
+                for i, height, series in blocks:
+                    for ks, columns, xq, yq in plans:
+                        peaks = _peaks(series[:, columns], xq[i : i + height], yq)
+                        np.maximum.at(worst, ks, peaks)
+        return worst.tolist()
 
-    def _synthesize(self, times: list) -> list[Grid2D]:
-        """The frames at up to ``_TIMES_PER_PASS`` times, from one pass."""
+    def _fft_passes(self, count: int, turns: int, x, y, unit) -> list:
+        """The FFT transform's one pass, with the reference of each image.
+
+        A pass is a transform's blocks and, per slice of their series
+        columns, the times those columns hold and the matching reference
+        factors over the quadrant, as ``_peaks`` takes them.
+        """
+        step = math.gcd(turns % count, count)
+        plans = []
+        for fx, fy in self._images:
+            # time k at this image is bin s M k + c (mod T), conjugated
+            # when exactly one axis is flipped and negated when xi is
+            conj = fx != fy
+            bins = ((-1 if conj else 1) * (turns % count) * np.arange(count)
+                    + (count // 2 if fx else 0)) % count
+            xq, yq = self._references(x, y, -unit if fx else unit, fx, fy, conj)
+            # each used bin serves `step` times; take one of them per slice
+            order = np.argsort(bins, kind="stable")
+            for r in range(step):
+                ks = order[r::step]
+                columns = slice(int(bins[ks[0]]), None, step)
+                plans.append((ks, columns, _columns(xq[ks]), _columns(yq[ks])))
+        return [(self._fft_blocks(count), plans)]
+
+    def _product_passes(self, times: list, x, y, unit) -> list:
+        """The product transform's passes, ``_TIMES_PER_PASS`` times each,
+        with the references of every image at those times."""
+        references = [self._references(x, y, unit, fx, fy, False) for fx, fy in self._images]
+        passes = []
+        for lo in range(0, len(times), _TIMES_PER_PASS):
+            group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
+            xs = _columns(np.concatenate([xq[group] for xq, _ in references]))
+            ys = _columns(np.concatenate([yq[group] for _, yq in references]))
+            ks = np.tile(group, len(references))
+            blocks = self._product_blocks([times[k] for k in group])
+            passes.append((blocks, [(ks, slice(None), xs, ys)]))
+        return passes
+
+    def _whole_turns(self, times: list) -> int:
+        """M if the times sweep M >= 1 whole periods in an even number of steps.
+
+        That is t_k = (2 pi M) k / T / w for k < T, checked exactly against
+        that arithmetic, which is how ``evolve`` spaces its times over a
+        span of 2 pi M. It is 0 otherwise, and also where one quadrant row
+        of the FFT's (points, T) buffer would hold more than half a grid.
+        """
+        count = len(times)
+        if count < 2 or count % 2 or 2 * count * self._cols > self._grid.values.size:
+            return 0
+        turns = round(times[1] * self._omega * count / math.tau)
+        span = turns * math.tau
+        if turns < 1 or any(
+            t != span * k / count / self._omega for k, t in enumerate(times)
+        ):
+            return 0
+        return turns
+
+    def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
+
+        S there is summed directly over the levels from the stored fields
+        of its quadrant point, with the parity images' conjugate and signs;
+        f is 1 where S is 0, as in ``aligned_max_difference``.
+        """
+        ks = np.arange(len(times))
+        i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
+        ref = x[ks, i] * y[ks, j]
+        row0, col0 = self._start
+        fx, fy = i < row0, j < col0
+        rows = np.where(fx, x.shape[1] - 1 - i, i) - row0
+        cols = np.where(fy, y.shape[1] - 1 - j, j) - col0
+        fields = np.array(
+            [self._field(r, c) for r, c in zip(rows.tolist(), cols.tolist())],
+            dtype=complex,
+        ).reshape(len(times), self._levels.size)
+        fields = np.where((fx != fy)[:, None], fields.conj(), fields)
+        fields = np.where(fx[:, None], self._parity * fields, fields)
+        phase = np.outer(self._omega * np.asarray(times), self._levels + 1)
+        value = np.sum(fields * np.exp(-1j * phase), axis=1)
+        unit = np.ones(len(times), dtype=complex)
+        nonzero = value != 0.0
+        unit[nonzero] = ref[nonzero] / value[nonzero]
+        unit[nonzero] /= np.abs(unit[nonzero])
+        return unit
+
+    def _references(self, x, y, unit, fx: bool, fy: bool, conj: bool):
+        """One image's reference factors as (T, quadrant) stacks, so that
+        |X Y - unit S| = |x y - S| there, with S conjugated when ``conj``."""
+        row0, col0 = self._start
+        xq = (x[:, ::-1] if fx else x)[:, row0:]
+        yq = (y[:, ::-1] if fy else y)[:, col0:]
+        if conj:
+            xq, yq, unit = xq.conj(), yq.conj(), unit.conj()
+        return xq * unit.conj()[:, None], yq
+
+    def _field(self, row: int, col: int) -> np.ndarray:
+        """The K complex fields at one point of the quadrant."""
+        _, _, stacks = self._blocks[row // self._height]
+        point = row % self._height * self._cols + col
+        ((_, fields),) = _pieces(stacks, point, point + 1)
+        return fields[0]
+
+    def _product_blocks(self, times: list) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The product transform at up to ``_TIMES_PER_PASS`` times.
+
+        Yields each block's first row, its row count and a (points, n g)
+        complex view whose column q g + j is image q of ``_images`` at time
+        j. The view's buffer is reused by the next block.
+        """
         phase = np.outer(self._omega * np.asarray(times, dtype=float), self._levels + 1)
         c, s = np.cos(phase), np.sin(phase)
-        # Re and Im rows at (xi, eta) and (xi, -eta), then their (-xi, .)
-        # images, each (2, times, K); stacked per time as (8 times, 2K)
-        upper = np.array([[c, s], [-s, c], [c, -s], [-s, -c]])
-        rows = np.concatenate([upper, upper[[2, 3, 0, 1]] * self._parity])
-        weights = rows.transpose(2, 0, 1, 3).reshape(8 * len(times), 2 * self._levels.size)
-        # The blocks and their images cover the grid; with no level there is
-        # no block and the frames stay zero.
-        alloc = np.empty if self._blocks else np.zeros
-        frames = [alloc(self._grid.values.shape, dtype=complex) for _ in times]
-        row0, col0 = self._start
-        # Each frame seen from the built quadrant and from its images at
-        # -eta, -xi and both, indexed like the quadrant; an axis that is not
-        # antisymmetric has none. The quadrant is written last, over the
-        # zero of an odd axis, which is its own image.
-        views = [
-            (
-                values[row0:, col0:],
-                values[row0:, ::-1][:, col0:] if col0 else None,
-                values[::-1, col0:][row0:] if row0 else None,
-                values[::-1, ::-1][row0:, col0:] if row0 and col0 else None,
-            )
-            for values in frames
-        ]
-        cols = self._grid.values.shape[1] - col0
-        buffer = np.empty((weights.shape[0], self._width))
+        parts = []
+        for fx, fy in self._images:
+            # (R + i sign I)(c - i s) w, the image's conjugate in sign and
+            # its parity in w, split by R and I into real and imaginary parts
+            w = self._parity if fx else 1.0
+            sign = -1.0 if fx != fy else 1.0
+            parts.append([[w * c, -w * s], [sign * w * s, sign * w * c]])
+        weights = np.array(parts).transpose(4, 1, 0, 3, 2)
+        weights = weights.reshape(2 * self._levels.size, 2 * len(parts) * len(times))
+        out = np.empty((self._width, weights.shape[1]))
         for i, points, stacks in self._blocks:
             lo = 0
             for stack in stacks:
-                count, _, band = stack.shape
-                out = buffer[:, lo : lo + count * band].reshape(-1, count, band)
-                np.matmul(weights, stack, out=out.transpose(1, 0, 2))
+                count, band, _ = stack.shape
+                np.matmul(stack, weights, out=out[lo : lo + count * band].reshape(count, band, -1))
                 lo += count * band
-            for j, images in enumerate(views):
-                product = buffer[8 * j : 8 * j + 8, :points].reshape(8, -1, cols)
-                for q in (3, 2, 1, 0):
-                    if images[q] is not None:
-                        target = images[q][i : i + product.shape[1]]
-                        target.real = product[2 * q]
-                        target.imag = product[2 * q + 1]
-        return [self._grid.with_values(values) for values in frames]
+            yield i, points // self._cols, out.view(complex)[:points]
+
+    def _fft_blocks(self, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The FFT transform over ``count`` bins.
+
+        Yields each chunk's first row, its row count and a (points, count)
+        complex array whose column j is the quadrant at w t = 2 pi j / count.
+        The array is reused by the next chunk.
+        """
+        cols = self._cols
+        bins = (self._levels + 1) % count
+        layer = (self._levels + 1) // count
+        # runs of consecutive levels in one turn of the bins fold as slices
+        breaks = np.flatnonzero((np.diff(self._levels) != 1) | (np.diff(layer) != 0)) + 1
+        edges = [0, *breaks.tolist(), self._levels.size]
+        runs = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
+        # the folded levels and their transform hold one grid between them
+        height = max(1, min(self._height, self._grid.values.size // (2 * count * cols)))
+        buffer = np.empty((height * cols, count), dtype=complex)
+        for i, points, stacks in self._blocks:
+            for row in range(0, points // cols, height):
+                rows = min(height, points // cols - row)
+                folded = buffer[: rows * cols]
+                folded[...] = 0.0
+                for offset, fields in _pieces(stacks, row * cols, (row + rows) * cols):
+                    target = folded[offset : offset + len(fields)]
+                    for a, b, first in runs:
+                        target[:, first : first + b - a] += fields[:, a:b]
+                yield i + row, rows, np.fft.fft(folded, axis=-1)
+
+
+def _pieces(stacks: list, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """A block's (points, K) complex fields over its points lo:hi, by stack.
+
+    Yields (offset from lo, view) for each stack the points touch.
+    """
+    first = 0
+    for stack in stacks:
+        count, band, planes = stack.shape
+        fields = stack.view(complex).reshape(count * band, planes // 2)
+        a, b = max(lo, first), min(hi, first + len(fields))
+        if a < b:
+            yield a - lo, fields[a - first : b - first]
+        first += len(fields)
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """A (T, points) stack as a contiguous (points, T) array: the layout of
+    ``_peaks``, whose broadcast products run several times slower on a
+    strided view."""
+    return np.ascontiguousarray(stack.T)
+
+
+def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per column n, max over the points of |x[i, n] y[j, n] - series[(i, j), n]|.
+
+    ``series`` is (rows * cols, n) over a block's points, row-major; the
+    maximum propagates NaN.
+    """
+    diff = np.empty((len(x), *y.shape), dtype=complex)
+    # row by row: numpy buffers a broadcast complex product's operands, up
+    # to getbufsize() elements; one row's product keeps that to one row
+    for row, factor in zip(diff, x):
+        np.multiply(factor, y, out=row)
+    diff -= series.reshape(diff.shape)
+    # |diff|^2 into the real parts in place: no scratch beside diff
+    parts = diff.reshape(-1, diff.shape[2]).view(float)
+    real, imag = parts[:, 0::2], parts[:, 1::2]
+    np.multiply(real, real, out=real)
+    np.multiply(imag, imag, out=imag)
+    np.add(real, imag, out=real)
+    return np.sqrt(real.max(axis=0))
 
 
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
@@ -303,12 +520,23 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     return float(np.max(np.abs(diff, out=modulus)))
 
 
-def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySample]:
+def closed_form_factors(params: PacketParams, grid: Grid2D, times) -> list:
+    """The closed form's (x factor, y factor) on the grid axes at each time.
+
+    Their outer product is ``evolve_closed_form`` at that time; they are
+    the reference ``SpectralEvolver.residuals`` takes, and ``trace_orbit``
+    reduces them to moments.
+    """
+    return [_packet_factors(params, grid.xi_axis, grid.eta_axis, t) for t in times]
+
+
+def trace_orbit(params: PacketParams, times, grid: Grid2D, factors) -> list[TrajectorySample]:
     """Centroid, variance, norm and peak of the closed-form density per time.
 
     The density is |X(xi)|^2 |Y(eta)|^2, so each time costs O(P): the mass
     is a product of two axis sums and each centroid and variance a ratio
-    of sums along its own axis.
+    of sums along its own axis. ``factors`` are the times'
+    ``closed_form_factors``, which ``evolve`` also compares against.
 
     The grid must span at least +/- (max(xi0, eta0) + 6) per axis, the
     default half width, so the Riemann sums see the whole Gaussian;
@@ -325,8 +553,7 @@ def trace_orbit(params: PacketParams, times, grid: Grid2D) -> list[TrajectorySam
         raise ValueError(f"grid must span at least +/-{need} on both axes")
     xi, eta = grid.xi_axis, grid.eta_axis
     samples = []
-    for t in times:
-        x_factor, y_factor = _packet_factors(params, xi, eta, t)
+    for t, (x_factor, y_factor) in zip(times, factors, strict=True):
         wx = np.abs(x_factor) ** 2
         wy = np.abs(y_factor) ** 2
         mass_x = float(np.sum(wx))

@@ -13,6 +13,7 @@ from coherent2d import (
     aligned_max_difference,
     build_table,
     classical_center,
+    closed_form_factors,
     coeff_elliptic,
     coeff_quadrature,
     evolve_closed_form,
@@ -153,7 +154,7 @@ def test_criterion_6_classical_correspondence():
     params = PacketParams(1.5, 0.5)
     grid = make_grid(params)
     times = [2.0 * math.pi * k / 64 for k in range(64)]
-    samples = trace_orbit(params, times, grid)
+    samples = trace_orbit(params, times, grid, closed_form_factors(params, grid, times))
     for t, sample in zip(times, samples):
         cx, cy = classical_center(params, t)
         worst = max(
@@ -170,7 +171,9 @@ def test_criterion_6_classical_correspondence():
         )
     area = orbit_signed_area(samples)
     advanced = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
-    area_adv = orbit_signed_area(trace_orbit(advanced, times, grid))
+    area_adv = orbit_signed_area(
+        trace_orbit(advanced, times, grid, closed_form_factors(advanced, grid, times))
+    )
     orientation_ok = area > 0.0 > area_adv
     passed = worst <= tol and orientation_ok
     report("criterion-6 classical correspondence", worst, tol, passed)

@@ -421,18 +421,20 @@ class TestNonFinite:
         assert _json_dumps({"x": None}) == '{\n  "x": null\n}'
 
     @pytest.fixture
-    def nan_frames(self, monkeypatch):
-        """Every synthesized frame carries one NaN, at a grid corner."""
-        true_frames = dynamics.SpectralEvolver.frames
+    def nan_fields(self, monkeypatch):
+        """The built fields carry one NaN, at the quadrant's far corner, so
+        every synthesized time is NaN at the grid corners, whichever
+        transform synthesizes it."""
+        true_fields = dynamics._principal_fields
 
-        def poisoned(evolver, times):
-            for frame in true_frames(evolver, times):
-                frame.values[0, 0] = math.nan
-                yield frame
+        def poisoned(table, xi_axis, eta_axis):
+            levels, fields = true_fields(table, xi_axis, eta_axis)
+            fields[:, :, -1, -1] = math.nan
+            return levels, fields
 
-        monkeypatch.setattr(dynamics.SpectralEvolver, "frames", poisoned)
+        monkeypatch.setattr(dynamics, "_principal_fields", poisoned)
 
-    @pytest.mark.usefixtures("nan_frames")
+    @pytest.mark.usefixtures("nan_fields")
     def test_evolve_refuses_nan(self, capsys):
         argv = ["evolve", "--xi0", "1.5", "--eta0", "0.5", "--format", "json", *FAST]
         code, out, err = run(argv, capsys)
@@ -440,7 +442,7 @@ class TestNonFinite:
         assert out == ""
         assert err.startswith("error: spectral_max_err is nan at t=0")
 
-    @pytest.mark.usefixtures("nan_frames")
+    @pytest.mark.usefixtures("nan_fields")
     def test_verify_fails_on_nan(self, capsys):
         argv = ["verify", "--xi0", "1.5", "--eta0", "0.5", *FAST]
         code, out, _ = run(argv, capsys)

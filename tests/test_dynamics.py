@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from coherent2d import (
     aligned_max_difference,
     build_table,
     classical_center,
+    closed_form_factors,
     coherent_2d,
     eigenstate,
     evolve_closed_form,
@@ -22,6 +24,7 @@ from coherent2d import (
     orbit_signed_area,
     trace_orbit,
 )
+from coherent2d import dynamics
 from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
     _TIMES_PER_PASS,
@@ -311,14 +314,12 @@ class TestPrincipalFields:
         _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
         assert np.all(np.isfinite(fields))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="past u ~ 1490 e^{-u/2} underflows to 0 where l_k overflows: inf * 0",
-    )
     def test_finite_at_amplitude_28(self):
+        """Past u ~ 1490 e^{-u/2} underflows; each ladder starts at e^{-u/4}
+        instead, so neither is zero where the other grows large."""
         p = PacketParams(28.0, 0.0)
         grid = make_grid(p, points=17)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):
             _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
         assert np.all(np.isfinite(fields))
 
@@ -336,14 +337,14 @@ def direct_sum(fields, omega, t):
 
 
 def assert_within_serial_bounds(evolver, grid):
-    """Every band's product, counting all 8 g rows of a pass, has m n k <=
-    _SERIAL_PRODUCT; every stack and the (8 g, width) block buffer hold at
+    """Every band's product, counting all 8 g columns of a pass, has m n k <=
+    _SERIAL_PRODUCT; every stack and the (width, 8 g) block buffer hold at
     most one grid's values."""
     lines = 8 * _TIMES_PER_PASS
-    assert np.empty((lines, evolver._width)).nbytes <= grid.values.nbytes
+    assert np.empty((evolver._width, lines)).nbytes <= grid.values.nbytes
     for _, _, stacks in evolver._blocks:
         for stack in stacks:
-            count, planes, band = stack.shape
+            count, band, planes = stack.shape
             assert lines * planes * band <= _SERIAL_PRODUCT
             assert stack.nbytes <= grid.values.nbytes
 
@@ -362,33 +363,31 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
     def test_stacks_hold_the_quadrant_planes(self, params, points, mirrored):
-        """Each stack is bitwise the zero-padded (count, 2K, band) copy of
-        the [Re; Im] planes over its points, in consecutive bands."""
+        """Each stack is bitwise the zero-padded (count, band, 2K) copy of
+        the [Re F_N, Im F_N] pairs at its points, in consecutive bands."""
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         evolver = SpectralEvolver(table, grid)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         levels, fields = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        flat = list(fields.reshape(2 * levels.size, -1))
+        pairs = fields.reshape(2, levels.size, -1).transpose(2, 1, 0).reshape(-1, 2 * levels.size)
         cols = grid.eta_axis.size - col0
         for i, points_in_block, stacks in evolver._blocks:
             lo = i * cols
             end = lo + points_in_block
             for stack in stacks:
-                count, planes, band = stack.shape
+                count, band, planes = stack.shape
                 n = min(count * band, end - lo)
-                expect = np.zeros((planes, count * band))
-                for plane, part in zip(flat, expect):
-                    part[:n] = plane[lo : lo + n]
-                expect = expect.reshape(planes, count, band).transpose(1, 0, 2)
-                assert stack.tobytes() == np.ascontiguousarray(expect).tobytes()
+                expect = np.zeros((count * band, planes))
+                expect[:n] = pairs[lo : lo + n]
+                assert stack.tobytes() == expect.tobytes()
                 lo += n
             assert lo == end
 
     def test_tiles_past_one_row_per_stack(self):
         """With many levels a band holds less than a quadrant row: each
         stack stays within one grid's values and each band's product within
-        _SERIAL_PRODUCT; the sum is unchanged."""
+        _SERIAL_PRODUCT; the sum is unchanged, by either transform."""
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = make_grid(p, points=33)
         table = build_table(p, n_max=120)
@@ -398,42 +397,180 @@ class TestSynthesis:
         assert_within_serial_bounds(evolver, grid)
         for _, _, stacks in evolver._blocks:
             for stack in stacks:
-                assert stack.shape[2] < cols
+                assert stack.shape[1] < cols
         fields = full_grid_fields(table, grid)
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
-        frames = list(evolver.frames([0.2, t, 2.0]))
-        assert np.max(np.abs(frames[1].values - direct_sum(fields, 1.0, t))) < 1e-13
+        for times in ([0.2, t, 2.0], [2.0 * math.pi * k / 8 for k in range(8)]):
+            expect = [
+                aligned_max_difference(
+                    evolve_closed_form(p, grid, s), grid.with_values(direct_sum(fields, 1.0, s))
+                )
+                for s in times
+            ]
+            got = evolver.residuals(times, closed_form_factors(p, grid, times))
+            assert np.max(np.abs(np.subtract(got, expect))) < 1e-12
 
     @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
     def test_frames_match_direct_sum(self, count):
-        """Full and partial groups of _TIMES_PER_PASS times each give every
-        time's frame, in order."""
+        """Full and partial groups of _TIMES_PER_PASS times: each frame
+        matches the direct sum, and each time's residual is the one
+        aligned_max_difference takes against it, in order."""
         p = PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED)
         grid = make_grid(p, points=65)
         table = build_table(p)
         fields = full_grid_fields(table, grid)
         evolver = SpectralEvolver(table, grid)
         times = [0.37 * k - 1.1 for k in range(count)]
-        frames = list(evolver.frames(iter(times)))
-        assert len(frames) == count
+        frames = [grid.with_values(direct_sum(fields, 1.0, t)) for t in times]
         for t, frame in zip(times, frames):
-            assert frame.values.shape == grid.values.shape
-            assert np.array_equal(frame.xi_axis, grid.xi_axis)
-            assert np.max(np.abs(frame.values - direct_sum(fields, 1.0, t))) < 1e-13
-        for t, frame in zip(times, frames):
-            assert np.max(np.abs(evolver.at(t).values - frame.values)) <= 1e-15
+            synthesized = evolver.at(t)
+            assert synthesized.values.shape == grid.values.shape
+            assert np.array_equal(synthesized.xi_axis, grid.xi_axis)
+            assert np.max(np.abs(synthesized.values - frame.values)) < 1e-13
+        residuals = evolver.residuals(iter(times), closed_form_factors(p, grid, times))
+        assert len(residuals) == count
+        for t, frame, residual in zip(times, frames, residuals):
+            expect = aligned_max_difference(evolve_closed_form(p, grid, t), frame)
+            assert abs(residual - expect) < 1e-12
 
     def test_empty_table_synthesizes_zero(self):
         p = PacketParams(1.0, 0.0)
+        grid = make_grid(p, points=33)
         empty = CoefficientTable(p, 2, [], [], [], tail_mass=1.0)
         with pytest.warns(UserWarning, match="tail mass"):
-            evolver = SpectralEvolver(empty, make_grid(p, points=33))
+            evolver = SpectralEvolver(empty, grid)
         assert not np.any(evolver.at(0.3).values)
-        frames = list(evolver.frames([0.0, 0.3, 1.0, 2.0, 5.0]))
-        assert len(frames) == 5
-        assert not any(np.any(frame.values) for frame in frames)
-        assert list(evolver.frames([])) == []
+        zero = grid.with_values(np.zeros_like(grid.values))
+        # arbitrary times, then a whole period in an even number of steps
+        for times in ([0.0, 0.3, 1.0, 2.0, 5.0], [2.0 * math.pi * k / 6 for k in range(6)]):
+            expect = [
+                aligned_max_difference(evolve_closed_form(p, grid, t), zero) for t in times
+            ]
+            got = evolver.residuals(times, closed_form_factors(p, grid, times))
+            assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
+        assert evolver.residuals([], []) == []
+
+
+# (xi0, eta0, omega, turns, steps, points): times t_k = 2 pi turns k / steps / omega
+SWEEPS = [
+    (1.5, 0.5, 1.0, 1, 64, 65),  # evolve's default sweep, more bins than levels
+    (3.0, 1.0, 1.0, 2, 16, 65),  # 4 pi: every bin serves two times; 16 < K, so bins alias
+    (2.0, 2.0, 2.0, 2, 10, 64),  # omega 2 over 4 pi on an axis with no zero
+    (3.0, 1.0, 2.0, 1, 6, 65),  # omega 2, 6 < K
+    (2.0, 0.7, 2.0, 1, 63, 65),  # odd T: the product transform
+    (3.0, 1.0, 1.0, 2, 9, 65),  # odd T below K
+]
+
+
+def sweep(turns, steps, omega):
+    """The times ``evolve`` takes over 2 pi turns: --tmax 2 pi turns, --tsteps steps."""
+    span = turns * 2.0 * math.pi
+    return [span * k / steps / omega for k in range(steps)]
+
+
+class TestFusedResidual:
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize("xi0,eta0,omega,turns,steps,points", SWEEPS)
+    def test_matches_the_reference_comparison(
+        self, xi0, eta0, omega, turns, steps, points, chirality
+    ):
+        """Each time's residual is aligned_max_difference of the closed-form
+        frame and at(t), whichever transform the sweep takes."""
+        p = PacketParams(xi0, eta0, chirality=chirality, omega=omega)
+        grid = make_grid(p, points=points)
+        evolver = SpectralEvolver(build_table(p), grid)
+        times = sweep(turns, steps, omega)
+        assert evolver._whole_turns(times) == (turns if steps % 2 == 0 else 0)
+        if (xi0, eta0, steps) == (3.0, 1.0, 16):
+            assert steps < evolver._levels.size
+        residuals = evolver.residuals(times, closed_form_factors(p, grid, times))
+        assert len(residuals) == steps
+        for t, residual in zip(times, residuals):
+            expect = aligned_max_difference(evolve_closed_form(p, grid, t), evolver.at(t))
+            assert abs(residual - expect) < 1e-12
+            assert expect < 1e-8
+
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize(
+        "xi0,eta0,omega,turns,steps,points", [s for s in SWEEPS if s[4] % 2 == 0]
+    )
+    def test_fft_bins_are_the_frames(self, xi0, eta0, omega, turns, steps, points, chirality):
+        """Bin M k of each chunk's transform is the quadrant of at(t_k), and
+        the bins at -t, -t - pi/w and t + pi/w give its three images."""
+        p = PacketParams(xi0, eta0, chirality=chirality, omega=omega)
+        grid = make_grid(p, points=points)
+        evolver = SpectralEvolver(build_table(p), grid)
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+        cols = grid.eta_axis.size - col0
+        frames = [evolver.at(t).values for t in sweep(turns, steps, omega)]
+        half = steps // 2
+        covered = 0
+        for i, height, spectrum in evolver._fft_blocks(steps):
+            bins = spectrum.reshape(height, cols, steps)
+            rows = slice(row0 + i, row0 + i + height)
+            for k, values in enumerate(frames):
+                j = turns * k % steps
+                images = [
+                    (values[rows, col0:], bins[:, :, j]),
+                    (values[:, ::-1][rows, col0:], bins[:, :, -j % steps].conj()),
+                    (values[::-1][rows, col0:], -bins[:, :, (half - j) % steps].conj()),
+                    (values[::-1, ::-1][rows, col0:], -bins[:, :, (j + half) % steps]),
+                ]
+                for frame, spectral in images:
+                    assert np.max(np.abs(frame - spectral)) < 1e-13
+            covered += height
+        assert covered == grid.xi_axis.size - row0
+
+    @pytest.mark.parametrize(
+        "points,steps,fft",
+        [(257, 64, True), (257, 9, False), (65, 64, True), (65, 66, False), (33, 32, True),
+         (33, 34, False), (65, 7, False)],
+    )
+    def test_buffers_hold_one_grid(self, monkeypatch, points, steps, fft):
+        """Each chunk's folded (points, T) buffer and its transform hold one
+        grid's values between them, and every residual reduction allocates
+        one grid at most, besides numpy's ufunc buffer of at most
+        getbufsize() elements; past half a grid per quadrant row the sweep
+        takes the product transform."""
+        p = PacketParams(2.0, 1.0)
+        grid = make_grid(p, points=points)
+        evolver = SpectralEvolver(build_table(p), grid)
+        assert_within_serial_bounds(evolver, grid)
+        times = sweep(1, steps, 1.0)
+        assert bool(evolver._whole_turns(times)) == fft
+        if fft:
+            chunks = list(evolver._fft_blocks(steps))
+            assert chunks
+            # the folded buffer has the first, tallest chunk's shape
+            folded = chunks[0][2].nbytes
+            for _, _, spectrum in chunks:
+                assert folded + spectrum.nbytes <= grid.values.nbytes
+        scratch = []
+        peaks = dynamics._peaks
+
+        def recording(series, x, y):
+            # numpy reports its data buffers to tracemalloc
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = peaks(series, x, y)
+            scratch.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(dynamics, "_peaks", recording)
+        tracemalloc.start()
+        try:
+            evolver.residuals(times, closed_form_factors(p, grid, times))
+        finally:
+            tracemalloc.stop()
+        assert scratch
+        assert max(scratch) <= grid.values.nbytes + np.getbufsize() * 16
+
+
+def orbit(params, times, grid):
+    """trace_orbit of the closed-form factors at the times."""
+    times = list(times)
+    return trace_orbit(params, times, grid, closed_form_factors(params, grid, times))
 
 
 class TestTrajectory:
@@ -451,7 +588,7 @@ class TestTrajectory:
         xi, eta = grid.meshes()
         cell = grid.cell_area
         times = [0.0, 0.4, 2.9, 17.3]
-        for t, sample in zip(times, trace_orbit(params, times, grid)):
+        for t, sample in zip(times, orbit(params, times, grid)):
             density = np.abs(coherent_2d(params, xi, eta, t)) ** 2
             mass = float(np.sum(density)) * cell
             cx = float(np.sum(xi * density)) * cell / mass
@@ -469,7 +606,7 @@ class TestTrajectory:
 
     def test_centroid_tracks_classical_ellipse(self, elliptic_params, elliptic_grid, period):
         times = [period * k / 64 for k in range(64)]
-        samples = trace_orbit(elliptic_params, times, elliptic_grid)
+        samples = orbit(elliptic_params, times, elliptic_grid)
         for t, s in zip(times, samples):
             cx, cy = classical_center(elliptic_params, t)
             assert abs(s.centroid_xi - cx) < 1e-6
@@ -482,21 +619,19 @@ class TestTrajectory:
         times = [period * k / 32 for k in range(32)]
         for xi0, eta0 in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.5)]:
             p = PacketParams(xi0, eta0)
-            samples = trace_orbit(p, times, make_grid(p, points=129))
+            samples = orbit(p, times, make_grid(p, points=129))
             for s in samples:
                 assert abs(s.var_xi - 0.5) < 1e-6
                 assert abs(s.var_eta - 0.5) < 1e-6
 
     def test_orbit_closure(self, elliptic_params, elliptic_grid, period):
         t0 = 0.7
-        first, second = trace_orbit(
-            elliptic_params, [t0, t0 + period], elliptic_grid
-        )
+        first, second = orbit(elliptic_params, [t0, t0 + period], elliptic_grid)
         assert abs(first.centroid_xi - second.centroid_xi) < 1e-9
         assert abs(first.centroid_eta - second.centroid_eta) < 1e-9
 
     def test_quarter_period_position(self, elliptic_params, elliptic_grid):
-        (sample,) = trace_orbit(elliptic_params, [0.5 * math.pi], elliptic_grid)
+        (sample,) = orbit(elliptic_params, [0.5 * math.pi], elliptic_grid)
         assert sample.centroid_xi == pytest.approx(0.0, abs=1e-6)
         assert sample.centroid_eta == pytest.approx(0.5, abs=1e-6)
 
@@ -505,8 +640,8 @@ class TestTrajectory:
         ret = PacketParams(1.5, 0.5)
         adv = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = make_grid(ret, points=129)
-        area_ret = orbit_signed_area(trace_orbit(ret, times, grid))
-        area_adv = orbit_signed_area(trace_orbit(adv, times, grid))
+        area_ret = orbit_signed_area(orbit(ret, times, grid))
+        area_adv = orbit_signed_area(orbit(adv, times, grid))
         assert area_ret > 0.0
         assert area_adv < 0.0
         assert abs(area_adv + area_ret) < 1e-12
@@ -514,11 +649,11 @@ class TestTrajectory:
     def test_rejects_under_spanned_grid(self, elliptic_params):
         small = make_grid(elliptic_params, half_width=4.0, points=65)
         with pytest.raises(ValueError, match="span"):
-            trace_orbit(elliptic_params, [0.0], small)
+            orbit(elliptic_params, [0.0], small)
 
     def test_ellipse_residual(self, elliptic_params, elliptic_grid, period):
         times = [period * k / 32 for k in range(32)]
-        for s in trace_orbit(elliptic_params, times, elliptic_grid):
+        for s in orbit(elliptic_params, times, elliptic_grid):
             residual = (
                 (s.centroid_xi / elliptic_params.xi0) ** 2
                 + (s.centroid_eta / elliptic_params.eta0) ** 2
