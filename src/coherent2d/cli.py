@@ -27,6 +27,7 @@ from .states import (
     _default_half_width,
     classical_center,
     make_grid,
+    mode_columns,
     modes_up_to,
     to_dimensionless,
 )
@@ -394,16 +395,16 @@ def run_verification(
 
     # analytic coefficients vs the projection-integral oracle, every mode
     # projected in one batch at the orders the highest checked level needs
-    modes = modes_up_to(min(_ORACLE_LEVELS, table.n_max))
+    levels = min(_ORACLE_LEVELS, table.n_max)
+    modes = modes_up_to(levels)
     radial_order, angular_points = expansion.oracle_orders(
         params, _ORACLE_LEVELS, _ORACLE_LEVELS
     )
     quads = expansion.coeff_quadrature_batch(params, modes, radial_order, angular_points)
     quads = quads.tolist()
-    worst = _worst(
-        abs(quad - expansion.coeff_elliptic(params, mode))
-        for mode, quad in zip(modes, quads)
-    )
+    # the closed form of every checked mode in one call, as build_table takes it
+    closed = expansion._closed_form(params, *mode_columns(levels)).tolist()
+    worst = _worst(abs(quad - c) for quad, c in zip(quads, closed))
     checks.append(_check("coefficient-oracle", worst, 1e-10))
     checks.append(
         _check("coefficient-oracle-imag", _worst(abs(q.imag) for q in quads), 1e-12)

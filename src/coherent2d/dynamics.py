@@ -42,8 +42,8 @@ _SPECTRAL_TAIL_LIMIT = 1e-10
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
 # on after it returns. Products near 2^16 also ran fastest on one thread.
 _SERIAL_PRODUCT = 2**16
-# Times synthesized per pass over the field stacks. A pass reads every
-# stack once, so this divides the memory traffic of each time.
+# Times synthesized per pass over the field blocks. A pass reads every
+# block once, so this divides the memory traffic of each time.
 _TIMES_PER_PASS = 4
 
 
@@ -171,27 +171,34 @@ class SpectralEvolver:
         F_N(xi, -eta) = conj F_N(xi, eta),
         F_N(-xi, eta) = (-1)^N conj F_N(xi, eta).
 
-    With Q(t) = sum_N e^{-i (N+1) w t} F_N on the quadrant, the packet is
-    conj Q(-t) at (xi, -eta), -conj Q(-t - pi/w) at (-xi, eta) and
-    -Q(t + pi/w) at (-xi, -eta).
+    With Q(t) = sum_N e^{-i (N+1) w t} F_N on the quadrant, each mirrored
+    part of the grid is one entry of an image table, Q taken at a time
+    tau = s (t + [flip xi] pi/w), negated where xi is flipped and
+    conjugated where s = -1:
 
-    The quadrant is cut into blocks of whole rows, and each block's
-    [Re F_N, Im F_N] pairs over the K stored levels into (count, band, 2K)
-    real stacks of consecutive points, no larger than one grid's values.
-    Every use of the fields is one pass over the blocks, each block going
-    through a transform and then into a consumer:
+        (flip xi, flip eta) = (F, T): conj Q(-t),
+                              (T, F): -conj Q(-t - pi/w),
+                              (T, T): -Q(t + pi/w).
+
+    The table holds the quadrant and the images of the mirrored axes, and
+    every reader takes Q at the image times from it, then the image's sign
+    and conjugate. The quadrant is cut into blocks of whole rows, each one
+    complex (points, K) array of its fields over the K stored levels,
+    zero-padded to whole bands. Every use of the fields is one pass over
+    the blocks, each block going through a transform and then into a
+    consumer:
 
     - The product transform takes any times, up to g = ``_TIMES_PER_PASS``
-      per pass: a (2K, 8g) matrix of the cos and sin of (N+1) w t, with the
-      parity signs, times a stack gives the packet at its points and their
-      three images at each time. Each band's product is small enough to
-      run on the calling thread, so no BLAS worker wakes.
+      per pass: a (2K, 8g) matrix of the cos and sin of (N+1) w tau at each
+      image time, times a block's (count, band, 2K) real view, gives Q at
+      its points at every image time. Each band's product is small enough
+      to run on the calling thread, so no BLAS worker wakes, and a block's
+      product holds at most one grid's values.
     - The FFT transform takes T times that sweep M whole periods in equal
       steps, w t_k = 2 pi M k / T, when T is even. It folds the levels
       into T bins, G_r = sum of F_N over N + 1 = r (mod T), and takes one
-      length-T FFT per point, whose bin j is Q at w t = 2 pi j / T. Time k
-      is bin M k (mod T) and its three images are the bins at -t, -t - pi/w
-      and t + pi/w, so only the quadrant is transformed. The blocks go
+      length-T FFT per point, whose bin j is Q at w tau = 2 pi j / T, so
+      image time k is bin s (M k + [flip xi] T/2) (mod T). The blocks go
       through it a few rows at a time, so that the folded (points, T)
       buffer and its transform hold one grid between them.
 
@@ -213,41 +220,33 @@ class SpectralEvolver:
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
         self._levels, fields = _principal_fields(table, xi[row0:], eta[col0:])
-        self._parity = 1 - 2 * (self._levels % 2)
-        # (flip xi, flip eta) of the quadrant and its images, the quadrant first
+        # the image table: (flip xi, flip eta, s, sign), the quadrant first
         self._images = [
-            (fx, fy) for fx in (False, True)[: 1 + bool(row0)]
+            (fx, fy, -1 if fx != fy else 1, -1.0 if fx else 1.0)
+            for fx in (False, True)[: 1 + bool(row0)]
             for fy in (False, True)[: 1 + bool(col0)]
         ]
         rows, self._cols = xi.size - row0, eta.size - col0
         cols, levels = self._cols, self._levels.size
-        planes = max(1, 2 * levels)
-        size = grid.values.size
-        # A band's (band, 2K) @ (2K, 8g) product has m n k <= _SERIAL_PRODUCT.
-        # A stack holds at most one grid's values (2 size reals), and so does
-        # a block's (points, 8g) product, its points padded to whole bands.
+        # A band's (band, 2K) @ (2K, 8g) product has m n k <= _SERIAL_PRODUCT,
+        # and a block's (points, 8g) product, its points padded to whole
+        # bands, holds at most one grid's values (2 size reals).
         lines = 8 * _TIMES_PER_PASS
-        capacity = 2 * size // lines
-        band = max(1, min(_SERIAL_PRODUCT // (lines * planes), 2 * size // planes,
-                          capacity - cols + 1))
-        per_stack = max(1, 2 * size // (band * planes))
+        capacity = 2 * grid.values.size // lines
+        self._band = band = max(
+            1, min(_SERIAL_PRODUCT // (lines * max(1, 2 * levels)), capacity - cols + 1)
+        )
         self._height = height = max(1, min(rows, (capacity - band + 1) // cols))
-        self._width = -(-height * cols // band) * band
         flat = fields.reshape(2, levels, rows * cols)
         self._blocks = []
         for i in range(0, rows, height):
-            first, points = i * cols, (min(i + height, rows) - i) * cols
-            stacks = []
-            for lo in range(first, first + points, per_stack * band):
-                n = min(per_stack * band, first + points - lo)
-                count = -(-n // band)
-                stack = np.zeros((count, band, 2 * levels))
-                pairs = stack.reshape(count * band, 2 * levels)
-                # level by level: one copy of the whole transpose ran 4x slower
-                for level, pair in enumerate(flat[:, :, lo : lo + n].transpose(1, 0, 2)):
-                    pairs[:n, 2 * level : 2 * level + 2] = pair.T
-                stacks.append(stack)
-            self._blocks.append((i, points, stacks))
+            lo, hi = i * cols, min(i + height, rows) * cols
+            block = np.zeros((-(-(hi - lo) // band) * band, levels), dtype=complex)
+            pairs = block.view(float)
+            # level by level: one copy of the whole transpose ran 4x slower
+            for level, pair in enumerate(flat[:, :, lo:hi].transpose(1, 0, 2)):
+                pairs[: hi - lo, 2 * level : 2 * level + 2] = pair.T
+            self._blocks.append((i, (hi - lo) // cols, block))
 
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
@@ -258,11 +257,13 @@ class SpectralEvolver:
         # odd axis, which is its own image.
         views = [
             values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
-            for fx, fy in self._images
+            for fx, fy, _, _ in self._images
         ]
         for i, height, series in self._product_blocks([t]):
             for q in reversed(range(len(views))):
-                views[q][i : i + height] = series[:, q].reshape(height, self._cols)
+                _, _, s, sign = self._images[q]
+                image = series[:, q].reshape(height, self._cols)
+                views[q][i : i + height] = sign * (image.conj() if s < 0 else image)
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
@@ -285,11 +286,12 @@ class SpectralEvolver:
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
         unit = self._alignment(times, x, y)
+        references = [self._references(x, y, unit, image) for image in self._images]
         turns = self._whole_turns(times)
         if turns:
-            passes = self._fft_passes(len(times), turns, x, y, unit)
+            passes = self._fft_passes(len(times), turns, references)
         else:
-            passes = self._product_passes(times, x, y, unit)
+            passes = self._product_passes(times, references)
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
             for blocks, plans in passes:
@@ -299,22 +301,17 @@ class SpectralEvolver:
                         np.maximum.at(worst, ks, peaks)
         return worst.tolist()
 
-    def _fft_passes(self, count: int, turns: int, x, y, unit) -> list:
+    def _fft_passes(self, count: int, turns: int, references: list) -> list:
         """The FFT transform's one pass, with the reference of each image.
 
         A pass is a transform's blocks and, per slice of their series
         columns, the times those columns hold and the matching reference
         factors over the quadrant, as ``_peaks`` takes them.
         """
-        step = math.gcd(turns % count, count)
+        step = math.gcd(turns, count)
         plans = []
-        for fx, fy in self._images:
-            # time k at this image is bin s M k + c (mod T), conjugated
-            # when exactly one axis is flipped and negated when xi is
-            conj = fx != fy
-            bins = ((-1 if conj else 1) * (turns % count) * np.arange(count)
-                    + (count // 2 if fx else 0)) % count
-            xq, yq = self._references(x, y, -unit if fx else unit, fx, fy, conj)
+        for (fx, _, s, _), (xq, yq) in zip(self._images, references):
+            bins = s * (turns * np.arange(count) + (count // 2 if fx else 0)) % count
             # each used bin serves `step` times; take one of them per slice
             order = np.argsort(bins, kind="stable")
             for r in range(step):
@@ -323,10 +320,9 @@ class SpectralEvolver:
                 plans.append((ks, columns, _columns(xq[ks]), _columns(yq[ks])))
         return [(self._fft_blocks(count), plans)]
 
-    def _product_passes(self, times: list, x, y, unit) -> list:
+    def _product_passes(self, times: list, references: list) -> list:
         """The product transform's passes, ``_TIMES_PER_PASS`` times each,
         with the references of every image at those times."""
-        references = [self._references(x, y, unit, fx, fy, False) for fx, fy in self._images]
         passes = []
         for lo in range(0, len(times), _TIMES_PER_PASS):
             group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
@@ -356,84 +352,85 @@ class SpectralEvolver:
             return 0
         return turns
 
+    def _image_times(self, times, image) -> np.ndarray:
+        """w tau = s w (t + [flip xi] pi/w) of each time at one image."""
+        fx, _, s, _ = image
+        shift = math.pi / self._omega if fx else 0.0
+        return s * self._omega * (np.asarray(times, dtype=float) + shift)
+
     def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
 
-        S there is summed directly over the levels from the stored fields
-        of its quadrant point, with the parity images' conjugate and signs;
-        f is 1 where S is 0, as in ``aligned_max_difference``.
+        S there is Q summed directly over the levels at the time of the
+        image that holds the point, from the stored fields of its quadrant
+        point, then given that image's sign and conjugate; f is 1 where S
+        is 0, as in ``aligned_max_difference``.
         """
         ks = np.arange(len(times))
         i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
         ref = x[ks, i] * y[ks, j]
         row0, col0 = self._start
-        fx, fy = i < row0, j < col0
-        rows = np.where(fx, x.shape[1] - 1 - i, i) - row0
-        cols = np.where(fy, y.shape[1] - 1 - j, j) - col0
-        fields = np.array(
-            [self._field(r, c) for r, c in zip(rows.tolist(), cols.tolist())],
-            dtype=complex,
-        ).reshape(len(times), self._levels.size)
-        fields = np.where((fx != fy)[:, None], fields.conj(), fields)
-        fields = np.where(fx[:, None], self._parity * fields, fields)
-        phase = np.outer(self._omega * np.asarray(times), self._levels + 1)
-        value = np.sum(fields * np.exp(-1j * phase), axis=1)
+        value = np.empty(len(times), dtype=complex)
+        for image in self._images:
+            fx, fy, s, sign = image
+            at = np.flatnonzero(((i < row0) == fx) & ((j < col0) == fy))
+            if not at.size:
+                continue
+            rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
+            cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
+            fields = np.array([
+                self._blocks[r // self._height][2][r % self._height * self._cols + c]
+                for r, c in zip(rows.tolist(), cols.tolist())
+            ]).reshape(at.size, self._levels.size)
+            phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
+            q = np.sum(fields * np.exp(-1j * phase), axis=1)
+            value[at] = sign * (q.conj() if s < 0 else q)
         unit = np.ones(len(times), dtype=complex)
         nonzero = value != 0.0
         unit[nonzero] = ref[nonzero] / value[nonzero]
         unit[nonzero] /= np.abs(unit[nonzero])
         return unit
 
-    def _references(self, x, y, unit, fx: bool, fy: bool, conj: bool):
+    def _references(self, x, y, unit, image):
         """One image's reference factors as (T, quadrant) stacks, so that
-        |X Y - unit S| = |x y - S| there, with S conjugated when ``conj``."""
+        |X Y - unit S| = |x y - Q| there, Q at the image's times."""
+        fx, fy, s, sign = image
         row0, col0 = self._start
         xq = (x[:, ::-1] if fx else x)[:, row0:]
         yq = (y[:, ::-1] if fy else y)[:, col0:]
-        if conj:
+        unit = sign * unit
+        if s < 0:
             xq, yq, unit = xq.conj(), yq.conj(), unit.conj()
         return xq * unit.conj()[:, None], yq
-
-    def _field(self, row: int, col: int) -> np.ndarray:
-        """The K complex fields at one point of the quadrant."""
-        _, _, stacks = self._blocks[row // self._height]
-        point = row % self._height * self._cols + col
-        ((_, fields),) = _pieces(stacks, point, point + 1)
-        return fields[0]
 
     def _product_blocks(self, times: list) -> Iterator[tuple[int, int, np.ndarray]]:
         """The product transform at up to ``_TIMES_PER_PASS`` times.
 
         Yields each block's first row, its row count and a (points, n g)
-        complex view whose column q g + j is image q of ``_images`` at time
-        j. The view's buffer is reused by the next block.
+        complex view whose column q g + j is Q at the time of image q of
+        the table at time j. The view's buffer is reused by the next block.
         """
-        phase = np.outer(self._omega * np.asarray(times, dtype=float), self._levels + 1)
+        phase = np.outer(
+            np.concatenate([self._image_times(times, image) for image in self._images]),
+            self._levels + 1,
+        )
         c, s = np.cos(phase), np.sin(phase)
-        parts = []
-        for fx, fy in self._images:
-            # (R + i sign I)(c - i s) w, the image's conjugate in sign and
-            # its parity in w, split by R and I into real and imaginary parts
-            w = self._parity if fx else 1.0
-            sign = -1.0 if fx != fy else 1.0
-            parts.append([[w * c, -w * s], [sign * w * s, sign * w * c]])
-        weights = np.array(parts).transpose(4, 1, 0, 3, 2)
-        weights = weights.reshape(2 * self._levels.size, 2 * len(parts) * len(times))
-        out = np.empty((self._width, weights.shape[1]))
-        for i, points, stacks in self._blocks:
-            lo = 0
-            for stack in stacks:
-                count, band, _ = stack.shape
-                np.matmul(stack, weights, out=out[lo : lo + count * band].reshape(count, band, -1))
-                lo += count * band
-            yield i, points // self._cols, out.view(complex)[:points]
+        # (R + i I)(c - i s) in real and imaginary parts, by rows R, I
+        weights = np.array([[c, -s], [s, c]]).transpose(3, 0, 2, 1)
+        weights = weights.reshape(2 * self._levels.size, 2 * len(phase))
+        out = np.empty((len(self._blocks[0][2]), weights.shape[1]))
+        for i, height, block in self._blocks:
+            count = len(block) // self._band
+            real = block.view(float).reshape(count, self._band, 2 * self._levels.size)
+            np.matmul(real, weights, out=out[: len(block)].reshape(count, self._band, -1))
+            yield i, height, out.view(complex)[: height * self._cols]
 
     def _fft_blocks(self, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
         """The FFT transform over ``count`` bins.
 
         Yields each chunk's first row, its row count and a (points, count)
-        complex array whose column j is the quadrant at w t = 2 pi j / count.
-        The array is reused by the next chunk.
+        complex array whose column j is Q at w t = 2 pi j / count on the
+        quadrant. The array is reused by the next chunk.
         """
         cols = self._cols
         bins = (self._levels + 1) % count
@@ -445,31 +442,15 @@ class SpectralEvolver:
         # the folded levels and their transform hold one grid between them
         height = max(1, min(self._height, self._grid.values.size // (2 * count * cols)))
         buffer = np.empty((height * cols, count), dtype=complex)
-        for i, points, stacks in self._blocks:
-            for row in range(0, points // cols, height):
-                rows = min(height, points // cols - row)
+        for i, block_rows, block in self._blocks:
+            for row in range(0, block_rows, height):
+                rows = min(height, block_rows - row)
                 folded = buffer[: rows * cols]
                 folded[...] = 0.0
-                for offset, fields in _pieces(stacks, row * cols, (row + rows) * cols):
-                    target = folded[offset : offset + len(fields)]
-                    for a, b, first in runs:
-                        target[:, first : first + b - a] += fields[:, a:b]
+                fields = block[row * cols : (row + rows) * cols]
+                for a, b, first in runs:
+                    folded[:, first : first + b - a] += fields[:, a:b]
                 yield i + row, rows, np.fft.fft(folded, axis=-1)
-
-
-def _pieces(stacks: list, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """A block's (points, K) complex fields over its points lo:hi, by stack.
-
-    Yields (offset from lo, view) for each stack the points touch.
-    """
-    first = 0
-    for stack in stacks:
-        count, band, planes = stack.shape
-        fields = stack.view(complex).reshape(count * band, planes // 2)
-        a, b = max(lo, first), min(hi, first + len(fields))
-        if a < b:
-            yield a - lo, fields[a - first : b - first]
-        first += len(fields)
 
 
 def _columns(stack: np.ndarray) -> np.ndarray:

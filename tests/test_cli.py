@@ -328,13 +328,13 @@ class TestVerify:
         assert all(line.startswith("PASS ") for line in out.strip().splitlines())
 
     def test_detects_injected_sign_flip(self, capsys, monkeypatch):
-        true_coeff = expansion.coeff_elliptic
+        true_closed_form = expansion._closed_form
 
-        def corrupted(params, mode):
-            c = true_coeff(params, mode)
-            return -c if mode.n_r % 2 else c
+        def corrupted(params, m, n_r):
+            # the sign of every odd-n_r mode flipped
+            return true_closed_form(params, m, n_r) * (1 - 2 * (n_r % 2))
 
-        monkeypatch.setattr(expansion, "coeff_elliptic", corrupted)
+        monkeypatch.setattr(expansion, "_closed_form", corrupted)
         code, out, _ = run(
             ["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST, capsys
         )
@@ -382,9 +382,9 @@ class TestVerifyJson:
             assert check["residual"] == float(line[2].removeprefix("residual="))
 
     def test_failure_keeps_exit_code(self, capsys, monkeypatch):
-        true_coeff = expansion.coeff_elliptic
+        true_closed_form = expansion._closed_form
         monkeypatch.setattr(
-            expansion, "coeff_elliptic", lambda params, mode: -true_coeff(params, mode)
+            expansion, "_closed_form", lambda params, m, n_r: -true_closed_form(params, m, n_r)
         )
         code, out, _ = run(
             ["verify", "--xi0", "1.5", "--eta0", "0.5", "--format", "json"] + FAST,

@@ -338,15 +338,14 @@ def direct_sum(fields, omega, t):
 
 def assert_within_serial_bounds(evolver, grid):
     """Every band's product, counting all 8 g columns of a pass, has m n k <=
-    _SERIAL_PRODUCT; every stack and the (width, 8 g) block buffer hold at
-    most one grid's values."""
+    _SERIAL_PRODUCT; every block is a whole number of bands, and its
+    (points, 8 g) product holds at most one grid's values."""
     lines = 8 * _TIMES_PER_PASS
-    assert np.empty((evolver._width, lines)).nbytes <= grid.values.nbytes
-    for _, _, stacks in evolver._blocks:
-        for stack in stacks:
-            count, band, planes = stack.shape
-            assert lines * planes * band <= _SERIAL_PRODUCT
-            assert stack.nbytes <= grid.values.nbytes
+    band = evolver._band
+    for _, _, block in evolver._blocks:
+        assert lines * 2 * block.shape[1] * band <= _SERIAL_PRODUCT
+        assert len(block) % band == 0
+        assert np.empty((len(block), lines)).nbytes <= grid.values.nbytes
 
 
 class TestSynthesis:
@@ -363,31 +362,32 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
     def test_stacks_hold_the_quadrant_planes(self, params, points, mirrored):
-        """Each stack is bitwise the zero-padded (count, band, 2K) copy of
-        the [Re F_N, Im F_N] pairs at its points, in consecutive bands."""
+        """Each block stacks the K level planes over its rows of the quadrant:
+        bitwise the zero-padded complex (points, K) copy of F_N there, and
+        the blocks cover the quadrant's rows in order."""
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         evolver = SpectralEvolver(table, grid)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         levels, fields = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        pairs = fields.reshape(2, levels.size, -1).transpose(2, 1, 0).reshape(-1, 2 * levels.size)
+        re, im = fields.reshape(2, levels.size, -1)
         cols = grid.eta_axis.size - col0
-        for i, points_in_block, stacks in evolver._blocks:
-            lo = i * cols
-            end = lo + points_in_block
-            for stack in stacks:
-                count, band, planes = stack.shape
-                n = min(count * band, end - lo)
-                expect = np.zeros((count * band, planes))
-                expect[:n] = pairs[lo : lo + n]
-                assert stack.tobytes() == expect.tobytes()
-                lo += n
-            assert lo == end
+        covered = 0
+        for i, height, block in evolver._blocks:
+            assert i == covered
+            lo, hi = i * cols, (i + height) * cols
+            expect = np.zeros((len(block), levels.size), dtype=complex)
+            parts = expect.view(float)
+            parts[: hi - lo, 0::2] = re[:, lo:hi].T
+            parts[: hi - lo, 1::2] = im[:, lo:hi].T
+            assert block.tobytes() == expect.tobytes()
+            covered += height
+        assert covered == grid.xi_axis.size - row0
 
     def test_tiles_past_one_row_per_stack(self):
         """With many levels a band holds less than a quadrant row: each
-        stack stays within one grid's values and each band's product within
-        _SERIAL_PRODUCT; the sum is unchanged, by either transform."""
+        block's product stays within one grid's values and each band's
+        within _SERIAL_PRODUCT; the sum is unchanged, by either transform."""
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = make_grid(p, points=33)
         table = build_table(p, n_max=120)
@@ -395,9 +395,7 @@ class TestSynthesis:
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
         assert len(evolver._blocks) > 1
         assert_within_serial_bounds(evolver, grid)
-        for _, _, stacks in evolver._blocks:
-            for stack in stacks:
-                assert stack.shape[1] < cols
+        assert evolver._band < cols
         fields = full_grid_fields(table, grid)
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
@@ -469,17 +467,35 @@ def sweep(turns, steps, omega):
     return [span * k / steps / omega for k in range(steps)]
 
 
+# The sweeps on make_grid grids, then on offset_grid grids with the (xi, eta)
+# shifts given: one mirrored axis, whose image table holds two entries, and
+# none, whose table holds the quadrant alone.
+GRID_SWEEPS = [pytest.param(*s, None, id="-".join(map(str, s))) for s in SWEEPS] + [
+    pytest.param(3.0, 1.0, 1.0, 2, 16, 65, (0.0, 0.5), id="xi-mirrored-fft"),
+    pytest.param(2.0, 0.7, 2.0, 1, 9, 64, (0.5, 0.0), id="eta-mirrored-product"),
+    pytest.param(1.5, 0.5, 2.0, 1, 12, 65, (0.5, 0.5), id="unmirrored-fft"),
+    pytest.param(1.5, 0.5, 1.0, 1, 7, 65, (0.25, 0.5), id="unmirrored-product"),
+]
+
+
 class TestFusedResidual:
     @pytest.mark.parametrize("chirality", list(Chirality))
-    @pytest.mark.parametrize("xi0,eta0,omega,turns,steps,points", SWEEPS)
+    @pytest.mark.parametrize("xi0,eta0,omega,turns,steps,points,shifts", GRID_SWEEPS)
     def test_matches_the_reference_comparison(
-        self, xi0, eta0, omega, turns, steps, points, chirality
+        self, xi0, eta0, omega, turns, steps, points, shifts, chirality
     ):
         """Each time's residual is aligned_max_difference of the closed-form
-        frame and at(t), whichever transform the sweep takes."""
+        frame and at(t), whichever transform the sweep takes and however
+        many axes of the grid are mirrored."""
         p = PacketParams(xi0, eta0, chirality=chirality, omega=omega)
-        grid = make_grid(p, points=points)
+        if shifts is None:
+            grid = make_grid(p, points=points)
+        else:
+            grid = offset_grid(p, points, *shifts)
         evolver = SpectralEvolver(build_table(p), grid)
+        mirrored = sum(_mirror_start(axis) > 0 for axis in (grid.xi_axis, grid.eta_axis))
+        assert len(evolver._images) == 2**mirrored
+        assert mirrored == (2 if shifts is None else shifts.count(0.0))
         times = sweep(turns, steps, omega)
         assert evolver._whole_turns(times) == (turns if steps % 2 == 0 else 0)
         if (xi0, eta0, steps) == (3.0, 1.0, 16):
@@ -521,6 +537,42 @@ class TestFusedResidual:
                     assert np.max(np.abs(frame - spectral)) < 1e-13
             covered += height
         assert covered == grid.xi_axis.size - row0
+
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize(
+        "xi0,eta0,omega,turns,steps,points", [(1.5, 0.5, 1.0, 1, 16, 65), (3.0, 1.0, 2.0, 2, 10, 64)]
+    )
+    def test_image_table(self, xi0, eta0, omega, turns, steps, points, chirality):
+        """Each entry (flip xi, flip eta, s, sign) of a mirrored grid's image
+        table is sign Q(tau), conjugated where s = -1, at tau = s (t + [flip
+        xi] pi/w): Q from the product at tau, the FFT bin s (M k + [flip xi]
+        T/2) (mod T) and the direct sum at the image's points agree."""
+        p = PacketParams(xi0, eta0, chirality=chirality, omega=omega)
+        grid = make_grid(p, points=points)
+        table = build_table(p)
+        evolver = SpectralEvolver(table, grid)
+        flips = [(fx, fy) for fx, fy, _, _ in evolver._images]
+        assert flips == [(False, False), (False, True), (True, False), (True, True)]
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+        cols = grid.eta_axis.size - col0
+        fields = full_grid_fields(table, grid)
+
+        def product(tau):
+            """Q(tau) on the quadrant: column 0, the quadrant's, at time tau."""
+            blocks = evolver._product_blocks([tau])
+            return np.concatenate([series[:, 0].copy() for _, _, series in blocks])
+
+        chunks = [spectrum.copy() for _, _, spectrum in evolver._fft_blocks(steps)]
+        bins = np.concatenate(chunks).reshape(-1, cols, steps)
+        for k, t in enumerate(sweep(turns, steps, omega)):
+            direct = direct_sum(fields, omega, t)
+            for fx, fy, s, sign in evolver._images:
+                image = direct[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
+                tau = s * (t + (math.pi / omega if fx else 0.0))
+                j = s * (turns * k + (steps // 2 if fx else 0)) % steps
+                for q in (product(tau).reshape(-1, cols), bins[:, :, j]):
+                    value = sign * (q.conj() if s < 0 else q)
+                    assert np.max(np.abs(value - image)) < 1e-13
 
     @pytest.mark.parametrize(
         "points,steps,fft",
