@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,8 @@ _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
 # Largest principal cutoff a table may have: the closed form runs over all
 # (n_max + 1)(n_max + 2)/2 modes at once. At this cutoff a full table holds
-# 1.13 M rows and `coeffs`, which streams them, peaks near 150 MB of RSS.
+# 1.13 M rows and `coeffs`, which streams them, takes 2.3-2.9 s and peaks
+# near 147 MB of RSS (2-core x86-64).
 # It stays here because `observables` loses precision from amplitude ~49
 # and `evolve` holds one grid-sized field per level, so both bind first.
 _MAX_TABLE_CUTOFF = 1500
@@ -46,6 +47,8 @@ _NEGLIGIBLE_TERM = 1e-30
 # math.exp of anything at or below this rounds to zero.
 _EXP_UNDERFLOW = -746.0
 _ALIAS_LOG_BOUND = math.log(1e-15)
+# Entries of c^2 converted to Python floats at a time for their exact sum.
+_SUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +58,11 @@ class CoefficientTable:
     Row k is the mode (m[k], n_r[k]) with amplitude c[k]; the rows are in
     (N, m) order with N = 2 n_r + |m| (the ``principal`` column), and exact
     zeros are omitted, so a circular packet's table carries only the
-    nodeless ladder. ``tail_mass`` is 1 - sum c^2, the weight excluded by
-    the truncation. The constructor keeps read-only copies of the columns,
-    so a table can be shared between callers.
+    nodeless ladder. ``c_squared`` is the column c^2 and ``sum_c_squared``
+    its exactly rounded sum. ``tail_mass``, the weight excluded by the
+    truncation, defaults to 1 - sum_c_squared clamped at zero against
+    summation roundoff. The constructor keeps read-only copies of the
+    columns, so a table can be shared between callers.
     """
 
     params: PacketParams
@@ -65,7 +70,9 @@ class CoefficientTable:
     m: np.ndarray
     n_r: np.ndarray
     c: np.ndarray
-    tail_mass: float
+    tail_mass: float | None = None
+    c_squared: np.ndarray = field(init=False, repr=False)
+    sum_c_squared: float = field(init=False)
 
     def __post_init__(self):
         for name, dtype in (("m", np.int64), ("n_r", np.int64), ("c", float)):
@@ -79,6 +86,19 @@ class CoefficientTable:
             raise ValueError("radial quantum numbers must be non-negative")
         if np.any(self.principal > self.n_max):
             raise ValueError(f"a mode exceeds the table cutoff {self.n_max}")
+        c_squared = self.c * self.c
+        c_squared.flags.writeable = False
+        object.__setattr__(self, "c_squared", c_squared)
+        # summed from chunks of Python floats, so no full-length list is held
+        chunks = (
+            c_squared[lo : lo + _SUM_CHUNK].tolist()
+            for lo in range(0, c_squared.size, _SUM_CHUNK)
+        )
+        object.__setattr__(
+            self, "sum_c_squared", math.fsum(itertools.chain.from_iterable(chunks))
+        )
+        if self.tail_mass is None:
+            object.__setattr__(self, "tail_mass", max(0.0, 1.0 - self.sum_c_squared))
         if self.tail_mass < 0.0:
             raise ValueError("tail mass cannot be negative")
 
@@ -343,12 +363,4 @@ def build_table(params: PacketParams, n_max: int | None = None) -> CoefficientTa
     m, n_r = mode_columns(n_max)
     c = _closed_form(params, m, n_r)
     kept = np.flatnonzero(c)
-    c = c[kept]
-    return CoefficientTable(
-        params=params,
-        n_max=n_max,
-        m=m[kept],
-        n_r=n_r[kept],
-        c=c,
-        tail_mass=max(0.0, 1.0 - math.fsum((c * c).tolist())),
-    )
+    return CoefficientTable(params=params, n_max=n_max, m=m[kept], n_r=n_r[kept], c=c[kept])

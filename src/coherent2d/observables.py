@@ -84,7 +84,7 @@ def compute_report(table: CoefficientTable) -> ObservableReport:
         raise ValueError(
             f"tail mass {table.tail_mass:.3e} too large for trustworthy moments"
         )
-    m, n_r, w = table.m, table.n_r, table.c * table.c
+    m, n_r, w = table.m, table.n_r, table.c_squared
     nonneg = m >= 0
 
     def total(values, where=slice(None)) -> float:
@@ -152,8 +152,9 @@ def marginals(table: CoefficientTable) -> tuple[dict[int, float], dict[int, floa
     """
     p_m: dict[int, float] = {}
     p_n: dict[int, float] = {}
-    for m, big_n, c in zip(table.m.tolist(), table.principal.tolist(), table.c.tolist()):
-        w = c * c
+    for m, big_n, w in zip(
+        table.m.tolist(), table.principal.tolist(), table.c_squared.tolist()
+    ):
         p_m[m] = p_m.get(m, 0.0) + w
         p_n[big_n] = p_n.get(big_n, 0.0) + w
     return dict(sorted(p_m.items())), dict(sorted(p_n.items()))

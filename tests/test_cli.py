@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coherent2d import PacketParams, cli, dynamics, expansion
+from coherent2d import PacketParams, _render, cli, dynamics, expansion
 from coherent2d.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -22,6 +26,8 @@ from coherent2d.cli import (
 )
 
 FAST = ["--grid-points", "65", "--tsteps", "8"]
+# 594 rows, among them subnormal c, c^2 that underflows to 0 and subnormal c^2
+UNDERFLOW_ARGV = ["--xi0", "29", "--eta0", "28.9997", "--nmax", "33"]
 
 
 def reference_coeffs(table, fmt):
@@ -170,6 +176,8 @@ class TestCoeffs:
             ["--xi0", "12", "--eta0", "7"],
             # every mode underflows: no rows
             ["--xi0", "55", "--eta0", "0", "--nmax", "0"],
+            UNDERFLOW_ARGV,
+            [*UNDERFLOW_ARGV, "--chirality", "advanced"],
         ],
     )
     def test_bytes_match_row_by_row_rendering(self, argv, fmt, capsys):
@@ -178,6 +186,16 @@ class TestCoeffs:
         config = cli._config_from_args(cli.build_parser().parse_args(["coeffs", *argv]))
         table = expansion.build_table(config.params, config.n_max)
         assert out == reference_coeffs(table, fmt)
+
+    def test_underflow_table_holds_every_kind(self):
+        params = PacketParams(29.0, 28.9997)
+        table = expansion.build_table(params, 33)
+        tiny = np.finfo(float).tiny
+        c, c_squared = np.abs(table.c), table.c_squared
+        assert len(table) == 594
+        assert np.count_nonzero(c < tiny) == 10
+        assert np.count_nonzero(c_squared == 0.0) == 574
+        assert np.count_nonzero((c_squared > 0.0) & (c_squared < tiny)) == 18
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [1, 7, 9, 45])
@@ -223,6 +241,76 @@ class TestCoeffs:
         for path in paths:
             assert main(["coeffs", "--xi0", "1", "--eta0", "1", "--out", str(path)]) == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def render_floats(values) -> list[str]:
+    return _render.render_rows(("", "\n"), [np.array(values, dtype=float)]).splitlines()
+
+
+def edge_floats() -> list[float]:
+    """Values at the corners of '%.17g': zeros, subnormals, powers of ten
+    (some of them doubles just below the power that round up to it), the
+    positional/scientific switch points and exact decimal ties."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              math.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308]
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    # beside the %g switch points 1e-5/1e-4 and 1e16/1e17, values with all
+    # 17 digits on either side
+    values += [9.9999999999999991e-06, 1.0000000000000001e-05, 9.9999999999999991e-05,
+               1.0000000000000002e-04, 9999999999999998.0, 10000000000000002.0,
+               99999999999999984.0, 100000000000000016.0]
+    # exact decimal ties at the 18th significant digit
+    values += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25, 2e15 + 1.25, 2**-25, 3 * 2**-25]
+    return values + [-v for v in values]
+
+
+class TestRender:
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_floats_match_format(self, values):
+        assert render_floats(values) == [format(v, ".17g") for v in values]
+
+    @given(st.lists(st.integers(-1501, 1501), min_size=1, max_size=40))
+    def test_ints_match_str(self, values):
+        text = _render.render_rows(("", "\n"), [np.array(values, dtype=np.int64)])
+        assert text.splitlines() == [str(v) for v in values]
+
+    def test_edge_floats(self):
+        values = edge_floats()
+        ties = [v for v in values if len(Decimal(v).as_tuple().digits) == 18
+                and Decimal(v).as_tuple().digits[-1] == 5]
+        assert len(ties) >= 12
+        rounded_up = [v for v in values if v > 0.0 and format(v, ".17g").startswith("1e")
+                      and Decimal(v) < Decimal(format(v, ".17g"))]
+        assert len(rounded_up) >= 10
+        assert render_floats(values) == [format(v, ".17g") for v in values]
+
+    @pytest.mark.parametrize("packet", [(12.0, 7.0, None), (29.0, 28.9997, 33)])
+    def test_tables_need_no_fallback(self, packet):
+        # format() is for ties and estimates of e10 off by one, not for table values
+        table = expansion.build_table(PacketParams(*packet[:2]), packet[2])
+        values = np.abs(np.concatenate([table.c, table.c_squared]))
+        _, _, fallback = _render._shortest_digits(values[values > 0.0])
+        assert not fallback.any()
+
+    def test_forced_fallback_keeps_the_bytes(self, capsys, monkeypatch):
+        values = edge_floats()
+        monkeypatch.setattr(_render, "_TIE_MARGIN", 1.0)
+        positive = np.abs(np.array(values))
+        assert _render._shortest_digits(positive[positive > 0.0])[2].all()
+        assert render_floats(values) == [format(v, ".17g") for v in values]
+        for fmt in ("csv", "json"):
+            code, out, _ = run(["coeffs", *UNDERFLOW_ARGV, "--format", fmt], capsys)
+            assert code == EXIT_OK
+            table = expansion.build_table(PacketParams(29.0, 28.9997), 33)
+            assert out == reference_coeffs(table, fmt)
+
+    def test_rejects_ints_past_the_table(self):
+        _render.render_rows(("", ""), [np.array([9999, -9999])])
+        with pytest.raises(ValueError, match="strictly inside"):
+            _render.render_rows(("", ""), [np.array([10000])])
 
 
 class TestObservables:

@@ -18,6 +18,7 @@ from coherent2d import (
 )
 from coherent2d.expansion import (
     _MAX_TABLE_CUTOFF,
+    _SUM_CHUNK,
     CoefficientTable,
     coeff_quadrature_batch,
     oracle_orders,
@@ -282,9 +283,19 @@ class TestCoefficientTable:
 
     def test_entries_read_only(self):
         table = build_table(PacketParams(1.0, 1.0))
-        for column in (table.m, table.n_r, table.c):
+        for column in (table.m, table.n_r, table.c, table.c_squared):
             with pytest.raises(ValueError):
                 column[0] = 2
+
+    def test_squares_and_their_exact_sum(self):
+        # 88,272 rows: the sum runs over more than one chunk of Python floats
+        table = build_table(PacketParams(20.0, 19.5))
+        assert len(table) > _SUM_CHUNK
+        np.testing.assert_array_equal(table.c_squared, table.c * table.c)
+        assert table.sum_c_squared == math.fsum((table.c * table.c).tolist())
+        assert table.tail_mass == max(0.0, 1.0 - table.sum_c_squared)
+        given_tail = CoefficientTable(table.params, table.n_max, table.m, table.n_r, table.c, 0.5)
+        assert (given_tail.tail_mass, given_tail.sum_c_squared) == (0.5, table.sum_c_squared)
 
     def test_constructor_keeps_its_own_copies(self):
         m, n_r, c = np.array([0, 1]), np.array([0, 0]), np.array([0.6, 0.8])
