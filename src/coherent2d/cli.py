@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -438,7 +439,7 @@ def run_verification(
 
     # branch-moment identities and the closed-form observables
     report = observables.compute_report(table)
-    moments = observables.partial_moment_identities(table)
+    moments = observables._ladder_moments(table, report)
     a2 = params.half_diff**2
     b2 = params.half_sum**2
     if params.chirality is Chirality.RETARDED:
@@ -591,6 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built by the first ``main`` call: a build adds 65
+# arguments to five parsers, and parsing leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     physical = {
         key: getattr(args, key) for key in ("mass", "omega", "hbar", "x0", "y0")
@@ -639,7 +645,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
+from ._exactsum import fsum
 from .specialfn import gauss_laguerre, laguerre_ladder, log_factorial
 from .states import Chirality, ModeIndex, PacketParams, mode_columns
 
@@ -47,8 +48,8 @@ _NEGLIGIBLE_TERM = 1e-30
 # math.exp of anything at or below this rounds to zero.
 _EXP_UNDERFLOW = -746.0
 _ALIAS_LOG_BOUND = math.log(1e-15)
-# Entries of c^2 converted to Python floats at a time for their exact sum.
-_SUM_CHUNK = 1 << 16
+# Amplitudes exponentiated by math.exp per list of Python floats.
+_EXP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +63,8 @@ class CoefficientTable:
     its exactly rounded sum. ``tail_mass``, the weight excluded by the
     truncation, defaults to 1 - sum_c_squared clamped at zero against
     summation roundoff. The constructor keeps read-only copies of the
-    columns, so a table can be shared between callers.
+    columns, so a table can be shared between callers. (``build_table``
+    hands over columns it has just made, which are kept without a copy.)
     """
 
     params: PacketParams
@@ -73,10 +75,12 @@ class CoefficientTable:
     tail_mass: float | None = None
     c_squared: np.ndarray = field(init=False, repr=False)
     sum_c_squared: float = field(init=False)
+    _: KW_ONLY
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned: bool):
         for name, dtype in (("m", np.int64), ("n_r", np.int64), ("c", float)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = (np.asarray if _owned else np.array)(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "n_max", int(self.n_max))
@@ -89,14 +93,7 @@ class CoefficientTable:
         c_squared = self.c * self.c
         c_squared.flags.writeable = False
         object.__setattr__(self, "c_squared", c_squared)
-        # summed from chunks of Python floats, so no full-length list is held
-        chunks = (
-            c_squared[lo : lo + _SUM_CHUNK].tolist()
-            for lo in range(0, c_squared.size, _SUM_CHUNK)
-        )
-        object.__setattr__(
-            self, "sum_c_squared", math.fsum(itertools.chain.from_iterable(chunks))
-        )
+        object.__setattr__(self, "sum_c_squared", fsum(c_squared))
         if self.tail_mass is None:
             object.__setattr__(self, "tail_mass", max(0.0, 1.0 - self.sum_c_squared))
         if self.tail_mass < 0.0:
@@ -133,7 +130,12 @@ def _closed_form(params: PacketParams, m: np.ndarray, n_r: np.ndarray) -> np.nda
     log_mag += n_r * np.where(nonneg, log_a, log_b)
     log_mag += k_big * np.where(nonneg, log_b, log_a)
     live = np.flatnonzero(~zero & (log_mag > _EXP_UNDERFLOW))
-    magnitude = np.fromiter(map(math.exp, log_mag[live].tolist()), float, live.size)
+    # a chunk of Python floats at a time, so no full-length list is held
+    chunks = (
+        map(math.exp, log_mag[live[lo : lo + _EXP_CHUNK]].tolist())
+        for lo in range(0, live.size, _EXP_CHUNK)
+    )
+    magnitude = np.fromiter(itertools.chain.from_iterable(chunks), float, live.size)
     c = np.zeros(m.shape)
     c[live] = np.where(negative[live], -magnitude, magnitude)
     return c
@@ -363,4 +365,4 @@ def build_table(params: PacketParams, n_max: int | None = None) -> CoefficientTa
     m, n_r = mode_columns(n_max)
     c = _closed_form(params, m, n_r)
     kept = np.flatnonzero(c)
-    return CoefficientTable(params=params, n_max=n_max, m=m[kept], n_r=n_r[kept], c=c[kept])
+    return CoefficientTable(params, n_max, m[kept], n_r[kept], c[kept], _owned=True)

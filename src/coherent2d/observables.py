@@ -1,18 +1,18 @@
 """Angular-momentum and energy structure of a coefficient table.
 
 Direct weighted moments over every stored amplitude, as exactly rounded
-sums of column products, the branch-resolved partial moments, their
-closed-form values, and distribution marginals.
+sums of column products reduced together in numpy, the branch-resolved
+partial moments, their closed-form values, and distribution marginals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._exactsum import fsum_products
 from .expansion import CoefficientTable
 from .states import PacketParams
 
@@ -75,36 +75,55 @@ class LadderMoments(NamedTuple):
 def compute_report(table: CoefficientTable) -> ObservableReport:
     """Weighted moments sum C^2 f(m, n_r) over the stored modes.
 
-    Each is one ``math.fsum`` of a column product, restricted to a branch
-    by a mask where needed; fsum rounds exactly, so the order of the rows
-    does not matter. Rejects tables whose truncation tail exceeds 1e-6,
-    since the moments would silently lose that much weight.
+    Each is the exactly rounded sum of a column product, restricted to a
+    branch by a mask where needed, equal to ``math.fsum`` over the same
+    products; all eight are reduced in one pass over the table, and the
+    order of the rows does not matter. Rejects tables whose truncation
+    tail exceeds 1e-6, since the moments would silently lose that much
+    weight.
     """
     if table.tail_mass >= _REPORT_TAIL_LIMIT:
         raise ValueError(
             f"tail mass {table.tail_mass:.3e} too large for trustworthy moments"
         )
-    m, n_r, w = table.m, table.n_r, table.c_squared
+    m, n_r = table.m, table.n_r
     nonneg = m >= 0
-
-    def total(values, where=slice(None)) -> float:
-        return math.fsum((w * values)[where].tolist())
-
-    mean_m = total(m)
-    partials = PartialMoments(
-        nr_m_nonneg=total(n_r, nonneg),
-        nr_m_neg=total(n_r, ~nonneg),
-        ccw_quanta_m_nonneg=total(m + n_r, nonneg),
-        cw_quanta_m_neg=total(-m + n_r, ~nonneg),
+    negative = ~nonneg
+    (
+        mean_m,
+        nr_m_nonneg,
+        nr_m_neg,
+        ccw_quanta_m_nonneg,
+        cw_quanta_m_neg,
+        mean_abs_m,
+        mean_nr,
+        mean_energy,
+    ) = fsum_products(
+        table.c_squared,
+        [
+            (m, None),
+            (n_r, nonneg),
+            (n_r, negative),
+            (m + n_r, nonneg),
+            (n_r - m, negative),
+            (np.abs(m), None),
+            (n_r, None),
+            (table.principal + 1, None),
+        ],
     )
     return ObservableReport(
         mean_m=mean_m,
-        mean_abs_m=total(np.abs(m)),
-        mean_nr=total(n_r),
+        mean_abs_m=mean_abs_m,
+        mean_nr=mean_nr,
         mean_lz=mean_m,
-        mean_energy=total(table.principal + 1),
+        mean_energy=mean_energy,
         norm_deficit=table.tail_mass,
-        partials=partials,
+        partials=PartialMoments(
+            nr_m_nonneg=nr_m_nonneg,
+            nr_m_neg=nr_m_neg,
+            ccw_quanta_m_nonneg=ccw_quanta_m_nonneg,
+            cw_quanta_m_neg=cw_quanta_m_neg,
+        ),
     )
 
 
@@ -131,11 +150,23 @@ def partial_moment_identities(table: CoefficientTable) -> LadderMoments:
     principal = their sum and net_m = their difference (advanced chirality
     swaps the two quanta means). Sums are taken directly over table entries.
     """
+    return _ladder_moments(table, None)
+
+
+def _ladder_moments(
+    table: CoefficientTable, report: ObservableReport | None
+) -> LadderMoments:
+    """``partial_moment_identities(table)``, from ``report`` when one is given.
+
+    ``report`` must be ``compute_report(table)``; a table whose tail mass
+    reaches 1e-9 is refused either way.
+    """
     if table.tail_mass >= _IDENTITY_TAIL_LIMIT:
         raise ValueError(
             f"tail mass {table.tail_mass:.3e} too large for identity checks"
         )
-    report = compute_report(table)
+    if report is None:
+        report = compute_report(table)
     p = report.partials
     return LadderMoments(
         cw_quanta=p.nr_m_nonneg + p.cw_quanta_m_neg,

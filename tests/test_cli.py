@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherent2d import PacketParams, _render, cli, dynamics, expansion
+from coherent2d import PacketParams, _render, cli, dynamics, expansion, observables
 from coherent2d.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -410,6 +412,26 @@ class TestVerify:
         assert any("coefficient-oracle" in line for line in lines)
         assert any("spectral-completeness" in line for line in lines)
 
+    def test_builds_the_moment_report_once(self, capsys, monkeypatch):
+        reports = []
+
+        def counting_report(table):
+            reports.append(table)
+            return true_report(table)
+
+        true_report = observables.compute_report
+        monkeypatch.setattr(observables, "compute_report", counting_report)
+        code, _, _ = run(["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST, capsys)
+        assert code == EXIT_OK and len(reports) == 1
+
+    def test_refuses_a_tail_too_heavy_for_the_identities(self, capsys):
+        # tail mass 5.2e-8: enough for the report, too much for the identities
+        code, out, err = run(
+            ["verify", "--xi0", "2", "--eta0", "2", "--nmax", "18"] + FAST, capsys
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: tail mass 5.159e-08 too large for identity checks\n"
+
     def test_point_packet_trivially_passes(self, capsys):
         code, out, _ = run(["verify", "--xi0", "0", "--eta0", "0"] + FAST, capsys)
         assert code == EXIT_OK
@@ -571,6 +593,32 @@ class TestErrorPaths:
 
     def test_missing_command(self, capsys):
         assert run([], capsys)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["coeffs", "--format", "xml"], ["coeffs", "--xi0", "abc"], ["--help"]],
+    )
+    def test_kept_parser_answers_as_a_fresh_one(self, argv, capsys):
+        # main keeps one parser per process; errors and help read the same
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        for _ in range(2):
+            code, out, err = run(argv, capsys)
+            assert (code, out, err) == (fresh.value.code, expected.out, expected.err)
+        assert run(["coeffs", "--xi0", "0"], capsys)[0] == EXIT_OK
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parser_is_built_on_first_use(self):
+        script = (
+            "import coherent2d.cli as cli; before = cli._parser.cache_info().currsize; "
+            "cli.main(['coeffs', '--xi0', '0']); "
+            "print(before, cli._parser.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "0 1"
 
     def test_io_failure(self, capsys):
         code, _, err = run(

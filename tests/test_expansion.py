@@ -18,11 +18,11 @@ from coherent2d import (
 )
 from coherent2d.expansion import (
     _MAX_TABLE_CUTOFF,
-    _SUM_CHUNK,
     CoefficientTable,
     coeff_quadrature_batch,
     oracle_orders,
 )
+from coherent2d._exactsum import _EXACT_ROWS, _SUM_CHUNK, fsum
 from coherent2d.specialfn import log_factorial
 
 
@@ -288,7 +288,7 @@ class TestCoefficientTable:
                 column[0] = 2
 
     def test_squares_and_their_exact_sum(self):
-        # 88,272 rows: the sum runs over more than one chunk of Python floats
+        # 88,272 rows: the sum runs over more than one chunk
         table = build_table(PacketParams(20.0, 19.5))
         assert len(table) > _SUM_CHUNK
         np.testing.assert_array_equal(table.c_squared, table.c * table.c)
@@ -300,13 +300,29 @@ class TestCoefficientTable:
     def test_constructor_keeps_its_own_copies(self):
         m, n_r, c = np.array([0, 1]), np.array([0, 0]), np.array([0.6, 0.8])
         table = CoefficientTable(PacketParams(1.0, 1.0), 1, m, n_r, c, 0.0)
-        c[0] = 5.0
+        m[1], n_r[0], c[0] = 5, 3, 5.0
+        assert (table.m.tolist(), table.n_r.tolist()) == ([0, 1], [0, 0])
         assert table.c.tolist() == [0.6, 0.8]
         assert len(table) == 2
+        # a read-only array can still be written through its base
+        c[0] = 0.6
+        view = c[:]
+        view.flags.writeable = False
+        shared = CoefficientTable(PacketParams(1.0, 1.0), 1, [0, 1], [0, 0], view, 0.0)
+        c[0] = 5.0
+        assert shared.c.tolist() == [0.6, 0.8]
         with pytest.raises(ValueError, match="cutoff"):
             CoefficientTable(PacketParams(1.0, 1.0), 0, m, n_r, c, 0.0)
         with pytest.raises(ValueError, match="equal length"):
             CoefficientTable(PacketParams(1.0, 1.0), 1, m, n_r[:1], c, 0.0)
+
+    def test_build_table_keeps_its_fresh_columns(self):
+        # the owned path marks the columns read-only instead of copying them
+        m, n_r, c = np.array([0, 1]), np.array([0, 0]), np.array([0.6, 0.8])
+        table = CoefficientTable(PacketParams(1.0, 1.0), 1, m, n_r, c, _owned=True)
+        assert table.m is m and table.n_r is n_r and table.c is c
+        assert not (m.flags.writeable or n_r.flags.writeable or c.flags.writeable)
+        assert table.sum_c_squared == math.fsum((c * c).tolist())
 
     def test_auto_truncation_grows_with_packet(self):
         assert auto_truncation(PacketParams(0, 0)) < auto_truncation(PacketParams(2, 1))
@@ -410,3 +426,104 @@ class TestAutoTruncation:
     def test_refuses_packets_past_the_size_guard(self):
         with pytest.raises(ValueError, match=f"size guard {_MAX_TABLE_CUTOFF}"):
             auto_truncation(PacketParams(80.0, 80.0))
+
+
+def fsum_outcome(x):
+    """What ``math.fsum`` returns or raises on the list of ``x``."""
+    try:
+        return math.fsum(x.tolist())
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def exact_sum_outcome(x):
+    try:
+        return fsum(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_sum(x):
+    x = np.asarray(x, dtype=float)
+    want, got = fsum_outcome(x), exact_sum_outcome(x)
+    if isinstance(want, float):
+        assert isinstance(got, float)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    else:
+        assert got == want
+
+
+TINY = 5e-324
+CHUNK_EDGE = np.zeros(2 * _SUM_CHUNK + 3)
+CHUNK_EDGE[[_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1]] = [1.0, 2.0**-53, 2.0**-105]
+
+
+class TestExactSum:
+    """``_exactsum.fsum`` returns what ``math.fsum`` returns, bit for bit."""
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        length=st.integers(min_value=1, max_value=2 * _SUM_CHUNK + 7),
+        shift=st.integers(min_value=-1100, max_value=0),
+    )
+    def test_matches_fsum(self, values, length, shift):
+        # the drawn values repeated past a chunk, and scaled down into the
+        # subnormals, where a sum is exact only with every bit kept
+        x = np.resize(np.array(values), length)
+        assert_same_sum(x)
+        with np.errstate(under="ignore"):
+            assert_same_sum(np.ldexp(x, shift))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [],
+            [0.0],
+            [-0.0],
+            [-0.0, 0.0],
+            [-0.0] * 3,
+            [TINY] * 3,
+            [-TINY, TINY],
+            [TINY, -TINY, -0.0],
+            [1.0, -1.0],
+            [1e308, -1e308, 1e-300],
+            [1e-300, 1e308, 1e-300, -1e308],
+            [1.0, 2.0**-53],  # a tie, kept at even
+            [1.0, 2.0**-53, 2.0**-105],  # just past the tie
+            [-1.0, -(2.0**-53), -(2.0**-105)],
+            [2.0**1023, 2.0**970],
+            [1.7e308, -1.7e308, 1.7e308],
+            [1e308, 1e308, -1e308],  # fsum's intermediate overflow
+            [1.7e308, 1.7e308],
+            [2.0**959, 2.0**959, -(2.0**959)],  # below the scaling's overflow
+            [2.0**960, 2.0**960, -(2.0**960)],  # from it, left to fsum
+            [math.nan],
+            [1.0, math.nan, 2.0],
+            [math.inf],
+            [-math.inf, 1.0],
+            [math.inf, -math.inf],
+            [math.inf, math.inf, 1e308],
+            CHUNK_EDGE,
+            -CHUNK_EDGE,
+        ],
+    )
+    def test_edge_cases(self, x):
+        assert_same_sum(x)
+
+    def test_chunk_boundary_cancellation(self):
+        # +-1 on both sides of every chunk boundary, and one tiny survivor
+        x = np.zeros(3 * _SUM_CHUNK)
+        x[_SUM_CHUNK - 1 :: _SUM_CHUNK] = 1.0
+        x[_SUM_CHUNK :: _SUM_CHUNK] = -1.0
+        x[-1] = TINY
+        assert fsum(x) == math.fsum(x.tolist()) == TINY
+
+    def test_rows_past_the_float64_digit_sums(self):
+        # one key whose low digit sums pass 2^53 unless they are carried
+        # into int64 every _EXACT_ROWS rows
+        x = np.full(_EXACT_ROWS + 5, 1.0 + (2.0**32 - 1) * 2.0**-52)
+        x[-1] = 2.0**-40
+        assert fsum(x) == math.fsum(x.tolist())

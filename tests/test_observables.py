@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coherent2d import (
@@ -12,6 +13,7 @@ from coherent2d import (
     marginals,
     partial_moment_identities,
 )
+from coherent2d.observables import _ladder_moments
 
 SWEEP = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -103,6 +105,67 @@ class TestReport:
         assert adv.mean_abs_m == ret.mean_abs_m
         assert adv.mean_nr == ret.mean_nr
         assert adv.mean_energy == ret.mean_energy
+
+
+def fsum_report(table):
+    """The report's sums as one ``math.fsum`` of each masked product column."""
+    m, n_r, w = table.m, table.n_r, table.c * table.c
+    nonneg = m >= 0
+
+    def total(values, where=slice(None)):
+        return math.fsum((w * values)[where].tolist())
+
+    return {
+        "mean_m": total(m),
+        "mean_abs_m": total(np.abs(m)),
+        "mean_nr": total(n_r),
+        "mean_lz": total(m),
+        "mean_energy": total(2 * n_r + np.abs(m) + 1),
+        "norm_deficit": table.tail_mass,
+        "nr_m_nonneg": total(n_r, nonneg),
+        "nr_m_neg": total(n_r, ~nonneg),
+        "ccw_quanta_m_nonneg": total(m + n_r, nonneg),
+        "cw_quanta_m_neg": total(-m + n_r, ~nonneg),
+    }
+
+
+def report_fields(report):
+    fields = {name: getattr(report, name) for name in (
+        "mean_m", "mean_abs_m", "mean_nr", "mean_lz", "mean_energy", "norm_deficit"
+    )}
+    fields.update(vars(report.partials))
+    return fields
+
+
+class TestExactReport:
+    @pytest.mark.parametrize(
+        "xi0,eta0,chirality",
+        [
+            (14.0, 9.0, "retarded"),
+            (14.0, 9.0, "advanced"),
+            (20.0, 19.5, "retarded"),
+            (20.0, 19.5, "advanced"),
+            (49.2, 0.0, "retarded"),
+            (14.0, 2.0, "advanced"),  # both branches of m carry weight
+            (2.0, 2.0, "retarded"),  # empty and all-zero branches
+            (0.0, 0.0, "advanced"),
+        ],
+    )
+    def test_fields_equal_fsum_of_the_products(self, xi0, eta0, chirality):
+        table = build_table(PacketParams(xi0, eta0, chirality=chirality))
+        want = fsum_report(table)
+        got = report_fields(compute_report(table))
+        assert got == want
+        for name, value in got.items():
+            assert math.copysign(1.0, value) == math.copysign(1.0, want[name]), name
+
+    def test_identities_from_a_given_report(self):
+        table = build_table(PacketParams(1.5, 0.5))
+        assert _ladder_moments(table, compute_report(table)) == partial_moment_identities(table)
+        heavy = build_table(PacketParams(2.0, 2.0), n_max=18)  # tail 5.2e-8
+        report = compute_report(heavy)
+        with pytest.raises(ValueError, match="identity checks"):
+            _ladder_moments(heavy, report)
 
 
 class TestMomentIdentities:
