@@ -36,7 +36,6 @@ from .observables import (
 from .specialfn import (
     QuadratureRule,
     gauss_laguerre,
-    generalized_binomial,
     laguerre,
     log_factorial,
     verify_laguerre_integral,
@@ -48,10 +47,8 @@ from .states import (
     PacketParams,
     PhysicalUnits,
     classical_center,
-    coherent_1d,
     coherent_2d,
     eigenstate,
-    initial_state,
     make_grid,
     modes_up_to,
     to_dimensionless,
@@ -81,14 +78,11 @@ __all__ = [
     "closed_form_lz",
     "coeff_elliptic",
     "coeff_quadrature",
-    "coherent_1d",
     "coherent_2d",
     "compute_report",
     "eigenstate",
     "evolve_closed_form",
     "gauss_laguerre",
-    "generalized_binomial",
-    "initial_state",
     "laguerre",
     "log_factorial",
     "make_grid",

@@ -1,7 +1,8 @@
 """Eigenbasis expansion coefficients of the initial coherent packet.
 
-The closed-form amplitudes of the two circular-quanta ladders, evaluated
-by one vectorized function over columns of modes; the coefficient table,
+The closed-form amplitudes, each the product of one term from each of
+two normalized circular-quanta ladders (the square roots of two Poisson
+pmfs), gathered for whole columns of modes; the coefficient table,
 three read-only columns (m, n_r, c) in (N, m) order with a Poisson-bounded
 cutoff; and the independent projection-integral oracle (Gauss-Laguerre
 radial quadrature crossed with the periodic trapezoid rule in the angle,
@@ -35,21 +36,21 @@ _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
 # Largest principal cutoff a table may have: the closed form runs over all
 # (n_max + 1)(n_max + 2)/2 modes at once. At this cutoff a full table holds
-# 1.13 M rows and `coeffs`, which streams them, takes 2.3-2.9 s and peaks
-# near 147 MB of RSS (2-core x86-64).
-# It stays here because `observables` loses precision from amplitude ~49
-# and `evolve` holds one grid-sized field per level, so both bind first.
+# 1.13 M rows and `coeffs`, which streams them, takes 0.8-1.1 s and peaks
+# near 108 MB of RSS in either format (2-core x86-64).
+# `observables` keeps its tolerance up to it; it stays here because
+# `evolve` holds one grid-sized field per level, so that binds first.
 _MAX_TABLE_CUTOFF = 1500
+# Longest circular-quanta ladder `_ladder` builds: as many terms as a full
+# table at the guard has rows, so its work stays that of one table column
+# whatever the amplitude (radii up to about 1040 pass).
+_MAX_LADDER = (_MAX_TABLE_CUTOFF + 1) * (_MAX_TABLE_CUTOFF + 2) // 2
 # Standard deviations below the Poisson mean where the cutoff search
 # starts: the left tail skipped there is below e^{-26.5^2/2} < 1e-150.
 _LEFT_TAIL_SIGMAS = 26.5
 # A Poisson term below this, past the mean, ends the cutoff search.
 _NEGLIGIBLE_TERM = 1e-30
-# math.exp of anything at or below this rounds to zero.
-_EXP_UNDERFLOW = -746.0
 _ALIAS_LOG_BOUND = math.log(1e-15)
-# Amplitudes exponentiated by math.exp per list of Python floats.
-_EXP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,36 +109,64 @@ class CoefficientTable:
         return self.c.size
 
 
+def _ladder(r: float, top: int) -> np.ndarray:
+    """The circular-quanta amplitudes e^{-r^2/2} r^n / sqrt(n!), n = 0..top.
+
+    Their squares are the Poisson pmf of mean r^2. The magnitudes start
+    from 1 at the mode floor(r^2) and run outward by cumulative products of
+    the term ratios, |r| / sqrt(n) upward and sqrt(n) / |r| downward, so
+    none exceeds 1; they are then scaled to unit sum of squares over
+    n <= mode + 40 |r| + 40, past which every Poisson term is below
+    e^{-275} times the mode's. That range depends on r alone, so a longer
+    ladder extends a shorter one bit for bit. Odd terms carry the sign of
+    r; r = 0 gives the unit ladder (1, 0, 0, ...). Every term above 1e-290
+    is within 1e-14 relative of its exact value, the heavy ones within a
+    few ulps; no special function is evaluated. A ladder that would run
+    past ``_MAX_LADDER`` terms, from the top or from the normalization
+    range, is refused.
+    """
+    x = abs(r)
+    if max(top, x * x + 40.0 * x + 41.0) > _MAX_LADDER:
+        raise ValueError(
+            f"a ladder of radius {x:.6g} to n = {top} is longer than the size "
+            f"guard of {_MAX_LADDER} terms"
+        )
+    mode = math.floor(x * x)
+    span = mode + math.ceil(40.0 * x) + 40
+    n = np.arange(1, max(top, span) + 1)
+    ladder = np.empty(n.size + 1)
+    ladder[mode] = 1.0
+    ladder[mode + 1 :] = np.cumprod(x / np.sqrt(n[mode:]))
+    ladder[:mode] = np.cumprod(np.sqrt(n[:mode][::-1]) / x)[::-1]
+    ladder /= math.sqrt(math.fsum((ladder[: span + 1] ** 2).tolist()))
+    if r < 0.0:
+        ladder[1::2] *= -1.0
+    return ladder[: top + 1]
+
+
 def _closed_form(params: PacketParams, m: np.ndarray, n_r: np.ndarray) -> np.ndarray:
     """Closed-form amplitudes of the modes (m[k], n_r[k]), elementwise.
 
-    ``coeff_elliptic`` gives the formula. Magnitudes are summed in log
-    space with an explicit sign and exponentiated by ``math.exp`` one mode
-    at a time, so each amplitude rounds as a scalar evaluation would;
-    ``numpy.exp`` differs from it by an ulp on a few percent of modes.
+    ``coeff_elliptic`` gives the formula: the product of two ``_ladder``
+    terms, A of a = half_diff at n_r and B of b = half_sum at |m| + n_r,
+    times (-1)^{n_r}, with A and B swapped on the mirrored branch. The two
+    ladders are built once, as far as the largest |m| + n_r, and every mode
+    gathers its two terms from them; exact zeros come from the unit ladder
+    of a zero radius, or from underflow.
     """
-    m_eff = m if params.chirality is Chirality.RETARDED else -m
-    k_big = np.abs(m_eff) + n_r
-    a, b = params.half_diff, params.half_sum
-    nonneg = m_eff >= 0
-    base_nr, base_big = np.where(nonneg, a, b), np.where(nonneg, b, a)
-    zero = ((base_nr == 0.0) & (n_r > 0)) | ((base_big == 0.0) & (k_big > 0))
-    negative = ((n_r % 2 == 1) & (base_nr >= 0.0)) ^ ((k_big % 2 == 1) & (base_big < 0.0))
-    # a zero base only meets a zero power on the rows kept
-    log_a, log_b = (math.log(abs(x)) if x else 0.0 for x in (a, b))
-    log_fact = np.array([log_factorial(k) for k in range(k_big.max(initial=0) + 1)])
-    log_mag = -0.5 * (log_fact[n_r] + log_fact[k_big]) - 0.5 * params.xi0**2 + a * b
-    log_mag += n_r * np.where(nonneg, log_a, log_b)
-    log_mag += k_big * np.where(nonneg, log_b, log_a)
-    live = np.flatnonzero(~zero & (log_mag > _EXP_UNDERFLOW))
-    # a chunk of Python floats at a time, so no full-length list is held
-    chunks = (
-        map(math.exp, log_mag[live[lo : lo + _EXP_CHUNK]].tolist())
-        for lo in range(0, live.size, _EXP_CHUNK)
-    )
-    magnitude = np.fromiter(itertools.chain.from_iterable(chunks), float, live.size)
-    c = np.zeros(m.shape)
-    c[live] = np.where(negative[live], -magnitude, magnitude)
+    k_big = np.abs(m) + n_r
+    size = int(k_big.max(initial=0)) + 1
+    a = _ladder(params.half_diff, size - 1)
+    b = _ladder(params.half_sum, size - 1)
+    alternate = np.resize([1.0, -1.0], size)
+    # rows of the retarded m >= 0 branch read the first half of each, the
+    # mirrored rows the second
+    radial = np.concatenate([alternate * a, alternate * b])
+    angular = np.concatenate([b, a])
+    mirrored = m < 0 if params.chirality is Chirality.RETARDED else m > 0
+    offset = mirrored * size
+    c = radial[n_r + offset]
+    c *= angular[k_big + offset]
     return c
 
 
@@ -148,11 +177,15 @@ def coeff_elliptic(params: PacketParams, mode: ModeIndex) -> float:
 
         (-1)^{n_r} e^{-xi0^2/2 + a b} a^{n_r} b^{m + n_r}
             / sqrt(n_r! (m + n_r)!)
+      = (-1)^{n_r} A_{n_r} B_{m + n_r},
 
-    and for m < 0 the roles of a and b swap. Advanced chirality mirrors the
+    since -xi0^2/2 + a b = -(a^2 + b^2)/2, where A_n = e^{-a^2/2} a^n / sqrt(n!)
+    and B_n likewise in b are the circular-quanta ladders of ``_ladder``;
+    for m < 0 the roles of a and b swap. Advanced chirality mirrors the
     index to (-m, n_r). Equal amplitudes (a = 0, a circular orbit) leave
     only the nodeless m >= 0 ladder, xi0^m e^{-xi0^2/2} / sqrt(m!). This is
-    the one-mode case of the vectorized closed form behind ``build_table``.
+    the one-mode case of the gathered closed form behind ``build_table``,
+    and equal to its entry bit for bit.
     """
     return float(_closed_form(params, np.array([mode.m]), np.array([mode.n_r]))[0])
 

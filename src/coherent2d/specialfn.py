@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "gauss_laguerre",
-    "generalized_binomial",
     "laguerre",
     "laguerre_ladder",
     "log_factorial",
@@ -98,7 +97,7 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
-def generalized_binomial(top: int, k: int) -> int:
+def _generalized_binomial(top: int, k: int) -> int:
     """Exact binomial coefficient with an integer top index of either sign.
 
     For top >= 0 this is the usual coefficient (zero once k exceeds top);
@@ -276,7 +275,7 @@ def verify_laguerre_integral(n: int, mu: int, lam: int) -> tuple[float, float]:
         raise ValueError(f"order must be in [0, 8], got {mu}")
     if not 0 <= lam <= 8:
         raise ValueError(f"power must be in [0, 8], got {lam}")
-    closed = float((-1) ** n * math.factorial(lam) * generalized_binomial(lam - mu, n))
+    closed = float((-1) ** n * math.factorial(lam) * _generalized_binomial(lam - mu, n))
     rule = gauss_laguerre(lam + n + 2)
     quadrature = rule.integrate(lambda u: u**lam * laguerre(n, mu, u))
     return closed, quadrature

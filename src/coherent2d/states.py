@@ -1,7 +1,7 @@
 """Closed-form wavefunctions of the 2D isotropic harmonic oscillator.
 
-Energy/angular-momentum eigenstates, the 1D and 2D coherent packets, the
-classical ellipse they follow, and the shared parameter types. Internal
+Energy/angular-momentum eigenstates, the 2D coherent packet, the
+classical ellipse it follows, and the shared parameter types. Internal
 convention: hbar = M = 1 with unit oscillator length, so coordinates are
 the dimensionless (xi, eta); physical scaling enters only through
 ``to_dimensionless``.
@@ -25,10 +25,8 @@ __all__ = [
     "PacketParams",
     "PhysicalUnits",
     "classical_center",
-    "coherent_1d",
     "coherent_2d",
     "eigenstate",
-    "initial_state",
     "make_grid",
     "mode_columns",
     "modes_up_to",
@@ -259,22 +257,6 @@ def eigenstate(mode: ModeIndex, rho_tilde, phi):
     return radial * np.exp(1j * mode.m * np.asarray(phi, dtype=float))
 
 
-def coherent_1d(xi0: float, xi, t: float):
-    """1D coherent packet at unit frequency.
-
-    pi^{-1/4} exp[-i t/2 - xi^2/2 - (xi0^2/4)(1 + e^{2it}) + xi0 xi e^{-it}];
-    its density is the rigidly translating Gaussian
-    pi^{-1/2} exp[-(xi - xi0 cos t)^2].
-    """
-    expo = (
-        -0.5j * t
-        - 0.5 * np.multiply(xi, xi)
-        - 0.25 * xi0**2 * (1.0 + np.exp(2.0j * t))
-        + xi0 * np.asarray(xi) * np.exp(-1.0j * t)
-    )
-    return math.pi**-0.25 * np.exp(expo)
-
-
 def _packet_factors(params: PacketParams, xi, eta, t: float):
     """The x and y factors whose product is ``coherent_2d``.
 
@@ -282,7 +264,7 @@ def _packet_factors(params: PacketParams, xi, eta, t: float):
     part and a y part, each exponentiated on its own. The constant phase
     and the 1/sqrt(pi) normalization ride on the x factor. The y factor
     keeps the e^{2i theta} and e^{-i theta} of the joint exponent rather
-    than being ``coherent_1d`` at a shifted time, whose rounded shift would
+    than being the 1D packet at a shifted time, whose rounded shift would
     be multiplied by eta0^2 / 4.
     """
     s = params.chirality.sign
@@ -308,30 +290,16 @@ def coherent_2d(params: PacketParams, xi, eta, t: float):
     """2D coherent packet: the x packet times the pi/2 phase-shifted y packet.
 
     Retarded chirality shifts the y phase by -pi/2 (counter-clockwise center
-    motion), advanced by +pi/2. At t = 0 this equals ``initial_state`` times
-    the constant phase e^{i s pi/4}. The x factor is evaluated at ``xi`` and
-    the y factor at ``eta`` before they are multiplied, so passing a column
-    of xi and a row of eta gives the whole grid from O(P) exponentials;
-    scalars and meshes broadcast as well.
+    motion), advanced by +pi/2. At t = 0 it is
+    (1/sqrt(pi)) exp[-(xi^2 + eta^2)/2 - xi0^2/2 + xi0 xi + i s eta0 eta]
+    times the constant phase e^{i s pi/4}, with s = +1 retarded and -1
+    advanced. The x factor is evaluated at ``xi`` and the y factor at
+    ``eta`` before they are multiplied, so passing a column of xi and a row
+    of eta gives the whole grid from O(P) exponentials; scalars and meshes
+    broadcast as well.
     """
     x_factor, y_factor = _packet_factors(params, xi, eta, t)
     return x_factor * y_factor
-
-
-def initial_state(params: PacketParams, xi, eta):
-    """The t = 0 packet with the constant e^{i pi/4} phase dropped.
-
-    (1/sqrt(pi)) exp[-(xi^2 + eta^2)/2 - xi0^2/2 + xi0 xi + i s eta0 eta],
-    where s is +1 for retarded and -1 for advanced chirality.
-    """
-    s = params.chirality.sign
-    expo = (
-        -0.5 * (np.multiply(xi, xi) + np.multiply(eta, eta))
-        - 0.5 * params.xi0**2
-        + params.xi0 * np.asarray(xi)
-        + 1j * s * params.eta0 * np.asarray(eta)
-    )
-    return np.exp(expo) / _SQRT_PI
 
 
 def classical_center(params: PacketParams, t: float) -> tuple[float, float]:

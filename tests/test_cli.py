@@ -344,6 +344,35 @@ class TestObservables:
         assert doc["mean_energy"] == pytest.approx(2.25, abs=1e-9)
         assert doc["status"] == "pass"
 
+    def test_passes_at_amplitude_49(self, capsys):
+        # 1.1 M rows, whose mean energy is 1211: a relative roundoff of
+        # 1e-12 in each c^2 would put energy_abs_diff past its 1e-9 tolerance
+        code, out, _ = run(
+            ["observables", "--xi0", "49.2", "--eta0", "0", "--format", "json"], capsys
+        )
+        doc = json.loads(out)
+        assert (code, doc["status"]) == (EXIT_OK, "pass")
+        assert doc["energy_abs_diff"] < 1e-10
+
+    def test_tail_mass_is_not_clamped_at_amplitude_47(self, capsys, monkeypatch):
+        # the tail mass clamps to 0 if roundoff lifts sum c^2 above 1
+        tables = []
+        true_build = expansion.build_table
+
+        def recording(params, n_max=None):
+            tables.append(true_build(params, n_max))
+            return tables[-1]
+
+        monkeypatch.setattr(expansion, "build_table", recording)
+        code, out, _ = run(
+            ["observables", "--xi0", "47", "--eta0", "0", "--format", "json"], capsys
+        )
+        doc = json.loads(out)
+        (table,) = tables
+        assert (code, doc["status"]) == (EXIT_OK, "pass")
+        assert doc["tail_mass"] > 0.0
+        assert doc["tail_mass"] == 1.0 - table.sum_c_squared
+
     def test_physical_units_path(self, capsys):
         code, out, _ = run(
             ["observables", "--mass", "4", "--omega", "1", "--hbar", "1",
@@ -453,6 +482,27 @@ class TestVerify:
             line.startswith("FAIL coefficient-oracle") for line in out.strip().splitlines()
         )
 
+    def test_detects_a_wrong_ladder_ratio(self, capsys, monkeypatch):
+        # terms r^n / n!, normalized: ratio |r| / n where |r| / sqrt(n) belongs
+        def wrong_ratio(r, top):
+            n = np.arange(top + 1)
+            if r == 0.0:
+                return (n == 0).astype(float)
+            log_terms = n * math.log(abs(r)) - np.array([math.lgamma(k + 1.0) for k in n])
+            ladder = np.exp(log_terms - log_terms.max()) * np.sign(r) ** n
+            return ladder / math.sqrt(math.fsum((ladder * ladder).tolist()))
+
+        monkeypatch.setattr(expansion, "_ladder", wrong_ratio)
+        code, out, _ = run(["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST, capsys)
+        assert code == EXIT_VERIFY_FAIL
+        failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+        # each ladder is normalized by construction, so the normalization
+        # check sees only truncation and passes; the oracle, the Poisson
+        # marginal, the moments and the spectral route catch the ratio
+        assert failed == {
+            "coefficient-oracle", "poisson-marginal", "moment-identities",
+            "spectral-completeness",
+        }
 
     def test_normalization_is_two_sided(self, capsys, monkeypatch):
         true_build = expansion.build_table
@@ -657,6 +707,14 @@ class TestErrorPaths:
         # the error names both the cutoff asked for and the size guard
         assert "20000" in err and str(expansion._MAX_TABLE_CUTOFF) in err
         assert out == ""
+
+    @pytest.mark.parametrize("amplitude", ["30000", "1e6", "1e200"])
+    def test_oversized_ladder(self, amplitude, capsys):
+        # a small cutoff does not let the amplitude size the work
+        argv = ["coeffs", "--xi0", amplitude, "--eta0", "0", "--nmax", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "size guard" in err
 
     @pytest.mark.parametrize(
         "argv",

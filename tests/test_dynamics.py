@@ -19,7 +19,6 @@ from coherent2d import (
     coherent_2d,
     eigenstate,
     evolve_closed_form,
-    initial_state,
     make_grid,
     orbit_signed_area,
     trace_orbit,
@@ -34,6 +33,7 @@ from coherent2d.dynamics import (
 from coherent2d.expansion import CoefficientTable
 from coherent2d.specialfn import log_factorial
 from coherent2d.states import _default_half_width
+from reference_packets import initial_state
 
 SQRT_PI = math.sqrt(math.pi)
 

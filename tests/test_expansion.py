@@ -17,8 +17,10 @@ from coherent2d import (
     modes_up_to,
 )
 from coherent2d.expansion import (
+    _MAX_LADDER,
     _MAX_TABLE_CUTOFF,
     CoefficientTable,
+    _ladder,
     coeff_quadrature_batch,
     oracle_orders,
 )
@@ -29,7 +31,8 @@ from coherent2d.specialfn import log_factorial
 def scalar_coeff_elliptic(params, mode):
     """The closed form evaluated one mode at a time in scalar log space.
 
-    The reference the vectorized table must reproduce bit for bit.
+    An independent route to the table: the same rows, and values within
+    its roundoff, which grows with amplitude (~1e-12 relative at 49).
     """
     m = mode.m if params.chirality is Chirality.RETARDED else -mode.m
     am = abs(m)
@@ -367,8 +370,9 @@ class TestColumnarTable:
                 expect[mode.m, mode.n_r] = c
         rows = list(zip(table.m.tolist(), table.n_r.tolist()))
         assert rows == list(expect)
-        got = np.array(table.c.tolist())
-        assert got.tobytes() == np.array(list(expect.values())).tobytes()
+        # the log-space reference itself carries up to ~1e-13 here
+        want = np.array(list(expect.values()))
+        assert np.all(np.abs(table.c - want) <= 1e-12 * np.abs(want))
 
     def test_one_mode_call_matches_the_table(self):
         params = PacketParams(2.1, 0.7, chirality=Chirality.ADVANCED)
@@ -398,6 +402,89 @@ class TestColumnarTable:
         for column in (table.m, table.n_r, table.c):
             with pytest.raises(ValueError):
                 column[:1] = 0
+
+
+def mp_ladder(r, top):
+    """e^{-r^2/2} r^n / sqrt(n!) for n = 0..top, in 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        terms = [mpmath.exp(-r * r / 2)]
+        for n in range(1, top + 1):
+            terms.append(terms[-1] * r / mpmath.sqrt(n))
+        return terms
+
+
+def relative_errors(got, want):
+    mpmath = pytest.importorskip("mpmath")
+    return [abs(float((mpmath.mpf(float(g)) - w) / w)) for g, w in zip(got, want)]
+
+
+class TestLadders:
+    def test_zero_radius_is_the_unit_ladder(self):
+        for top in (0, 1, 7):
+            ladder = _ladder(0.0, top)
+            assert ladder.tolist() == [1.0] + [0.0] * top
+
+    @pytest.mark.parametrize("r", [0.3, 0.999, 1.0, 2.5, -0.7, -7.3, 38.72, 1499.9**0.5])
+    def test_matches_mpmath(self, r):
+        # every term above 1e-290, tails included, the heavy ones to a few ulps
+        top = math.floor(r * r) + math.ceil(40.0 * abs(r)) + 40
+        ladder = _ladder(r, top)
+        want = mp_ladder(r, top)
+        kept = [n for n, w in enumerate(want) if abs(w) > 1e-290]
+        errors = relative_errors(ladder[kept], [want[n] for n in kept])
+        assert max(errors) <= 1e-14
+        assert np.all(np.sign(ladder[kept]) == [np.sign(float(want[n])) for n in kept])
+
+    def test_negative_radius_alternates(self):
+        np.testing.assert_array_equal(
+            _ladder(-7.3, 200), np.resize([1.0, -1.0], 201) * _ladder(7.3, 200)
+        )
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, -2.5, 8.0, 1499.9**0.5])
+    def test_longer_ladders_extend_shorter_ones(self, r):
+        # the normalization range depends on r alone, so the top only
+        # changes the length, never a bit of the common prefix
+        longest = _ladder(r, 4000)
+        for top in (0, 3, math.floor(r * r), math.floor(r * r) + 5, 1600):
+            ladder = _ladder(r, top)
+            assert ladder.shape == (top + 1,)
+            assert ladder.tobytes() == longest[: top + 1].tobytes()
+
+    def test_refuses_a_ladder_past_its_size_guard(self):
+        # the work is bounded by the guard, not by the radius or the top
+        _ladder(1040.0, 3)
+        for r, top in ((1045.0, 3), (-5e4, 0), (1e200, 2), (1.0, _MAX_LADDER + 1)):
+            with pytest.raises(ValueError, match=f"size guard of {_MAX_LADDER} terms"):
+                _ladder(r, top)
+        with pytest.raises(ValueError, match="size guard"):
+            coeff_elliptic(PacketParams(1e5, 0.0), ModeIndex(0, 0))
+
+    def test_unit_norm_near_the_size_guard(self):
+        ladder = _ladder(1499.9**0.5, 4000)
+        assert math.fsum((ladder * ladder).tolist()) == pytest.approx(1.0, abs=4e-16)
+        assert np.all(np.abs(ladder) <= 1.0)
+
+
+class TestClosedFormAccuracy:
+    @pytest.mark.parametrize(
+        "params",
+        [PacketParams(49.2, 0.0), PacketParams(20.0, 10.0), PacketParams(20.0, 19.5),
+         PacketParams(8.0, 3.0), PacketParams(3.0, 8.0, chirality=Chirality.ADVANCED)],
+    )
+    def test_heavy_modes_match_mpmath(self, params):
+        table = build_table(params)
+        heavy = np.argsort(-np.abs(table.c))[:400]
+        mirrored = table.m[heavy] * params.chirality.sign < 0
+        n_r, k_big = table.n_r[heavy], np.abs(table.m[heavy]) + table.n_r[heavy]
+        top = int(k_big.max())
+        a, b = mp_ladder(params.half_diff, top), mp_ladder(params.half_sum, top)
+        want = [
+            (-1) ** n * (b[n] * a[k] if flip else a[n] * b[k])
+            for n, k, flip in zip(n_r.tolist(), k_big.tolist(), mirrored.tolist())
+        ]
+        assert max(relative_errors(table.c[heavy], want)) <= 1e-14
 
 
 class TestAutoTruncation:

@@ -14,11 +14,11 @@ import coherent2d
 from coherent2d import (
     QuadratureRule,
     gauss_laguerre,
-    generalized_binomial,
     laguerre,
     log_factorial,
     verify_laguerre_integral,
 )
+from coherent2d.specialfn import _generalized_binomial
 
 
 class TestLaguerre:
@@ -119,15 +119,15 @@ class TestLogFactorial:
 
 class TestGeneralizedBinomial:
     def test_ordinary_values(self):
-        assert generalized_binomial(5, 2) == 10
-        assert generalized_binomial(3, 5) == 0
-        assert generalized_binomial(0, 0) == 1
-        assert generalized_binomial(0, 1) == 0
+        assert _generalized_binomial(5, 2) == 10
+        assert _generalized_binomial(3, 5) == 0
+        assert _generalized_binomial(0, 0) == 1
+        assert _generalized_binomial(0, 1) == 0
 
     def test_negative_top(self):
-        assert generalized_binomial(-2, 1) == -2
-        assert generalized_binomial(-1, 3) == -1
-        assert generalized_binomial(-4, 2) == 10
+        assert _generalized_binomial(-2, 1) == -2
+        assert _generalized_binomial(-1, 3) == -1
+        assert _generalized_binomial(-4, 2) == 10
 
 
 class TestGaussLaguerre:

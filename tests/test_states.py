@@ -11,15 +11,14 @@ from coherent2d import (
     PacketParams,
     PhysicalUnits,
     classical_center,
-    coherent_1d,
     coherent_2d,
     eigenstate,
     gauss_laguerre,
-    initial_state,
     make_grid,
     modes_up_to,
     to_dimensionless,
 )
+from reference_packets import coherent_1d, initial_state
 
 SQRT_PI = math.sqrt(math.pi)
 
