@@ -559,7 +559,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--grid-points", type=int, default=257, help="odd points per axis")
     parser.add_argument(
-        "--tmax", type=float, default=2.0 * math.pi, help="time span in units of 1/omega"
+        "--tmax",
+        type=float,
+        default=2.0 * math.pi,
+        help="evolve's time span in units of 1/omega; verify always sweeps one period",
     )
     parser.add_argument("--tsteps", type=int, default=64, help="number of times")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -42,8 +42,8 @@ _SPECTRAL_TAIL_LIMIT = 1e-10
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
 # on after it returns. Products near 2^16 also ran fastest on one thread.
 _SERIAL_PRODUCT = 2**16
-# Times synthesized per pass over the field blocks. A pass reads every
-# block once, so this divides the memory traffic of each time.
+# Times synthesized per pass over the fields. A pass reads every field
+# once, so this divides the memory traffic of each time.
 _TIMES_PER_PASS = 4
 
 
@@ -87,8 +87,8 @@ def _principal_fields(
     """Partial sums F_N = sum C psi grouped by principal number N.
 
     Returns the K levels N that hold a stored mode, ascending, and their
-    fields as one real array of shape (2, K, len(xi_axis), len(eta_axis)):
-    Re F_N, then Im F_N, of each level.
+    fields as one complex array of shape (K, len(xi_axis), len(eta_axis)),
+    level-major: F_N of each level.
 
     With z = xi + i eta and u = |z|^2, psi_{a,k} = l_k s_a and
     psi_{-a,k} = l_k conj(s_a) for the normalized ladders
@@ -120,7 +120,7 @@ def _principal_fields(
     x = xi_axis[:, None]
     y = eta_axis[None, :]
     u = x * x + y * y
-    fields = np.zeros((2, levels.size, *u.shape))
+    fields = np.zeros((levels.size, *u.shape), dtype=complex)
     quarter = np.exp(-0.25 * u)
     s_re = quarter / _SQRT_PI
     s_im = np.zeros_like(u)
@@ -152,7 +152,8 @@ def _principal_fields(
                 scratch /= math.sqrt((k + 1.0) * (k + a + 1.0))
                 prev, ladder, scratch = ladder, scratch, prev
                 k += 1
-            for part, s_part, coef in zip(fields[:, slot[a + 2 * k]], (s_re, s_im), coefs):
+            level = fields[slot[a + 2 * k]]
+            for part, s_part, coef in zip((level.real, level.imag), (s_re, s_im), coefs):
                 if coef[k]:
                     np.multiply(ladder, s_part, out=term)
                     term *= coef[k]
@@ -182,29 +183,30 @@ class SpectralEvolver:
 
     The table holds the quadrant and the images of the mirrored axes, and
     every reader takes Q at the image times from it, then the image's sign
-    and conjugate. The quadrant is cut into blocks of whole rows, each one
-    complex (points, K) array of its fields over the K stored levels,
-    zero-padded to whole bands. Every use of the fields is one pass over
-    the blocks, each block going through a transform and then into a
-    consumer:
+    and conjugate. The fields are stored once, as ``_principal_fields``
+    builds them: one complex (K, rows, cols) array over the K stored levels
+    and the quadrant's points. Every use of the fields is one pass over
+    them, each run of quadrant rows going through a transform and then
+    into a consumer; a transform's (lines, points) output over one run
+    holds at most one grid's values.
 
     - The product transform takes any times, up to g = ``_TIMES_PER_PASS``
-      per pass: a (2K, 8g) matrix of the cos and sin of (N+1) w tau at each
-      image time, times a block's (count, band, 2K) real view, gives Q at
-      its points at every image time. Each band's product is small enough
-      to run on the calling thread, so no BLAS worker wakes, and a block's
-      product holds at most one grid's values.
+      per pass: an (n g, K) matrix of e^{-i (N+1) w tau} at the image times
+      of each time, times the (K, points) fields of the run, gives Q at its
+      points at every image time. It multiplies in bands of points small
+      enough that each product runs on the calling thread, so no BLAS
+      worker wakes.
     - The FFT transform takes T times that sweep M whole periods in equal
       steps, w t_k = 2 pi M k / T, when T is even. It folds the levels
       into T bins, G_r = sum of F_N over N + 1 = r (mod T), and takes one
       length-T FFT per point, whose bin j is Q at w tau = 2 pi j / T, so
-      image time k is bin s (M k + [flip xi] T/2) (mod T). The blocks go
-      through it a few rows at a time, so that the folded (points, T)
-      buffer and its transform hold one grid between them.
+      image time k is bin s (M k + [flip xi] T/2) (mod T). Its runs are a
+      few rows each, so that the folded (T, points) buffer and its
+      transform hold one grid between them.
 
     ``at`` writes the frame at one time from the product transform; it is
     the only consumer that builds a frame. ``residuals`` compares the
-    synthesis with a separable reference, block by block, through the FFT
+    synthesis with a separable reference, run by run, through the FFT
     transform where the times allow it and the product transform otherwise.
     """
 
@@ -219,39 +221,19 @@ class SpectralEvolver:
         self._omega = table.params.omega
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
-        self._levels, fields = _principal_fields(table, xi[row0:], eta[col0:])
+        self._levels, self._fields = _principal_fields(table, xi[row0:], eta[col0:])
         # the image table: (flip xi, flip eta, s, sign), the quadrant first
         self._images = [
             (fx, fy, -1 if fx != fy else 1, -1.0 if fx else 1.0)
             for fx in (False, True)[: 1 + bool(row0)]
             for fy in (False, True)[: 1 + bool(col0)]
         ]
-        rows, self._cols = xi.size - row0, eta.size - col0
-        cols, levels = self._cols, self._levels.size
-        # A band's (band, 2K) @ (2K, 8g) product has m n k <= _SERIAL_PRODUCT,
-        # and a block's (points, 8g) product, its points padded to whole
-        # bands, holds at most one grid's values (2 size reals).
-        lines = 8 * _TIMES_PER_PASS
-        capacity = 2 * grid.values.size // lines
-        self._band = band = max(
-            1, min(_SERIAL_PRODUCT // (lines * max(1, 2 * levels)), capacity - cols + 1)
-        )
-        self._height = height = max(1, min(rows, (capacity - band + 1) // cols))
-        flat = fields.reshape(2, levels, rows * cols)
-        self._blocks = []
-        for i in range(0, rows, height):
-            lo, hi = i * cols, min(i + height, rows) * cols
-            block = np.zeros((-(-(hi - lo) // band) * band, levels), dtype=complex)
-            pairs = block.view(float)
-            # level by level: one copy of the whole transpose ran 4x slower
-            for level, pair in enumerate(flat[:, :, lo:hi].transpose(1, 0, 2)):
-                pairs[: hi - lo, 2 * level : 2 * level + 2] = pair.T
-            self._blocks.append((i, (hi - lo) // cols, block))
 
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
         values = np.empty(self._grid.values.shape, dtype=complex)
         row0, col0 = self._start
+        cols = self._fields.shape[2]
         # The frame seen from the quadrant and from each image, indexed like
         # the quadrant. The quadrant is written last, over the zero of an
         # odd axis, which is its own image.
@@ -259,11 +241,11 @@ class SpectralEvolver:
             values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
             for fx, fy, _, _ in self._images
         ]
-        for i, height, series in self._product_blocks([t]):
+        for rows, series in self._product_runs([t]):
             for q in reversed(range(len(views))):
                 _, _, s, sign = self._images[q]
-                image = series[:, q].reshape(height, self._cols)
-                views[q][i : i + height] = sign * (image.conj() if s < 0 else image)
+                image = series[q].reshape(-1, cols)
+                views[q][rows] = sign * (image.conj() if s < 0 else image)
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
@@ -273,7 +255,7 @@ class SpectralEvolver:
         on the xi and eta axes; S(t) is the synthesized packet and f_k the
         unit phase that ``aligned_max_difference`` would take, from the
         reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
-        each block's transform is reduced against the outer product of the
+        each run's transform is reduced against the outer product of the
         factors over its rows. A NaN anywhere makes that time's maximum NaN.
         """
         times = [float(t) for t in times]
@@ -294,19 +276,18 @@ class SpectralEvolver:
             passes = self._product_passes(times, references)
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
-            for blocks, plans in passes:
-                for i, height, series in blocks:
-                    for ks, columns, xq, yq in plans:
-                        peaks = _peaks(series[:, columns], xq[i : i + height], yq)
-                        np.maximum.at(worst, ks, peaks)
+            for runs, plans in passes:
+                for rows, series in runs:
+                    for ks, lines, xq, yq in plans:
+                        np.maximum.at(worst, ks, _peaks(series[lines], xq[:, rows], yq))
         return worst.tolist()
 
     def _fft_passes(self, count: int, turns: int, references: list) -> list:
         """The FFT transform's one pass, with the reference of each image.
 
-        A pass is a transform's blocks and, per slice of their series
-        columns, the times those columns hold and the matching reference
-        factors over the quadrant, as ``_peaks`` takes them.
+        A pass is a transform's runs and, per slice of their series lines,
+        the times those lines hold and the matching (times, quadrant)
+        reference factors, as ``_peaks`` takes them.
         """
         step = math.gcd(turns, count)
         plans = []
@@ -316,9 +297,8 @@ class SpectralEvolver:
             order = np.argsort(bins, kind="stable")
             for r in range(step):
                 ks = order[r::step]
-                columns = slice(int(bins[ks[0]]), None, step)
-                plans.append((ks, columns, _columns(xq[ks]), _columns(yq[ks])))
-        return [(self._fft_blocks(count), plans)]
+                plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
+        return [(self._fft_runs(count), plans)]
 
     def _product_passes(self, times: list, references: list) -> list:
         """The product transform's passes, ``_TIMES_PER_PASS`` times each,
@@ -326,11 +306,11 @@ class SpectralEvolver:
         passes = []
         for lo in range(0, len(times), _TIMES_PER_PASS):
             group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
-            xs = _columns(np.concatenate([xq[group] for xq, _ in references]))
-            ys = _columns(np.concatenate([yq[group] for _, yq in references]))
+            xs = np.concatenate([xq[group] for xq, _ in references])
+            ys = np.concatenate([yq[group] for _, yq in references])
             ks = np.tile(group, len(references))
-            blocks = self._product_blocks([times[k] for k in group])
-            passes.append((blocks, [(ks, slice(None), xs, ys)]))
+            runs = self._product_runs([times[k] for k in group])
+            passes.append((runs, [(ks, slice(None), xs, ys)]))
         return passes
 
     def _whole_turns(self, times: list) -> int:
@@ -339,10 +319,11 @@ class SpectralEvolver:
         That is t_k = (2 pi M) k / T / w for k < T, checked exactly against
         that arithmetic, which is how ``evolve`` spaces its times over a
         span of 2 pi M. It is 0 otherwise, and also where one quadrant row
-        of the FFT's (points, T) buffer would hold more than half a grid.
+        of the FFT's (T, points) buffer would hold more than half a grid.
         """
         count = len(times)
-        if count < 2 or count % 2 or 2 * count * self._cols > self._grid.values.size:
+        cols = self._fields.shape[2]
+        if count < 2 or count % 2 or 2 * count * cols > self._grid.values.size:
             return 0
         turns = round(times[1] * self._omega * count / math.tau)
         span = turns * math.tau
@@ -378,12 +359,8 @@ class SpectralEvolver:
                 continue
             rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
             cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
-            fields = np.array([
-                self._blocks[r // self._height][2][r % self._height * self._cols + c]
-                for r, c in zip(rows.tolist(), cols.tolist())
-            ]).reshape(at.size, self._levels.size)
             phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
-            q = np.sum(fields * np.exp(-1j * phase), axis=1)
+            q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
             value[at] = sign * (q.conj() if s < 0 else q)
         unit = np.ones(len(times), dtype=complex)
         nonzero = value != 0.0
@@ -403,82 +380,84 @@ class SpectralEvolver:
             xq, yq, unit = xq.conj(), yq.conj(), unit.conj()
         return xq * unit.conj()[:, None], yq
 
-    def _product_blocks(self, times: list) -> Iterator[tuple[int, int, np.ndarray]]:
+    def _row_runs(self, lines: int) -> list[slice]:
+        """The quadrant's rows in runs, tallest first, over each of which a
+        complex (lines, points) array holds at most one grid's values."""
+        _, rows, cols = self._fields.shape
+        height = max(1, self._grid.values.size // (lines * cols))
+        return [slice(i, min(i + height, rows)) for i in range(0, rows, height)]
+
+    def _product_runs(self, times: list) -> Iterator[tuple[slice, np.ndarray]]:
         """The product transform at up to ``_TIMES_PER_PASS`` times.
 
-        Yields each block's first row, its row count and a (points, n g)
-        complex view whose column q g + j is Q at the time of image q of
-        the table at time j. The view's buffer is reused by the next block.
+        Yields each run's rows and an (n g, points) complex view whose line
+        q g + j is Q at the time of image q of the table at time j. The
+        view's buffer is reused by the next run.
         """
         phase = np.outer(
             np.concatenate([self._image_times(times, image) for image in self._images]),
             self._levels + 1,
         )
-        c, s = np.cos(phase), np.sin(phase)
-        # (R + i I)(c - i s) in real and imaginary parts, by rows R, I
-        weights = np.array([[c, -s], [s, c]]).transpose(3, 0, 2, 1)
-        weights = weights.reshape(2 * self._levels.size, 2 * len(phase))
-        out = np.empty((len(self._blocks[0][2]), weights.shape[1]))
-        for i, height, block in self._blocks:
-            count = len(block) // self._band
-            real = block.view(float).reshape(count, self._band, 2 * self._levels.size)
-            np.matmul(real, weights, out=out[: len(block)].reshape(count, self._band, -1))
-            yield i, height, out.view(complex)[: height * self._cols]
+        weights = np.exp(-1j * phase)
+        levels, rows, cols = self._fields.shape
+        fields = self._fields.reshape(levels, rows * cols)
+        lines = len(weights)
+        # each band's (lines, K) @ (K, band) product has m n k <= _SERIAL_PRODUCT
+        band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
+        runs = self._row_runs(lines)
+        buffer = np.empty(lines * runs[0].stop * cols, dtype=complex)
+        for run in runs:
+            lo, hi = run.start * cols, run.stop * cols
+            series = buffer[: lines * (hi - lo)].reshape(lines, hi - lo)
+            for b in range(lo, hi, band):
+                e = min(b + band, hi)
+                np.matmul(weights, fields[:, b:e], out=series[:, b - lo : e - lo])
+            yield run, series
 
-    def _fft_blocks(self, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    def _fft_runs(self, count: int) -> Iterator[tuple[slice, np.ndarray]]:
         """The FFT transform over ``count`` bins.
 
-        Yields each chunk's first row, its row count and a (points, count)
-        complex array whose column j is Q at w t = 2 pi j / count on the
-        quadrant. The array is reused by the next chunk.
+        Yields each run's rows and a (count, points) complex array whose
+        line j is Q at w t = 2 pi j / count on the run's quadrant points.
+        The folded buffer is reused by the next run.
         """
-        cols = self._cols
         bins = (self._levels + 1) % count
         layer = (self._levels + 1) // count
         # runs of consecutive levels in one turn of the bins fold as slices
         breaks = np.flatnonzero((np.diff(self._levels) != 1) | (np.diff(layer) != 0)) + 1
         edges = [0, *breaks.tolist(), self._levels.size]
-        runs = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
+        spans = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
+        cols = self._fields.shape[2]
         # the folded levels and their transform hold one grid between them
-        height = max(1, min(self._height, self._grid.values.size // (2 * count * cols)))
-        buffer = np.empty((height * cols, count), dtype=complex)
-        for i, block_rows, block in self._blocks:
-            for row in range(0, block_rows, height):
-                rows = min(height, block_rows - row)
-                folded = buffer[: rows * cols]
-                folded[...] = 0.0
-                fields = block[row * cols : (row + rows) * cols]
-                for a, b, first in runs:
-                    folded[:, first : first + b - a] += fields[:, a:b]
-                yield i + row, rows, np.fft.fft(folded, axis=-1)
-
-
-def _columns(stack: np.ndarray) -> np.ndarray:
-    """A (T, points) stack as a contiguous (points, T) array: the layout of
-    ``_peaks``, whose broadcast products run several times slower on a
-    strided view."""
-    return np.ascontiguousarray(stack.T)
+        runs = self._row_runs(2 * count)
+        buffer = np.empty(count * runs[0].stop * cols, dtype=complex)
+        for run in runs:
+            points = (run.stop - run.start) * cols
+            folded = buffer[: count * points].reshape(count, points)
+            folded[...] = 0.0
+            for a, b, first in spans:
+                folded[first : first + b - a] += self._fields[a:b, run].reshape(b - a, points)
+            yield run, np.fft.fft(folded, axis=0)
 
 
 def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per column n, max over the points of |x[i, n] y[j, n] - series[(i, j), n]|.
+    """Per line n, max over the points of |x[n, i] y[n, j] - series[n, (i, j)]|.
 
-    ``series`` is (rows * cols, n) over a block's points, row-major; the
+    ``series`` is (n, rows * cols) over a run's points, row-major; the
     maximum propagates NaN.
     """
-    diff = np.empty((len(x), *y.shape), dtype=complex)
+    diff = np.empty((len(x), x.shape[1], y.shape[1]), dtype=complex)
     # row by row: numpy buffers a broadcast complex product's operands, up
     # to getbufsize() elements; one row's product keeps that to one row
-    for row, factor in zip(diff, x):
-        np.multiply(factor, y, out=row)
+    for i in range(x.shape[1]):
+        np.multiply(x[:, i, None], y, out=diff[:, i])
     diff -= series.reshape(diff.shape)
     # |diff|^2 into the real parts in place: no scratch beside diff
-    parts = diff.reshape(-1, diff.shape[2]).view(float)
-    real, imag = parts[:, 0::2], parts[:, 1::2]
-    np.multiply(real, real, out=real)
-    np.multiply(imag, imag, out=imag)
-    np.add(real, imag, out=real)
-    return np.sqrt(real.max(axis=0))
+    parts = diff.reshape(len(diff), -1).view(float)
+    np.square(parts, out=parts)
+    real = parts[:, 0::2]
+    np.add(real, parts[:, 1::2], out=real)
+    return np.sqrt(real.max(axis=1))
 
 
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:

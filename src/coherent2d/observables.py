@@ -181,11 +181,16 @@ def marginals(table: CoefficientTable) -> tuple[dict[int, float], dict[int, floa
 
     Both sum to 1 - tail_mass; keys are sorted ascending.
     """
-    p_m: dict[int, float] = {}
-    p_n: dict[int, float] = {}
-    for m, big_n, w in zip(
-        table.m.tolist(), table.principal.tolist(), table.c_squared.tolist()
-    ):
-        p_m[m] = p_m.get(m, 0.0) + w
-        p_n[big_n] = p_n.get(big_n, 0.0) + w
-    return dict(sorted(p_m.items())), dict(sorted(p_n.items()))
+    return _marginal(table.m, table.c_squared), _marginal(table.principal, table.c_squared)
+
+
+def _marginal(keys: np.ndarray, weights: np.ndarray) -> dict[int, float]:
+    """Sum of the weights per distinct key, the keys ascending.
+
+    ``np.bincount`` adds each key's weights in row order from 0.0, so every
+    sum is rounded exactly as the same additions over the rows in Python.
+    """
+    present = np.unique(keys)
+    low = keys.min(initial=0)
+    sums = np.bincount(keys - low, weights=weights)
+    return dict(zip(present.tolist(), sums[present - low].tolist()))

@@ -589,7 +589,7 @@ class TestNonFinite:
 
         def poisoned(table, xi_axis, eta_axis):
             levels, fields = true_fields(table, xi_axis, eta_axis)
-            fields[:, :, -1, -1] = math.nan
+            fields[..., -1, -1] = math.nan
             return levels, fields
 
         monkeypatch.setattr(dynamics, "_principal_fields", poisoned)

@@ -182,9 +182,9 @@ def offset_grid(params, points, xi_shift=0.0, eta_shift=0.5):
 
 
 def complex_fields(built):
-    """The builder's (levels, [Re; Im] fields) as complex arrays keyed by N."""
-    levels, (re, im) = built
-    return {n: re[i] + 1j * im[i] for i, n in enumerate(levels.tolist())}
+    """The builder's (levels, fields) as complex arrays keyed by N."""
+    levels, fields = built
+    return dict(zip(levels.tolist(), fields))
 
 
 def eigenstate_sum(table, grid, t):
@@ -218,10 +218,11 @@ class TestPrincipalFields:
         full_levels, whole = _principal_fields(table, grid.xi_axis, grid.eta_axis)
         assert np.array_equal(levels, full_levels)
         assert np.array_equal(levels, np.unique(table.principal))
-        assert np.array_equal(quadrant, whole[:, :, row0:, col0:])
-        for big_n, re, im in zip(levels.tolist(), whole[0], whole[1]):
+        assert np.array_equal(quadrant, whole[:, row0:, col0:])
+        for big_n, field in zip(levels.tolist(), whole):
             # F(xi, -eta) = conj F(xi, eta); F(-xi, eta) = (-1)^N conj F(xi, eta)
             sign = (-1) ** big_n
+            re, im = field.real, field.imag
             assert np.array_equal(re[:, ::-1], re)
             assert np.array_equal(im[:, ::-1], -im)
             assert np.array_equal(re[::-1, :], sign * re)
@@ -280,7 +281,7 @@ class TestPrincipalFields:
         grid = make_grid(p, points=33)
         levels, fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
         assert levels.tolist() == [0]
-        assert fields.shape == (2, 1, 33, 33)
+        assert fields.shape == (1, 33, 33)
 
     def test_finite_where_the_radial_power_overflows(self):
         """A cutoff far past the packet on a wide, coarse grid: rho^|m| is
@@ -295,7 +296,7 @@ class TestPrincipalFields:
         assert np.count_nonzero(overflowing) >= 4
         levels, fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
         assert levels.size == 171
-        assert np.all(np.isfinite(fields[:, :, overflowing]))
+        assert np.all(np.isfinite(fields[:, overflowing]))
         assert np.all(np.isfinite(fields))
         assert np.all(np.isfinite(SpectralEvolver(table, grid).at(0.4).values))
 
@@ -336,66 +337,103 @@ def direct_sum(fields, omega, t):
     return sum(np.exp(-1j * (big_n + 1) * omega * t) * field for big_n, field in fields.items())
 
 
-def assert_within_serial_bounds(evolver, grid):
-    """Every band's product, counting all 8 g columns of a pass, has m n k <=
-    _SERIAL_PRODUCT; every block is a whole number of bands, and its
-    (points, 8 g) product holds at most one grid's values."""
-    lines = 8 * _TIMES_PER_PASS
-    band = evolver._band
-    for _, _, block in evolver._blocks:
-        assert lines * 2 * block.shape[1] * band <= _SERIAL_PRODUCT
-        assert len(block) % band == 0
-        assert np.empty((len(block), lines)).nbytes <= grid.values.nbytes
+def assert_within_serial_bounds(evolver, grid, monkeypatch):
+    """A full pass of _TIMES_PER_PASS times: every band's product has m n k
+    <= _SERIAL_PRODUCT, each run's (lines, points) output holds at most one
+    grid's values, and the runs cover the quadrant's rows in order.
+
+    Returns the (m, k, n) of every product."""
+    products = []
+    matmul = np.matmul
+
+    def recording(a, b, out):
+        products.append((*a.shape, b.shape[1]))
+        return matmul(a, b, out=out)
+
+    times = [0.3 * k for k in range(_TIMES_PER_PASS)]
+    lines = len(evolver._images) * len(times)
+    cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
+    covered = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", recording)
+        for rows, series in evolver._product_runs(times):
+            assert rows.start == covered
+            assert series.shape == (lines, (rows.stop - rows.start) * cols)
+            assert series.nbytes <= grid.values.nbytes
+            covered = rows.stop
+    assert covered == grid.xi_axis.size - _mirror_start(grid.xi_axis)
+    assert products
+    for m, k, n in products:
+        assert m * k * n <= _SERIAL_PRODUCT
+    return products
 
 
 class TestSynthesis:
     @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
-    def test_matches_direct_sum(self, params, points, mirrored):
+    def test_matches_direct_sum(self, monkeypatch, params, points, mirrored):
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         fields = full_grid_fields(table, grid)
         evolver = SpectralEvolver(table, grid)
-        assert_within_serial_bounds(evolver, grid)
+        assert_within_serial_bounds(evolver, grid, monkeypatch)
         for t in (0.0, 0.7, 3.1, 29.3):
             direct = direct_sum(fields, params.omega, t)
             assert np.max(np.abs(evolver.at(t).values - direct)) < 1e-13
 
     @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
-    def test_stacks_hold_the_quadrant_planes(self, params, points, mirrored):
-        """Each block stacks the K level planes over its rows of the quadrant:
-        bitwise the zero-padded complex (points, K) copy of F_N there, and
-        the blocks cover the quadrant's rows in order."""
+    def test_stacks_hold_the_quadrant_planes(self, monkeypatch, params, points, mirrored):
+        """The evolver stores one field array, bitwise the K level planes of
+        F_N that the build makes on the quadrant, and its product transform
+        reads it in runs that cover the quadrant's rows in order, in bands
+        within _SERIAL_PRODUCT."""
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         evolver = SpectralEvolver(table, grid)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         levels, fields = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        re, im = fields.reshape(2, levels.size, -1)
-        cols = grid.eta_axis.size - col0
-        covered = 0
-        for i, height, block in evolver._blocks:
-            assert i == covered
-            lo, hi = i * cols, (i + height) * cols
-            expect = np.zeros((len(block), levels.size), dtype=complex)
-            parts = expect.view(float)
-            parts[: hi - lo, 0::2] = re[:, lo:hi].T
-            parts[: hi - lo, 1::2] = im[:, lo:hi].T
-            assert block.tobytes() == expect.tobytes()
-            covered += height
-        assert covered == grid.xi_axis.size - row0
+        assert np.array_equal(evolver._levels, levels)
+        assert evolver._fields.tobytes() == fields.tobytes()
+        stored = [v for v in vars(evolver).values() if isinstance(v, np.ndarray) and v.ndim > 1]
+        assert len(stored) == 1 and stored[0] is evolver._fields
+        assert_within_serial_bounds(evolver, grid, monkeypatch)
 
-    def test_tiles_past_one_row_per_stack(self):
+    @pytest.mark.parametrize("params", [PacketParams(1.5, 0.5), PacketParams(4.0, 4.0)])
+    def test_build_holds_the_fields_once(self, params):
+        """The constructor's traced peak is at most the field build's own
+        peak plus one grid's values: the fields are never copied."""
+        grid = make_grid(params, points=257)
+        table = build_table(params)
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+
+        def traced_peak(build):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            built = build()
+            return tracemalloc.get_traced_memory()[1] - before, built
+
+        tracemalloc.start()
+        try:
+            fields_peak, built = traced_peak(
+                lambda: _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+            )
+            del built
+            evolver_peak, _ = traced_peak(lambda: SpectralEvolver(table, grid))
+        finally:
+            tracemalloc.stop()
+        assert evolver_peak <= fields_peak + grid.values.nbytes
+
+    def test_tiles_past_one_row_per_stack(self, monkeypatch):
         """With many levels a band holds less than a quadrant row: each
-        block's product stays within one grid's values and each band's
+        run's product stays within one grid's values and each band's
         within _SERIAL_PRODUCT; the sum is unchanged, by either transform."""
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
-        grid = make_grid(p, points=33)
-        table = build_table(p, n_max=120)
+        grid = make_grid(p, points=65)
+        table = build_table(p, n_max=130)
         evolver = SpectralEvolver(table, grid)
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
-        assert len(evolver._blocks) > 1
-        assert_within_serial_bounds(evolver, grid)
-        assert evolver._band < cols
+        assert len(evolver._row_runs(4 * _TIMES_PER_PASS)) > 1
+        products = assert_within_serial_bounds(evolver, grid, monkeypatch)
+        assert max(n for _, _, n in products) < cols
         fields = full_grid_fields(table, grid)
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
@@ -522,20 +560,21 @@ class TestFusedResidual:
         frames = [evolver.at(t).values for t in sweep(turns, steps, omega)]
         half = steps // 2
         covered = 0
-        for i, height, spectrum in evolver._fft_blocks(steps):
-            bins = spectrum.reshape(height, cols, steps)
-            rows = slice(row0 + i, row0 + i + height)
+        for run, spectrum in evolver._fft_runs(steps):
+            assert run.start == covered
+            bins = spectrum.reshape(steps, -1, cols)
+            rows = slice(row0 + run.start, row0 + run.stop)
             for k, values in enumerate(frames):
                 j = turns * k % steps
                 images = [
-                    (values[rows, col0:], bins[:, :, j]),
-                    (values[:, ::-1][rows, col0:], bins[:, :, -j % steps].conj()),
-                    (values[::-1][rows, col0:], -bins[:, :, (half - j) % steps].conj()),
-                    (values[::-1, ::-1][rows, col0:], -bins[:, :, (j + half) % steps]),
+                    (values[rows, col0:], bins[j]),
+                    (values[:, ::-1][rows, col0:], bins[-j % steps].conj()),
+                    (values[::-1][rows, col0:], -bins[(half - j) % steps].conj()),
+                    (values[::-1, ::-1][rows, col0:], -bins[(j + half) % steps]),
                 ]
                 for frame, spectral in images:
                     assert np.max(np.abs(frame - spectral)) < 1e-13
-            covered += height
+            covered = run.stop
         assert covered == grid.xi_axis.size - row0
 
     @pytest.mark.parametrize("chirality", list(Chirality))
@@ -558,19 +597,19 @@ class TestFusedResidual:
         fields = full_grid_fields(table, grid)
 
         def product(tau):
-            """Q(tau) on the quadrant: column 0, the quadrant's, at time tau."""
-            blocks = evolver._product_blocks([tau])
-            return np.concatenate([series[:, 0].copy() for _, _, series in blocks])
+            """Q(tau) on the quadrant: line 0, the quadrant's, at time tau."""
+            runs = evolver._product_runs([tau])
+            return np.concatenate([series[0].copy() for _, series in runs])
 
-        chunks = [spectrum.copy() for _, _, spectrum in evolver._fft_blocks(steps)]
-        bins = np.concatenate(chunks).reshape(-1, cols, steps)
+        chunks = [spectrum.reshape(steps, -1, cols) for _, spectrum in evolver._fft_runs(steps)]
+        bins = np.concatenate(chunks, axis=1)
         for k, t in enumerate(sweep(turns, steps, omega)):
             direct = direct_sum(fields, omega, t)
             for fx, fy, s, sign in evolver._images:
                 image = direct[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
                 tau = s * (t + (math.pi / omega if fx else 0.0))
                 j = s * (turns * k + (steps // 2 if fx else 0)) % steps
-                for q in (product(tau).reshape(-1, cols), bins[:, :, j]):
+                for q in (product(tau).reshape(-1, cols), bins[j]):
                     value = sign * (q.conj() if s < 0 else q)
                     assert np.max(np.abs(value - image)) < 1e-13
 
@@ -588,15 +627,15 @@ class TestFusedResidual:
         p = PacketParams(2.0, 1.0)
         grid = make_grid(p, points=points)
         evolver = SpectralEvolver(build_table(p), grid)
-        assert_within_serial_bounds(evolver, grid)
+        assert_within_serial_bounds(evolver, grid, monkeypatch)
         times = sweep(1, steps, 1.0)
         assert bool(evolver._whole_turns(times)) == fft
         if fft:
-            chunks = list(evolver._fft_blocks(steps))
+            chunks = list(evolver._fft_runs(steps))
             assert chunks
-            # the folded buffer has the first, tallest chunk's shape
-            folded = chunks[0][2].nbytes
-            for _, _, spectrum in chunks:
+            # the folded buffer has the first, tallest run's shape
+            folded = chunks[0][1].nbytes
+            for _, spectrum in chunks:
                 assert folded + spectrum.nbytes <= grid.values.nbytes
         scratch = []
         peaks = dynamics._peaks

@@ -13,6 +13,7 @@ from coherent2d import (
     marginals,
     partial_moment_identities,
 )
+from coherent2d.expansion import CoefficientTable
 from coherent2d.observables import _ladder_moments
 
 SWEEP = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -244,3 +245,48 @@ class TestMarginals:
         p_m, p_n = marginals(table)
         assert math.fsum(p_m.values()) == pytest.approx(1.0 - table.tail_mass, abs=1e-12)
         assert math.fsum(p_n.values()) == pytest.approx(1.0 - table.tail_mass, abs=1e-12)
+
+    @staticmethod
+    def loop_marginals(table):
+        """The per-row dict accumulation, kept here as the reference."""
+        p_m, p_n = {}, {}
+        for m, big_n, w in zip(
+            table.m.tolist(), table.principal.tolist(), table.c_squared.tolist()
+        ):
+            p_m[m] = p_m.get(m, 0.0) + w
+            p_n[big_n] = p_n.get(big_n, 0.0) + w
+        return dict(sorted(p_m.items())), dict(sorted(p_n.items()))
+
+    @pytest.mark.parametrize(
+        "xi0,eta0,chirality,signs",
+        [(0.0, 0.0, Chirality.RETARDED, set()), (1.0, 1.0, Chirality.RETARDED, {1}),
+         (1.0, 1.0, Chirality.ADVANCED, {-1}), (2.0, 1.0, Chirality.RETARDED, {-1, 1}),
+         (3.0, 0.0, Chirality.ADVANCED, {-1, 1}), (0.0, 4.0, Chirality.RETARDED, {-1, 1}),
+         (8.0, 3.0, Chirality.ADVANCED, {-1, 1}), (20.0, 10.0, Chirality.RETARDED, {-1, 1})],
+    )
+    def test_bitwise_the_row_loop(self, xi0, eta0, chirality, signs):
+        """The same keys in the same order and bitwise the same sums as the
+        per-row loop, over tables with m of one sign and of both."""
+        table = build_table(PacketParams(xi0, eta0, chirality=chirality))
+        got, expect = marginals(table), self.loop_marginals(table)
+        for marginal, reference in zip(got, expect):
+            assert list(marginal) == list(reference)
+            assert all(type(key) is int for key in marginal)
+            assert [v.hex() for v in marginal.values()] == [v.hex() for v in reference.values()]
+        assert {int(np.sign(m)) for m in got[0] if m} == signs
+
+    def test_empty_table(self):
+        empty = CoefficientTable(PacketParams(1.0, 0.0), 2, [], [], [], tail_mass=1.0)
+        assert marginals(empty) == self.loop_marginals(empty) == ({}, {})
+
+    def test_negative_m_only(self):
+        """Keys below zero are offset, not dropped, and zero sums stay."""
+        table = CoefficientTable(
+            PacketParams(1.0, 0.0), 6, [-3, -1, -3, -5], [0, 2, 1, 0], [0.5, 0.5, 0.5, 1e-170],
+            tail_mass=0.0,
+        )
+        got = marginals(table)
+        assert got == self.loop_marginals(table)
+        assert list(got[0]) == [-5, -3, -1]
+        assert got[0][-5] == 0.0
+
