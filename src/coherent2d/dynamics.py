@@ -4,8 +4,11 @@ The closed-form packet and the truncated spectral synthesis
 sum C e^{-i (N+1) w t} psi_{m n_r} must agree up to a constant phase;
 this module provides both, plus centroid/variance trajectory extraction
 and the phase-quotient comparison used to confront them. The spectral
-route stays in the polar (m, n_r) eigenbasis, built from normalized real
-ladders on one grid quadrant, and calls nothing of the closed form.
+route takes only the table's polar (m, n_r) coefficients and calls
+nothing of the closed form: it rotates each level of the table into the
+Cartesian states |N - k, k> and builds the fields from Hermite functions
+on one grid quadrant. The polar eigenbasis is not evaluated on the grid;
+the tests pin it, each single-mode table against ``states.eigenstate``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# Dekker's split of a double into two 26-bit halves, and ln 2 in two parts
+# whose first times any integer below 2^21 is exact (Cody-Waite reduction).
+_DEKKER_SPLIT = 2.0**27 + 1.0
+_LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 _SPECTRAL_TAIL_LIMIT = 1e-10
 # Largest m n k of one synthesis product. OpenBLAS computes a product up to
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
@@ -81,6 +90,151 @@ def _mirror_start(axis: np.ndarray) -> int:
     return axis.size // 2 if np.array_equal(axis, -axis[::-1]) else 0
 
 
+def _hermite_functions(x: np.ndarray, top: int) -> np.ndarray:
+    """phi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)), n = 0..top, as rows.
+
+    The normalized recurrence
+
+        phi_n = sqrt(2/n) x phi_{n-1} - sqrt((n-1)/n) phi_{n-2}
+
+    runs on mantissas, each point carrying its own binary exponent, taken
+    out by ``frexp`` at every step and put back by ``ldexp`` into the table
+    (Gil, Segura & Temme, *Numerical Methods for Special Functions*, SIAM
+    2007, ch. 4). So nothing underflows on the way: a value is 0 only where
+    it is below the smallest double, though e^{-x^2/2} alone is 0 past
+    |x| ~ 38.6. phi_0's exponent is split off x^2/2 by Cody-Waite reduction,
+    with x^2 taken exactly from a Dekker split of x, so phi_0 is correct to
+    a few ulp at every |x|.
+    """
+    x = np.asarray(x, dtype=float)
+    split = _DEKKER_SPLIT * x
+    hi = split - (split - x)
+    lo = x - hi
+    half_square = 0.5 * hi * hi  # exact: hi has 26 bits
+    # past 2^20 halvings every phi_n with n < 10^5 is 0; halvings ln2_hi stays exact
+    halvings = np.minimum(np.rint(half_square / _LN2), 2.0**20)
+    rest = (half_square - halvings * _LN2_HI) - halvings * _LN2_LO + lo * (hi + 0.5 * lo)
+    current = np.exp(-rest) / math.sqrt(_SQRT_PI)
+    exponent = -halvings.astype(np.int64)
+    previous = np.zeros_like(x)
+    table = np.empty((top + 1, x.size))
+    np.ldexp(current, exponent, out=table[0])
+    for n in range(1, top + 1):
+        step = x * current
+        step *= math.sqrt(2.0 / n)
+        step -= math.sqrt((n - 1.0) / n) * previous
+        mantissa, shift = np.frexp(step)
+        previous = np.ldexp(current, -shift)
+        current = mantissa
+        exponent += shift
+        np.ldexp(current, exponent, out=table[n])
+    return table
+
+
+def _binomial_amplitudes(n: int) -> np.ndarray:
+    """sqrt(C(n, j) / 2^n), j = 0..n.
+
+    From 1 at the middle outward by cumulative products of the term ratios
+    sqrt((n - j) / (j + 1)), then scaled to unit sum of squares. The ends,
+    2^{-n/2}, are normal doubles up to n = 2044.
+    """
+    j = np.arange(n)
+    ratio = np.sqrt((n - j) / (j + 1.0))
+    mid = n // 2
+    down = np.cumprod(1.0 / ratio[:mid][::-1])[::-1]
+    amplitudes = np.concatenate([down, [1.0], np.cumprod(ratio[mid:])])
+    return amplitudes / math.sqrt(np.sum(amplitudes * amplitudes))
+
+
+def _krawtchouk_rows(
+    big_n: np.ndarray, m: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The rows of the rotation of polar modes (N, m) into the Cartesian basis.
+
+    Level N holds the polar states |n+, n-> (n+ + n- = N, n+ - n- = m) and
+    the Cartesian states |N - k, k>, and <N - k, k | n+, n-> = i^k w_k. Here
+    w is the real unit eigenvector, of eigenvalue m, of the symmetric
+    tridiagonal J_N with off-diagonals sqrt((N - k)(k + 1)): a symmetric
+    Krawtchouk vector (Koekoek, Lesky & Swarttouw, *Hypergeometric
+    Orthogonal Polynomials*, Springer 2010, 9.11), with w_0 =
+    sqrt(C(N, n+) / 2^N) and w_{N-k} = (-1)^{n-} w_k. In optics this is the
+    Laguerre-Gauss to Hermite-Gauss relation (Beijersbergen et al., Opt.
+    Commun. 96, 123, 1993).
+
+    ``big_n`` must be ascending. For k = 0..max(N) // 2, yields k, the
+    first mode with N >= 2k, and w_k of every mode from it on in two
+    factors, w_k = b_k q_k: q_k of each mode, as a view that the next step
+    overwrites, and b_k = sqrt(C(N, k) / 2^N) of each level with N >= 2k,
+    the same for all the modes of a level. q runs J_N's recurrence with
+    b taken out, which leaves no square root in it:
+
+        (N - k) q_{k+1} = m q_k - k q_{k-1},    q_0 = w_0 / b_0.
+
+    It runs from the end of each level to its middle, over all levels at
+    once; the reflection gives the other half. From the end, w first
+    grows, so the recurrence is stable; q stays below 2^{N/2}. Its state
+    is rows of one buffer over all modes, each step writing the tail of
+    one row in place.
+    """
+    levels, first = np.unique(big_n, return_index=True)
+    offsets = np.concatenate([[0], np.cumsum(levels + 1)])
+    amplitudes = np.empty(offsets[-1])
+    previous, current, step, divisor, big_n_f, m_f = np.zeros((6, big_n.size))
+    big_n_f[:] = big_n
+    m_f[:] = m
+    ends = [*first[1:].tolist(), big_n.size]
+    for n, lo, hi, at in zip(levels.tolist(), first.tolist(), ends, offsets.tolist()):
+        amplitudes[at : at + n + 1] = b = _binomial_amplitudes(n)
+        current[lo:hi] = b[(n + m[lo:hi]) // 2] / b[0]
+    lo = at = 0
+    for k in range(int(big_n[-1]) // 2 + 1 if big_n.size else 0):
+        yield k, lo, current[lo:], amplitudes[offsets[at:-1] + k]
+        # the modes that still need q_{k+1}: N >= 2k + 2
+        lo = int(np.searchsorted(big_n, 2 * k + 2))
+        at = int(np.searchsorted(levels, 2 * k + 2))
+        out, before = step[lo:], previous[lo:]
+        np.multiply(m_f[lo:], current[lo:], out=out)
+        before *= k
+        out -= before
+        np.subtract(big_n_f[lo:], k, out=divisor[lo:])
+        out /= divisor[lo:]
+        previous, current, step = current, step, previous
+
+
+def _cartesian_coefficients(
+    table: CoefficientTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table rotated level by level into the Cartesian states |N - k, k>.
+
+    Returns the K levels N that hold a stored mode, ascending, the K + 1
+    offsets of their runs in r, and r: the real r_k, k = 0..N, of each
+    level, one run after another. With psi_{m,n_r} = (-1)^{n_r} |n+, n->,
+    level N of the packet is sum_k i^k r_k |N - k, k>, r_k the sum over the
+    level's modes of (-1)^{n_r} C w_k (``_krawtchouk_rows``). Each row is
+    summed into r as it is made, so no level's rotation matrix is held.
+    The table's rows must be in level order, as ``CoefficientTable`` keeps
+    them.
+    """
+    big_n, m = table.principal, table.m
+    if np.any(big_n[1:] < big_n[:-1]):
+        raise ValueError("the table's rows are not in level order")
+    levels, first = np.unique(big_n, return_index=True)
+    offsets = np.concatenate([[0], np.cumsum(levels + 1)])
+    r = np.zeros(offsets[-1])
+    coef, mirrored, terms = np.empty((3, big_n.size))
+    np.multiply(np.where(table.n_r % 2, -1.0, 1.0), table.c, out=coef)
+    np.copyto(mirrored, np.where((big_n - m) // 2 % 2, -coef, coef))  # w_{N-k} = (-1)^{n-} w_k
+    for k, lo, q, b in _krawtchouk_rows(big_n, m):
+        at = levels.size - b.size
+        starts = first[at:] - lo
+        # the middle row of an even level is written twice, its own row last
+        np.multiply(mirrored[lo:], q, out=terms[lo:])
+        r[offsets[at:-1] + levels[at:] - k] = b * np.add.reduceat(terms[lo:], starts)
+        np.multiply(coef[lo:], q, out=terms[lo:])
+        r[offsets[at:-1] + k] = b * np.add.reduceat(terms[lo:], starts)
+    return levels, offsets, r
+
+
 def _principal_fields(
     table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,75 +244,64 @@ def _principal_fields(
     fields as one complex array of shape (K, len(xi_axis), len(eta_axis)),
     level-major: F_N of each level.
 
-    With z = xi + i eta and u = |z|^2, psi_{a,k} = l_k s_a and
-    psi_{-a,k} = l_k conj(s_a) for the normalized ladders
+    Each level is built in the Cartesian Hermite basis, from the table
+    rotated by ``_cartesian_coefficients``, F_N = sum_k i^k r_k |N - k, k>:
 
-        s_a = z^a e^{-u/4} / sqrt(pi a!),      s_{a+1} = z s_a / sqrt(a + 1),
-        l_k = e^{-u/4} sqrt(k! a! / (k + a)!) L_k^a(u),
+        Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
+        Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
 
-    l_k by the three-term Laguerre recurrence. C is real, so each (a, k)
-    adds (C_+ + C_-) l_k Re s_a to Re F_N and (C_+ - C_-) l_k Im s_a to
-    Im F_N, in ascending a. No factor is a bare power of rho, so the fields
-    stay finite where rho^|m| overflows. Each ladder carries half of the
-    Gaussian, so neither starts at zero before e^{-u/4} underflows, past
-    u ~ 2980; where l_k overflows there the fields are NaN.
+    each one real (rows, n) @ (n, cols) product over the tabulated Hermite
+    functions (``_hermite_functions``), in bands whose m n k is at most
+    ``_SERIAL_PRODUCT``. No Laguerre function, power of rho or angle is
+    evaluated on the grid: the polar eigenbasis enters only through the
+    rotation, which the eigenstate tests pin. The Hermite functions stay
+    finite and carry their own exponents, so the fields are finite on any
+    grid.
+
+    On an exactly antisymmetric axis (``_mirror_start``) only its
+    coordinates >= 0 are built; the rest are written as exact images,
+    F_N(xi, -eta) = conj F_N(xi, eta) and
+    F_N(-xi, eta) = (-1)^N conj F_N(xi, eta), so the fields are bitwise
+    mirror-symmetric there, and bitwise those of a build on the half axes.
     """
-    m, n_r, c = table.m, table.n_r, table.c
-    plus = np.zeros((table.n_max + 1, table.n_max // 2 + 1))
-    minus = np.zeros_like(plus)
-    np.add.at(plus, (m[m >= 0], n_r[m >= 0]), c[m >= 0])
-    np.add.at(minus, (-m[m < 0], n_r[m < 0]), c[m < 0])
-    stored = np.zeros(plus.shape, dtype=bool)
-    stored[np.abs(m), n_r] = True
-    re_coef = plus + minus
-    im_coef = plus - minus
-    im_coef[0] = 0.0  # s_0 is real
-
-    levels = np.unique(table.principal)
-    slot = {n: i for i, n in enumerate(levels.tolist())}
-
-    x = xi_axis[:, None]
-    y = eta_axis[None, :]
-    u = x * x + y * y
-    fields = np.zeros((levels.size, *u.shape), dtype=complex)
-    quarter = np.exp(-0.25 * u)
-    s_re = quarter / _SQRT_PI
-    s_im = np.zeros_like(u)
-    scratch = np.empty_like(u)
-    term = np.empty_like(u)
-    a = 0
-    for am in np.flatnonzero(stored.any(axis=1)).tolist():
-        while a < am:
-            gx = x / math.sqrt(a + 1.0)
-            gy = y / math.sqrt(a + 1.0)
-            np.multiply(s_re, gx, out=scratch)
-            np.multiply(s_im, gy, out=term)
-            scratch -= term
-            np.multiply(s_im, gx, out=term)
-            np.multiply(s_re, gy, out=s_im)
-            s_im += term
-            s_re, scratch = scratch, s_re
-            a += 1
-        coefs = (re_coef[a].tolist(), im_coef[a].tolist())
-        prev = np.zeros_like(u)
-        ladder = quarter.copy()
-        k = 0
-        for top in np.flatnonzero(stored[a]).tolist():
-            while k < top:
-                np.subtract(2.0 * k + a + 1.0, u, out=scratch)
-                scratch *= ladder
-                prev *= math.sqrt(k * (k + a))
-                scratch -= prev
-                scratch /= math.sqrt((k + 1.0) * (k + a + 1.0))
-                prev, ladder, scratch = ladder, scratch, prev
-                k += 1
-            level = fields[slot[a + 2 * k]]
-            for part, s_part, coef in zip((level.real, level.imag), (s_re, s_im), coefs):
-                if coef[k]:
-                    np.multiply(ladder, s_part, out=term)
-                    term *= coef[k]
-                    part += term
+    row0, col0 = _mirror_start(xi_axis), _mirror_start(eta_axis)
+    xi, eta = xi_axis[row0:], eta_axis[col0:]
+    top = int(table.principal.max(initial=0))
+    hx = _hermite_functions(xi, top)
+    hy = hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
+    levels, offsets, r = _cartesian_coefficients(table)
+    fields = np.zeros((levels.size, xi_axis.size, eta_axis.size), dtype=complex)
+    if not levels.size:
+        return levels, fields
+    plane = np.empty((xi.size, eta.size))
+    for level, big_n, lo in zip(fields[:, row0:, col0:], levels.tolist(), offsets.tolist()):
+        coefs = r[lo : lo + big_n + 1]
+        for parity, part in enumerate((level.real, level.imag)):
+            if big_n < parity:
+                continue
+            # k = parity, parity + 2, ..., N - (N - parity) % 2, with phi_{N-k} on xi
+            xs = coefs[parity::2, None] * hx[big_n - parity :: -2]
+            xs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
+            ys = hy[parity::2][: len(xs)]
+            _banded_product(xs.T, ys, plane)
+            part[...] = plane
+    if row0:
+        parity = np.where(levels % 2, -1.0, 1.0)[:, None, None]
+        np.multiply(np.conj(fields[:, ::-1][:, :row0]), parity, out=fields[:, :row0])
+    if col0:
+        np.conjugate(fields[:, :, ::-1][:, :, :col0], out=fields[:, :, :col0])
     return levels, fields
+
+
+def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b, in bands of out's rows (and of its columns, where one
+    row is too many) whose products have m n k <= ``_SERIAL_PRODUCT``."""
+    inner, cols = b.shape
+    height = max(1, _SERIAL_PRODUCT // (inner * cols))
+    width = min(cols, max(1, _SERIAL_PRODUCT // (height * inner)))
+    for i in range(0, len(a), height):
+        for j in range(0, cols, width):
+            np.matmul(a[i : i + height], b[:, j : j + width], out=out[i : i + height, j : j + width])
 
 
 class SpectralEvolver:
@@ -184,8 +327,8 @@ class SpectralEvolver:
     The table holds the quadrant and the images of the mirrored axes, and
     every reader takes Q at the image times from it, then the image's sign
     and conjugate. The fields are stored once, as ``_principal_fields``
-    builds them: one complex (K, rows, cols) array over the K stored levels
-    and the quadrant's points. Every use of the fields is one pass over
+    builds them in the Cartesian Hermite basis: one complex (K, rows, cols)
+    array over the K stored levels and the quadrant's points. Every use of the fields is one pass over
     them, each run of quadrant rows going through a transform and then
     into a consumer; a transform's (lines, points) output over one run
     holds at most one grid's values.

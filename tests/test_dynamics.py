@@ -27,6 +27,9 @@ from coherent2d import dynamics
 from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
     _TIMES_PER_PASS,
+    _banded_product,
+    _hermite_functions,
+    _krawtchouk_rows,
     _mirror_start,
     _principal_fields,
 )
@@ -43,7 +46,7 @@ def full_grid_fields(table, grid):
 
     rho^|m|, e^{i m phi}, log-factorial prefactors and the unnormalized
     Laguerre ladder, one complex term per mode: an algorithm independent of
-    the library's normalized real ladders.
+    the library's build in the Cartesian Hermite basis.
     """
     xi, eta = grid.meshes()
     rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
@@ -285,7 +288,7 @@ class TestPrincipalFields:
 
     def test_finite_where_the_radial_power_overflows(self):
         """A cutoff far past the packet on a wide, coarse grid: rho^|m| is
-        inf at the corners, the normalized ladders stay finite there."""
+        inf at the corners, the Hermite functions stay finite there."""
         p = PacketParams(1.5, 0.5)
         grid = make_grid(p, half_width=60.0, points=33)
         table = build_table(p, n_max=170)
@@ -316,13 +319,161 @@ class TestPrincipalFields:
         assert np.all(np.isfinite(fields))
 
     def test_finite_at_amplitude_28(self):
-        """Past u ~ 1490 e^{-u/2} underflows; each ladder starts at e^{-u/4}
-        instead, so neither is zero where the other grows large."""
+        """Past u ~ 1490 e^{-u/2} underflows; the Hermite functions carry
+        their own binary exponents, so none is zero where the product of two
+        of them is a double."""
         p = PacketParams(28.0, 0.0)
         grid = make_grid(p, points=17)
         with np.errstate(over="raise", invalid="raise"):
             _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
         assert np.all(np.isfinite(fields))
+
+
+def krawtchouk_matrix(n):
+    """W[k, j] = w_k of mode m = 2 j - n of level n, assembled from the rows
+    ``_krawtchouk_rows`` yields and the reflection w_{n-k} = (-1)^{n-} w_k."""
+    m = np.arange(-n, n + 1, 2)
+    w = np.empty((n + 1, n + 1))
+    for k, lo, q, (b,) in _krawtchouk_rows(np.full(n + 1, n), m):
+        assert lo == 0
+        w[k] = b * q
+        w[n - k] = np.where((n - m) // 2 % 2, -w[k], w[k])
+    return m, w
+
+
+class TestCartesianRotation:
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_single_modes_are_eigenstates(self, mirrored):
+        """A table of one mode with C = 1 gives that polar eigenstate, for
+        every (m, n_r) with N <= 8 and m of both signs: the rotation's sign
+        convention psi_{m,n_r} = (-1)^{n_r} |n+, n-> and d_k = i^k r_k."""
+        p = PacketParams(0.0, 0.0)
+        grid = make_grid(p, half_width=5.0, points=33) if mirrored else offset_grid(p, 33, 0.3)
+        xi, eta = grid.meshes()
+        rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
+        for big_n in range(9):
+            for m in range(-big_n, big_n + 1, 2):
+                mode = ModeIndex(m, (big_n - abs(m)) // 2)
+                table = CoefficientTable(p, big_n, [m], [mode.n_r], [1.0])
+                levels, fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+                assert levels.tolist() == [big_n]
+                expect = eigenstate(mode, rho, phi)
+                assert np.max(np.abs(fields[0] - expect)) < 1e-14, (m, mode.n_r)
+
+    @pytest.mark.parametrize("n", [58, 423])
+    def test_rows_are_orthonormal_eigenvectors(self, n):
+        """Column m of W is the unit eigenvector of J_n for eigenvalue m,
+        and W is orthogonal, to 1e-12."""
+        m, w = krawtchouk_matrix(n)
+        assert np.max(np.abs(w.T @ w - np.eye(n + 1))) <= 1e-12
+        k = np.arange(n)
+        off = np.sqrt((n - k) * (k + 1.0))
+        j_w = np.zeros_like(w)
+        j_w[:-1] += off[:, None] * w[1:]
+        j_w[1:] += off[:, None] * w[:-1]
+        assert np.max(np.abs(j_w - w * m)) <= 1e-12
+
+    def test_levels_run_together_as_alone(self):
+        """The recurrence over several levels at once gives each level's rows
+        as a run over that level alone, bitwise."""
+        big_n = np.array([0, 3, 3, 4, 7, 7, 7, 7, 8])
+        m = np.array([0, -3, 1, 2, -7, -1, 5, 7, -8])
+        together = [(k, lo, q.copy(), b) for k, lo, q, b in _krawtchouk_rows(big_n, m)]
+        assert [k for k, _, _, _ in together] == list(range(5))
+        levels = np.unique(big_n).tolist()
+        for level in levels:
+            at = np.flatnonzero(big_n == level)
+            for k, lo, q, (b,) in _krawtchouk_rows(big_n[at], m[at]):
+                assert lo == 0
+                _, lo_all, q_all, b_all = together[k]
+                assert np.array_equal(q_all[at - lo_all], q)
+                assert b_all[levels.index(level) - len(levels)] == b
+
+    def test_rows_out_of_level_order_are_refused(self):
+        p = PacketParams(1.0, 0.0)
+        table = CoefficientTable(p, 2, [2, 0], [0, 0], [0.6, 0.8])
+        grid = make_grid(p, points=9)
+        with pytest.raises(ValueError, match="level order"):
+            _principal_fields(table, grid.xi_axis, grid.eta_axis)
+
+    def test_build_products_are_serial(self, monkeypatch):
+        """Every product of the field build has m n k <= _SERIAL_PRODUCT, and
+        banding in columns too, where one row is too many, keeps a @ b."""
+        products = []
+        matmul = np.matmul
+
+        def recording(a, b, out):
+            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, out=out)
+
+        p = PacketParams(1.5, 0.5)
+        grid = make_grid(p, points=65)
+        table = build_table(p, n_max=130)
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((5, 700)), rng.standard_normal((700, 200))
+        out = np.empty((5, 200))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", recording)
+            _principal_fields(table, grid.xi_axis[32:], grid.eta_axis[32:])
+            assert products and max(products) <= _SERIAL_PRODUCT
+            products.clear()
+            _banded_product(a, b, out)
+        assert len(products) > 5 and max(products) <= _SERIAL_PRODUCT
+        assert np.max(np.abs(out - a @ b)) < 1e-12
+
+
+class TestHermiteFunctions:
+    def test_matches_mpmath_past_the_gaussian_underflow(self):
+        """phi_n(x) against 50-digit mpmath for n <= 1500 and |x| <= 60.
+
+        Past the turning point x^2 = 2n + 1, where phi_n has no zeros, each
+        normal value is within 1e-13 relative; inside it, within 1e-13 of
+        max(|phi_n|, |phi_{n-1}|), the scale of the recurrence's rounding
+        (phi_n itself vanishes at its zeros). A value is 0 only where the
+        true one is below the smallest double."""
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.array([0.0, 1e-3, -0.7, 5.3, -17.25, 28.9, 37.6, -38.7, 42.0, 47.3,
+                       -54.8, 58.21, 59.99, 60.0])
+        table = _hermite_functions(xs, 1500)
+        assert table.shape == (1501, xs.size)
+
+        def exact(n, x):
+            x = mpmath.mpf(float(x))
+            if n < 0:
+                return mpmath.mpf(0)
+            norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm
+
+        smallest = mpmath.mpf(float(np.nextafter(0.0, 1.0)))
+        normal = mpmath.mpf(float(np.finfo(float).tiny))
+        checked = 0
+        with mpmath.workdps(50):
+            for n in (0, 1, 2, 17, 160, 400, 777, 1000, 1499, 1500):
+                for x, got in zip(xs, table[n]):
+                    true = exact(n, x)
+                    if abs(true) >= smallest:
+                        assert got != 0.0, (n, x)
+                    if abs(true) < normal:
+                        continue
+                    checked += 1
+                    err = abs(mpmath.mpf(float(got)) - true)
+                    if x * x >= 2 * n + 1:
+                        assert err <= 1e-13 * abs(true), (n, x)
+                    assert err <= 1e-13 * max(abs(true), abs(exact(n - 1, x))), (n, x)
+        assert checked > 80
+
+    def test_parity_and_zeros(self):
+        """phi_n(-x) = (-1)^n phi_n(x) bitwise, phi_n(0) = 0 for odd n, and
+        far out every phi_n is exactly 0."""
+        xs = np.array([0.0, 0.5, -0.5, 40.0, -40.0, 1e4])
+        table = _hermite_functions(xs, 300)
+        sign = np.where(np.arange(301) % 2, -1.0, 1.0)
+        assert np.array_equal(table[:, 2], sign * table[:, 1])
+        assert np.array_equal(table[:, 4], sign * table[:, 3])
+        assert not np.any(table[1::2, 0])
+        assert np.all(table[0::2, 0] != 0.0)
+        assert not np.any(table[:, 5])
+        assert np.all(np.isfinite(table))
 
 
 SYNTHESIS_PACKETS = [
