@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _render, dynamics, expansion, observables
 from .specialfn import verify_laguerre_integral
 from .states import (
@@ -390,14 +392,11 @@ def run_verification(
     params = config.params
     checks: list[CheckResult] = []
 
-    # closed form vs quadrature for the radial Laguerre integral identity
-    residuals = []
-    for n in range(7):
-        for mu in range(5):
-            for lam in range(7):
-                closed, quad = verify_laguerre_integral(n, mu, lam)
-                residuals.append(abs(closed - quad) / max(1.0, abs(closed)))
-    checks.append(_check("laguerre-integral-identity", _worst(residuals), 1e-10))
+    # closed form vs quadrature for the radial Laguerre integral identity,
+    # over the 7 x 5 x 7 sweep of (n, mu, lam) in one call
+    closed, quad = verify_laguerre_integral(*np.ogrid[:7, :5, :7])
+    residuals = np.abs(closed - quad) / np.maximum(1.0, np.abs(closed))
+    checks.append(_check("laguerre-integral-identity", _worst(residuals.flat), 1e-10))
 
     # analytic coefficients vs the projection-integral oracle, every mode
     # projected in one batch at the orders the highest checked level needs

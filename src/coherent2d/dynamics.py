@@ -394,8 +394,9 @@ class SpectralEvolver:
     def residuals(self, times, factors) -> list[float]:
         """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
 
-        ``factors`` holds one (X_k, Y_k) pair of reference factors per time,
-        on the xi and eta axes; S(t) is the synthesized packet and f_k the
+        ``factors`` is the pair (X, Y) of reference factors, row k of each
+        at the k-th time on the xi and eta axes, as ``closed_form_factors``
+        returns them; S(t) is the synthesized packet and f_k the
         unit phase that ``aligned_max_difference`` would take, from the
         reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
         each run's transform is reduced against the outer product of the
@@ -404,8 +405,7 @@ class SpectralEvolver:
         times = [float(t) for t in times]
         if not times:
             return []
-        x = np.array([pair[0] for pair in factors], dtype=complex)
-        y = np.array([pair[1] for pair in factors], dtype=complex)
+        x, y = (np.asarray(factor, dtype=complex) for factor in factors)
         if x.shape != (len(times), self._grid.xi_axis.size) or y.shape != (
             len(times), self._grid.eta_axis.size
         ):
@@ -623,23 +623,44 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     return float(np.max(np.abs(diff, out=modulus)))
 
 
-def closed_form_factors(params: PacketParams, grid: Grid2D, times) -> list:
-    """The closed form's (x factor, y factor) on the grid axes at each time.
+def closed_form_factors(params: PacketParams, grid: Grid2D, times) -> tuple:
+    """The closed form's x and y factors on the grid axes at every time.
 
-    Their outer product is ``evolve_closed_form`` at that time; they are
-    the reference ``SpectralEvolver.residuals`` takes, and ``trace_orbit``
+    Returns two complex arrays (X, Y) of shapes (T, len(xi_axis)) and
+    (T, len(eta_axis)), row k at the k-th of the T times, from one call of
+    the packet's factors on the column of times. The outer product of
+    their rows is ``evolve_closed_form`` at that time; they are the
+    reference ``SpectralEvolver.residuals`` takes, and ``trace_orbit``
     reduces them to moments.
     """
-    return [_packet_factors(params, grid.xi_axis, grid.eta_axis, t) for t in times]
+    t = np.fromiter(times, dtype=float)[:, None]
+    return _packet_factors(params, grid.xi_axis, grid.eta_axis, t)
+
+
+def _axis_moments(axis: np.ndarray, factor: np.ndarray):
+    """Mass, centroid, variance and peak of |factor|^2 along its rows.
+
+    Each is one reduction over the last axis of the (T, points) weights;
+    besides them, at most one array of their shape is alive.
+    """
+    weight = np.abs(factor)
+    np.square(weight, out=weight)
+    mass = np.sum(weight, axis=-1)
+    centroid = np.sum(axis * weight, axis=-1) / mass
+    spread = axis - centroid[:, None]
+    np.square(spread, out=spread)
+    spread *= weight
+    return mass, centroid, np.sum(spread, axis=-1) / mass, np.max(weight, axis=-1)
 
 
 def trace_orbit(params: PacketParams, times, grid: Grid2D, factors) -> list[TrajectorySample]:
     """Centroid, variance, norm and peak of the closed-form density per time.
 
-    The density is |X(xi)|^2 |Y(eta)|^2, so each time costs O(P): the mass
-    is a product of two axis sums and each centroid and variance a ratio
-    of sums along its own axis. ``factors`` are the times'
-    ``closed_form_factors``, which ``evolve`` also compares against.
+    The density is |X(xi)|^2 |Y(eta)|^2, so the mass is a product of two
+    axis sums and each centroid and variance a ratio of sums along its own
+    axis. ``factors`` is the times' ``closed_form_factors`` (X, Y), which
+    ``evolve`` also compares against; each moment of all the times is one
+    reduction over the last axis of |X|^2 or |Y|^2, O(T P) in all.
 
     The grid must span at least +/- (max(xi0, eta0) + 6) per axis, the
     default half width, so the Riemann sums see the whole Gaussian;
@@ -654,27 +675,22 @@ def trace_orbit(params: PacketParams, times, grid: Grid2D, factors) -> list[Traj
         or grid.eta_axis[-1] < need - slack
     ):
         raise ValueError(f"grid must span at least +/-{need} on both axes")
-    xi, eta = grid.xi_axis, grid.eta_axis
-    samples = []
-    for t, (x_factor, y_factor) in zip(times, factors, strict=True):
-        wx = np.abs(x_factor) ** 2
-        wy = np.abs(y_factor) ** 2
-        mass_x = float(np.sum(wx))
-        mass_y = float(np.sum(wy))
-        cx = float(np.sum(xi * wx)) / mass_x
-        cy = float(np.sum(eta * wy)) / mass_y
-        samples.append(
-            TrajectorySample(
-                t=float(t),
-                centroid_xi=cx,
-                centroid_eta=cy,
-                var_xi=float(np.sum((xi - cx) ** 2 * wx)) / mass_x,
-                var_eta=float(np.sum((eta - cy) ** 2 * wy)) / mass_y,
-                norm=mass_x * mass_y * grid.cell_area,
-                peak_density=float(np.max(wx) * np.max(wy)),
-            )
-        )
-    return samples
+    times = [float(t) for t in times]
+    x_factor, y_factor = factors
+    if len(x_factor) != len(times) or len(y_factor) != len(times):
+        raise ValueError("need one row of each factor per time")
+    mass_x, cx, var_x, peak_x = _axis_moments(grid.xi_axis, x_factor)
+    mass_y, cy, var_y, peak_y = _axis_moments(grid.eta_axis, y_factor)
+    columns = (
+        times,
+        cx.tolist(),
+        cy.tolist(),
+        var_x.tolist(),
+        var_y.tolist(),
+        (mass_x * mass_y * grid.cell_area).tolist(),
+        (peak_x * peak_y).tolist(),
+    )
+    return [TrajectorySample(*row) for row in zip(*columns)]
 
 
 def orbit_signed_area(samples: list[TrajectorySample]) -> float:

@@ -75,7 +75,9 @@ def laguerre_ladder(mu: float, x):
 
     One upward three-term recurrence serves every degree, so a caller that
     needs degrees 0..n pays for degree n once. ``x`` is used as given:
-    ``laguerre`` is the validating single-degree entry point.
+    ``laguerre`` is the validating single-degree entry point. ``mu`` may be
+    an array that broadcasts against ``x``, such as a column of orders over
+    a row of nodes; L_0 keeps the shape of ``x``.
     """
     p = x * 0.0 + 1.0
     yield p
@@ -97,20 +99,23 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
-def _generalized_binomial(top: int, k: int) -> int:
+def _generalized_binomial(top, k):
     """Exact binomial coefficient with an integer top index of either sign.
 
     For top >= 0 this is the usual coefficient (zero once k exceeds top);
     a negative top follows the falling-factorial definition, e.g.
-    C(-2, 1) = -2.
+    C(-2, 1) = -2. Both arguments broadcast as int arrays: the coefficient
+    is the falling factorial top (top - 1) ... (top - k + 1) over k!, in
+    int64, so it is exact while that product stays below 2^63, as it does
+    for the desk-scale arguments of ``verify_laguerre_integral``.
     """
-    top = int(top)
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"lower index must be non-negative, got {k}")
-    if top >= 0:
-        return math.comb(top, k) if k <= top else 0
-    return (-1) ** k * math.comb(-top + k - 1, k)
+    top, k = np.broadcast_arrays(np.asarray(top, dtype=np.int64), np.asarray(k, dtype=np.int64))
+    if np.any(k < 0):
+        raise ValueError(f"lower index must be non-negative, got {k.min()}")
+    j = np.arange(k.max(initial=0))
+    taken = j < k[..., None]
+    falling = np.where(taken, top[..., None] - j, 1).prod(axis=-1)
+    return (falling // np.where(taken, j + 1, 1).prod(axis=-1))[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +152,6 @@ class QuadratureRule:
             raise ValueError("zeroth moment deviates from 1 beyond 1e-13")
         if abs(float(np.dot(weights, nodes)) - 1.0) > 1e-12:
             raise ValueError("first moment deviates from 1 beyond 1e-12")
-
-    def integrate(self, f) -> float:
-        """Approximate the weighted integral of a vectorized real integrand."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def _scaled_ladder(order: int, x: np.ndarray):
@@ -257,25 +258,44 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     return _build_rule(order)
 
 
-def verify_laguerre_integral(n: int, mu: int, lam: int) -> tuple[float, float]:
+def verify_laguerre_integral(n, mu, lam) -> tuple:
     """Closed form and quadrature value of the weighted radial Laguerre integral.
 
     The target is 2 int_0^inf x^{2 lam + 1} e^{-x^2} L_n^mu(x^2) dx, which the
     substitution u = x^2 turns into int_0^inf u^lam e^{-u} L_n^mu(u) du. The
     closed form is (-1)^n lam! C(lam - mu, n) with the integer-top binomial,
-    so it vanishes for n >= 1 whenever lam = mu. Returns
-    (closed_form, quadrature); desk-scale arguments only.
+    so it vanishes for n >= 1 whenever lam = mu. The quadrature is the
+    Gauss-Laguerre rule of order lam + n + 2, the dot of its weights with
+    u^lam L_n^mu at its nodes.
+
+    n, mu and lam are ints or broadcastable int arrays, so a whole sweep is
+    one call. Its integrals are grouped by rule order: each order runs one
+    Laguerre ladder over its rule's nodes, with mu as a column, and each
+    integral is the weights' dot product with its own row. Returns
+    (closed_form, quadrature) as float arrays of the broadcast shape, float
+    scalars for scalar arguments; desk-scale arguments only.
     """
-    n = int(n)
-    mu = int(mu)
-    lam = int(lam)
-    if not 0 <= n <= 10:
-        raise ValueError(f"degree must be in [0, 10], got {n}")
-    if not 0 <= mu <= 8:
-        raise ValueError(f"order must be in [0, 8], got {mu}")
-    if not 0 <= lam <= 8:
-        raise ValueError(f"power must be in [0, 8], got {lam}")
-    closed = float((-1) ** n * math.factorial(lam) * _generalized_binomial(lam - mu, n))
-    rule = gauss_laguerre(lam + n + 2)
-    quadrature = rule.integrate(lambda u: u**lam * laguerre(n, mu, u))
-    return closed, quadrature
+    n, mu, lam = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.int64) for v in (n, mu, lam))
+    )
+    for name, values, top in (("degree", n, 10), ("order", mu, 8), ("power", lam, 8)):
+        outside = (values < 0) | (values > top)
+        if np.any(outside):
+            raise ValueError(f"{name} must be in [0, {top}], got {values[outside][0]}")
+    factorial = np.cumprod(np.arange(9).clip(1))  # 0! .. 8!
+    closed = (-1) ** n * factorial[lam] * _generalized_binomial(lam - mu, n)
+    quadrature = np.empty(n.shape)
+    orders = lam + n + 2
+    for order in np.unique(orders).tolist():
+        at = orders == order
+        rule = gauss_laguerre(order)
+        u = rule.nodes
+        degrees = n[at]
+        values = np.empty((degrees.size, order))
+        ladder = laguerre_ladder(mu[at][:, None].astype(float), u)
+        for degree, poly in zip(range(degrees.max() + 1), ladder):
+            rows = (degrees == degree)[:, None]
+            np.copyto(values, u ** (order - 2 - degree) * poly, where=rows)
+        # one dot product per row, as a stack of (1, order) @ (order, 1) products
+        quadrature[at] = np.matmul(rule.weights, values[..., None])[:, 0]
+    return closed.astype(float)[()], quadrature[()]

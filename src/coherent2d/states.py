@@ -257,7 +257,7 @@ def eigenstate(mode: ModeIndex, rho_tilde, phi):
     return radial * np.exp(1j * mode.m * np.asarray(phi, dtype=float))
 
 
-def _packet_factors(params: PacketParams, xi, eta, t: float):
+def _packet_factors(params: PacketParams, xi, eta, t):
     """The x and y factors whose product is ``coherent_2d``.
 
     The packet's exponent has no xi-eta cross term, so it splits into an x
@@ -266,24 +266,28 @@ def _packet_factors(params: PacketParams, xi, eta, t: float):
     keeps the e^{2i theta} and e^{-i theta} of the joint exponent rather
     than being the 1D packet at a shifted time, whose rounded shift would
     be multiplied by eta0^2 / 4.
+
+    ``t`` is a scalar or an array that broadcasts against the axes, such as
+    a (T, 1) column of times against a row of points, which gives one row
+    of each factor per time. Each factor's exponent is summed into the
+    array of its term linear in the coordinate and exponentiated there, so
+    beside the two factors at most one more array of their shape is alive.
     """
     s = params.chirality.sign
     theta = params.omega * t
     twice = np.exp(2.0j * theta)
     back = np.exp(-1.0j * theta)
-    x_expo = (
-        -1.0j * theta
-        + 0.25j * s * math.pi
-        - 0.5 * np.multiply(xi, xi)
-        - 0.25 * params.xi0**2 * (1.0 + twice)
-        + params.xi0 * np.asarray(xi) * back
-    )
-    y_expo = (
-        -0.5 * np.multiply(eta, eta)
-        - 0.25 * params.eta0**2 * (1.0 - twice)
-        + 1j * s * params.eta0 * np.asarray(eta) * back
-    )
-    return np.exp(x_expo) / _SQRT_PI, np.exp(y_expo)
+    x_factor = np.asarray(params.xi0 * np.asarray(xi) * back)
+    rest = -1.0j * theta + 0.25j * s * math.pi - 0.5 * np.multiply(xi, xi)
+    rest -= 0.25 * params.xi0**2 * (1.0 + twice)
+    x_factor += rest
+    del rest  # freed before the y factor's arrays are made
+    np.exp(x_factor, out=x_factor)
+    x_factor /= _SQRT_PI
+    y_factor = np.asarray(1j * s * params.eta0 * np.asarray(eta) * back)
+    y_factor += -0.5 * np.multiply(eta, eta) - 0.25 * params.eta0**2 * (1.0 - twice)
+    np.exp(y_factor, out=y_factor)
+    return x_factor, y_factor
 
 
 def coherent_2d(params: PacketParams, xi, eta, t: float):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from coherent2d.dynamics import (
 from coherent2d.expansion import CoefficientTable
 from coherent2d.specialfn import log_factorial
 from coherent2d.states import _default_half_width
-from reference_packets import initial_state
+from reference_packets import initial_state, orbit_moments_at, packet_factors_at
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -902,6 +903,85 @@ class TestTrajectory:
                 - 1.0
             )
             assert abs(residual) < 1e-6
+
+
+# (chirality, omega) x grid points x times: none, t = 0 alone, one other
+# time, and three times
+BATCHES = [
+    pytest.param(
+        chirality,
+        omega,
+        points,
+        times,
+        id=f"{chirality.value}-{omega}-{points}-" + "_".join(f"{t:g}" for t in times),
+    )
+    for chirality in Chirality
+    for omega in (1.0, 0.6)
+    for points in (65, 64)
+    for times in ([], [0.0], [3.3], [0.0, 0.7, 5.1])
+]
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestClosedFormBatch:
+    """All times in one array pass give, bit for bit, what the same
+    arithmetic gave one time at a time."""
+
+    @pytest.mark.parametrize("chirality, omega, points, times", BATCHES)
+    def test_factors_are_the_per_time_factors(self, chirality, omega, points, times):
+        p = PacketParams(1.5, 0.5, chirality=chirality, omega=omega)
+        grid = make_grid(p, points=points)
+        x, y = closed_form_factors(p, grid, times)
+        assert x.shape == (len(times), points) and y.shape == (len(times), points)
+        for t, x_row, y_row in zip(times, x, y):
+            x_ref, y_ref = packet_factors_at(p, grid.xi_axis, grid.eta_axis, t)
+            assert x_row.tobytes() == x_ref.tobytes()
+            assert y_row.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("chirality, omega, points, times", BATCHES)
+    def test_samples_are_the_per_time_moments(self, chirality, omega, points, times):
+        p = PacketParams(1.5, 0.5, chirality=chirality, omega=omega)
+        grid = make_grid(p, points=points)
+        x, y = closed_form_factors(p, grid, times)
+        samples = trace_orbit(p, times, grid, (x, y))
+        assert len(samples) == len(times)
+        for t, x_row, y_row, sample in zip(times, x, y, samples):
+            expect = orbit_moments_at(t, x_row, y_row, grid)
+            assert bits(dataclasses.astuple(sample)) == bits(expect)
+
+    def test_rows_must_be_one_per_time(self, elliptic_params, elliptic_grid):
+        times = [0.0, 0.7, 5.1]
+        factors = closed_form_factors(elliptic_params, elliptic_grid, times)
+        evolver = SpectralEvolver(build_table(elliptic_params), elliptic_grid)
+        for wrong in (times[:2], [*times, 6.0]):
+            with pytest.raises(ValueError, match="per time"):
+                trace_orbit(elliptic_params, wrong, elliptic_grid, factors)
+            with pytest.raises(ValueError, match="per time"):
+                evolver.residuals(wrong, factors)
+
+    def test_holds_the_factors_and_one_more_array(self):
+        """closed_form_factors then trace_orbit over 1024 times on 257
+        points: the peak is the two (T, P) outputs and one more complex
+        (T, P) array. The slack is numpy's ufunc buffers, np.getbufsize()
+        elements of each of the two operands of one broadcast complex
+        operation, and the (T, 1) columns of phases; one more (T, P) array
+        of floats would be 2 MB past it."""
+        p = PacketParams(1.5, 0.5, omega=0.6)
+        grid = make_grid(p, points=257)
+        times = [0.01 * k for k in range(1024)]
+        one = len(times) * grid.xi_axis.size * 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            factors = closed_form_factors(p, grid, times)
+            trace_orbit(p, times, grid, factors)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * one + 3 * np.getbufsize() * 16
 
 
 class TestPhaseAlignment:

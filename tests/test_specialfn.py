@@ -145,7 +145,7 @@ class TestGaussLaguerre:
     @pytest.mark.parametrize("order", [2, 3, 8, 33])
     def test_cubed_moment(self, order):
         rule = gauss_laguerre(order)
-        assert rule.integrate(lambda u: u**3) == pytest.approx(6.0, abs=1e-12)
+        assert float(np.dot(rule.weights, rule.nodes**3)) == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", [2, 4, 8, 16, 32])
     def test_moment_exactness(self, order):
@@ -272,7 +272,39 @@ class TestLaguerreIntegralIdentity:
                     closed, quad = verify_laguerre_integral(n, mu, lam)
                     assert abs(closed - quad) <= 1e-10 * max(1.0, abs(closed))
 
+    def test_sweep_is_the_scalar_arithmetic(self):
+        """Every (n, mu, lam) of verify's 7 x 5 x 7 sweep, from one call,
+        equals bit for bit the integer closed form and the weights' dot
+        product with u^lam L_n^mu(u) at one rule's nodes, one triple at a
+        time."""
+        closed, quad = verify_laguerre_integral(*np.ogrid[:7, :5, :7])
+        assert closed.shape == quad.shape == (7, 5, 7)
+        for n in range(7):
+            for mu in range(5):
+                for lam in range(7):
+                    top = lam - mu
+                    if top >= 0:
+                        binomial = math.comb(top, n)
+                    else:
+                        binomial = (-1) ** n * math.comb(n - top - 1, n)
+                    expect = float((-1) ** n * math.factorial(lam) * binomial)
+                    rule = gauss_laguerre(lam + n + 2)
+                    values = rule.nodes**lam * laguerre(n, mu, rule.nodes)
+                    assert closed[n, mu, lam] == expect
+                    assert quad[n, mu, lam].tobytes() == np.dot(rule.weights, values).tobytes()
+                    if lam == mu and n >= 1:
+                        assert closed[n, mu, lam] == 0.0
+
+    def test_scalars_and_broadcasting(self):
+        closed, quad = verify_laguerre_integral(2, 0, 2)
+        assert np.ndim(closed) == np.ndim(quad) == 0
+        closed_row, quad_row = verify_laguerre_integral(2, [0, 1, 3], 2)
+        assert closed_row.shape == quad_row.shape == (3,)
+        assert closed_row[0] == closed and quad_row[0] == quad
+
     def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            verify_laguerre_integral([0, 11], 0, 0)
         with pytest.raises(ValueError):
             verify_laguerre_integral(11, 0, 0)
         with pytest.raises(ValueError):
