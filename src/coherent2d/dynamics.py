@@ -13,6 +13,7 @@ the tests pin it, each single-mode table against ``states.eigenstate``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from collections.abc import Iterator
@@ -235,82 +236,44 @@ def _cartesian_coefficients(
     return levels, offsets, r
 
 
-def _principal_fields(
-    table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partial sums F_N = sum C psi grouped by principal number N.
+def _bands(terms: np.ndarray, cols: int) -> list[tuple[int, int, int, int]]:
+    """The bands of a product a @ b with ``cols`` columns, where row i of a
+    is zero past its first terms[i] entries and terms is ascending.
 
-    Returns the K levels N that hold a stored mode, ascending, and their
-    fields as one complex array of shape (K, len(xi_axis), len(eta_axis)),
-    level-major: F_N of each level.
-
-    Each level is built in the Cartesian Hermite basis, from the table
-    rotated by ``_cartesian_coefficients``, F_N = sum_k i^k r_k |N - k, k>:
-
-        Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
-        Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
-
-    each one real (rows, n) @ (n, cols) product over the tabulated Hermite
-    functions (``_hermite_functions``), in bands whose m n k is at most
-    ``_SERIAL_PRODUCT``. No Laguerre function, power of rho or angle is
-    evaluated on the grid: the polar eigenbasis enters only through the
-    rotation, which the eigenstate tests pin. The Hermite functions stay
-    finite and carry their own exponents, so the fields are finite on any
-    grid.
-
-    On an exactly antisymmetric axis (``_mirror_start``) only its
-    coordinates >= 0 are built; the rest are written as exact images,
-    F_N(xi, -eta) = conj F_N(xi, eta) and
-    F_N(-xi, eta) = (-1)^N conj F_N(xi, eta), so the fields are bitwise
-    mirror-symmetric there, and bitwise those of a build on the half axes.
+    The rows go in bands from the last, each band's product taking only the
+    terms of its own last row, and in bands of columns too where one row is
+    too many, so that every product has m n k <= ``_SERIAL_PRODUCT``.
+    Returns (lo, hi, terms, width) per band of rows lo..hi - 1. No band is
+    left with one row where it can take two: BLAS takes a one-row product
+    by its matrix-vector kernel, whose sums can differ in the last bit.
     """
-    row0, col0 = _mirror_start(xi_axis), _mirror_start(eta_axis)
-    xi, eta = xi_axis[row0:], eta_axis[col0:]
-    top = int(table.principal.max(initial=0))
-    hx = _hermite_functions(xi, top)
-    hy = hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
-    levels, offsets, r = _cartesian_coefficients(table)
-    fields = np.zeros((levels.size, xi_axis.size, eta_axis.size), dtype=complex)
-    if not levels.size:
-        return levels, fields
-    plane = np.empty((xi.size, eta.size))
-    for level, big_n, lo in zip(fields[:, row0:, col0:], levels.tolist(), offsets.tolist()):
-        coefs = r[lo : lo + big_n + 1]
-        for parity, part in enumerate((level.real, level.imag)):
-            if big_n < parity:
-                continue
-            # k = parity, parity + 2, ..., N - (N - parity) % 2, with phi_{N-k} on xi
-            xs = coefs[parity::2, None] * hx[big_n - parity :: -2]
-            xs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
-            ys = hy[parity::2][: len(xs)]
-            _banded_product(xs.T, ys, plane)
-            part[...] = plane
-    if row0:
-        parity = np.where(levels % 2, -1.0, 1.0)[:, None, None]
-        np.multiply(np.conj(fields[:, ::-1][:, :row0]), parity, out=fields[:, :row0])
-    if col0:
-        np.conjugate(fields[:, :, ::-1][:, :, :col0], out=fields[:, :, :col0])
-    return levels, fields
+    bands = []
+    terms = terms.tolist()
+    hi = len(terms)
+    while hi > 0:
+        inner = max(1, terms[hi - 1])
+        lo = max(0, hi - max(1, _SERIAL_PRODUCT // (inner * cols)))
+        if lo == 1 and hi > 3:
+            lo = 2
+        bands.append((lo, hi, inner, min(cols, max(1, _SERIAL_PRODUCT // ((hi - lo) * inner)))))
+        hi = lo
+    return bands
 
 
-def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b, in bands of out's rows (and of its columns, where one
-    row is too many) whose products have m n k <= ``_SERIAL_PRODUCT``."""
-    inner, cols = b.shape
-    height = max(1, _SERIAL_PRODUCT // (inner * cols))
-    width = min(cols, max(1, _SERIAL_PRODUCT // (height * inner)))
-    for i in range(0, len(a), height):
-        for j in range(0, cols, width):
-            np.matmul(a[i : i + height], b[:, j : j + width], out=out[i : i + height, j : j + width])
+def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bands: list) -> None:
+    """out = a @ b over the ``_bands`` of the product."""
+    for lo, hi, inner, width in bands:
+        for j in range(0, b.shape[1], width):
+            np.matmul(a[lo:hi, :inner], b[:inner, j : j + width], out=out[lo:hi, j : j + width])
 
 
 class SpectralEvolver:
     """Reusable spectral synthesis for one table on one grid.
 
-    The fields F_N = R_N + i I_N are built once, on the rows and columns
-    from ``_mirror_start``: the xi >= 0, eta >= 0 quadrant of a
-    ``make_grid`` grid, the whole of an axis that is not antisymmetric.
-    C is real and N = |m| (mod 2), so the rest of the grid holds images:
+    The fields F_N = R_N + i I_N live on the rows and columns from
+    ``_mirror_start``: the xi >= 0, eta >= 0 quadrant of a ``make_grid``
+    grid, the whole of an axis that is not antisymmetric. C is real and
+    N = |m| (mod 2), so the rest of the grid holds images:
 
         F_N(xi, -eta) = conj F_N(xi, eta),
         F_N(-xi, eta) = (-1)^N conj F_N(xi, eta).
@@ -326,31 +289,38 @@ class SpectralEvolver:
 
     The table holds the quadrant and the images of the mirrored axes, and
     every reader takes Q at the image times from it, then the image's sign
-    and conjugate. The fields are stored once, as ``_principal_fields``
-    builds them in the Cartesian Hermite basis: one complex (K, rows, cols)
-    array over the K stored levels and the quadrant's points. Every use of the fields is one pass over
-    them, each run of quadrant rows going through a transform and then
-    into a consumer; a transform's (lines, points) output over one run
-    holds at most one grid's values.
+    and conjugate. No field is stored: the evolver keeps the table rotated
+    into the Cartesian basis (``_cartesian_coefficients``) and the Hermite
+    functions on the quadrant's axes. Each reader makes one pass over the
+    quadrant in runs of rows (``_runs``). On each run it builds the level
+    planes F_N there (``_builder``), in chunks of levels, and each chunk
+    goes through a transform for every time of the call before the next
+    chunk is built; the transform's output then goes to its consumer. A
+    run holds the planes of all K levels in one chunk wherever a row of
+    them fits in half a grid; each chunk of planes, and a transform's
+    (lines, points) output over one run, hold at most half a grid's and
+    one grid's values.
 
-    - The product transform takes any times, up to g = ``_TIMES_PER_PASS``
-      per pass: an (n g, K) matrix of e^{-i (N+1) w tau} at the image times
-      of each time, times the (K, points) fields of the run, gives Q at its
-      points at every image time. It multiplies in bands of points small
-      enough that each product runs on the calling thread, so no BLAS
-      worker wakes.
+    - The product transform takes any times, g = ``_TIMES_PER_PASS`` at a
+      time: an (n g, K) matrix of e^{-i (N+1) w tau} at the image times of
+      each time, times the run's (K, points) planes, gives Q at its points
+      at every image time. It multiplies in bands of points small enough
+      that each product runs on the calling thread, so no BLAS worker
+      wakes. Every group of times reads the same planes; where the levels
+      go in several chunks, each group sums its products over the chunks,
+      and the groups whose sums fit in one grid make one pass.
     - The FFT transform takes T times that sweep M whole periods in equal
-      steps, w t_k = 2 pi M k / T, when T is even. It folds the levels
-      into T bins, G_r = sum of F_N over N + 1 = r (mod T), and takes one
-      length-T FFT per point, whose bin j is Q at w tau = 2 pi j / T, so
-      image time k is bin s (M k + [flip xi] T/2) (mod T). Its runs are a
-      few rows each, so that the folded (T, points) buffer and its
-      transform hold one grid between them.
+      steps, w t_k = 2 pi M k / T, when T is even. It folds the run's
+      planes into T bins, G_r = sum of F_N over N + 1 = r (mod T), N
+      ascending, and takes one length-T FFT per point, whose bin j is Q at
+      w tau = 2 pi j / T, so image time k is bin s (M k + [flip xi] T/2)
+      (mod T).
 
     ``at`` writes the frame at one time from the product transform; it is
-    the only consumer that builds a frame. ``residuals`` compares the
-    synthesis with a separable reference, run by run, through the FFT
-    transform where the times allow it and the product transform otherwise.
+    the only consumer that builds a frame, and it builds the planes anew
+    on every call. ``residuals`` compares the synthesis with a separable
+    reference, run by run, through the FFT transform where the times allow
+    it and the product transform otherwise.
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -364,7 +334,11 @@ class SpectralEvolver:
         self._omega = table.params.omega
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
-        self._levels, self._fields = _principal_fields(table, xi[row0:], eta[col0:])
+        xi, eta = xi[row0:], eta[col0:]
+        self._levels, self._offsets, self._r = _cartesian_coefficients(table)
+        top = int(self._levels[-1]) if self._levels.size else 0
+        self._hx = _hermite_functions(xi, top)
+        self._hy = self._hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
         # the image table: (flip xi, flip eta, s, sign), the quadrant first
         self._images = [
             (fx, fy, -1 if fx != fy else 1, -1.0 if fx else 1.0)
@@ -376,7 +350,6 @@ class SpectralEvolver:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
         values = np.empty(self._grid.values.shape, dtype=complex)
         row0, col0 = self._start
-        cols = self._fields.shape[2]
         # The frame seen from the quadrant and from each image, indexed like
         # the quadrant. The quadrant is written last, over the zero of an
         # odd axis, which is its own image.
@@ -384,10 +357,20 @@ class SpectralEvolver:
             values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
             for fx, fy, _, _ in self._images
         ]
-        for rows, series in self._product_runs([t]):
+        (weights,) = self._weights([t])
+        runs = self._runs(len(weights))
+        build = self._builder(runs)
+        cols = self._hy.shape[1]
+        series, partial = np.empty((2, len(weights) * _size(runs[0], cols)), dtype=complex)
+        chunk = self._chunk(runs[0].stop - runs[0].start, cols)
+        joined = np.empty(chunk * _size(runs[0], cols), dtype=complex)
+        for rows in runs:
+            lines = series[: len(weights) * _size(rows, cols)].reshape(len(weights), -1)
+            for a, b, parts in build(rows):
+                _product(weights[:, a:b], _joined(parts, joined), lines, partial if a else None)
             for q in reversed(range(len(views))):
                 _, _, s, sign = self._images[q]
-                image = series[q].reshape(-1, cols)
+                image = lines[q].reshape(-1, cols)
                 views[q][rows] = sign * (image.conj() if s < 0 else image)
         return self._grid.with_values(values)
 
@@ -411,26 +394,39 @@ class SpectralEvolver:
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
         unit = self._alignment(times, x, y)
-        references = [self._references(x, y, unit, image) for image in self._images]
+        # the transform keeps the references in the order its lines take them
+        references = (self._references(x, y, unit, image) for image in self._images)
         turns = self._whole_turns(times)
+        lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_PASS
+        runs = self._runs(lines)
+        build = self._builder(runs)
         if turns:
-            passes = self._fft_passes(len(times), turns, references)
+            passes = [self._fft_transform(len(times), turns, references, runs[0])]
         else:
-            passes = self._product_passes(times, references)
+            passes = self._product_passes(times, references, runs[0])
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
-            for runs, plans in passes:
-                for rows, series in runs:
-                    for ks, lines, xq, yq in plans:
-                        np.maximum.at(worst, ks, _peaks(series[lines], xq[:, rows], yq))
+            for transform in passes:
+                for rows in runs:
+                    for series, plans, scratch in transform(rows, build(rows)):
+                        for ks, at, xq, yq in plans:
+                            peaks = _peaks(series[at], xq[:, rows], yq, scratch)
+                            np.maximum.at(worst, ks, peaks)
+                    # drop the run's series before the next run's transform
+                    del series, plans, scratch
         return worst.tolist()
 
-    def _fft_passes(self, count: int, turns: int, references: list) -> list:
-        """The FFT transform's one pass, with the reference of each image.
+    def _fft_transform(self, count: int, turns: int, references, largest: slice):
+        """The FFT transform over ``count`` bins, with the reference of each image.
 
-        A pass is a transform's runs and, per slice of their series lines,
-        the times those lines hold and the matching (times, quadrant)
-        reference factors, as ``_peaks`` takes them.
+        Returns a function of a run's chunks of planes that yields one
+        (count, points) complex array, whose line j is Q at w t =
+        2 pi j / count on the run's points, with its plans and a scratch
+        buffer for ``_peaks``: per slice of its lines, the plans hold the
+        times those lines hold and the matching (times, quadrant) reference
+        factors. The folded buffer, sized for the ``largest`` run, is the
+        scratch once its transform is taken, and the next run folds into it
+        again.
         """
         step = math.gcd(turns, count)
         plans = []
@@ -441,20 +437,96 @@ class SpectralEvolver:
             for r in range(step):
                 ks = order[r::step]
                 plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
-        return [(self._fft_runs(count), plans)]
+        levels = self._levels
+        first = (levels + 1) % count
+        layer = (levels + 1) // count
+        # runs of consecutive levels in one turn of the bins fold as slices,
+        # N ascending, so that each bin sums its levels in order
+        breaks = np.flatnonzero((np.diff(levels) != 1) | (np.diff(layer) != 0)) + 1
+        edges = [0, *breaks.tolist(), levels.size]
+        first = first.tolist()
+        cols = self._hy.shape[1]
+        buffer = np.empty(count * _size(largest, cols), dtype=complex)
 
-    def _product_passes(self, times: list, references: list) -> list:
-        """The product transform's passes, ``_TIMES_PER_PASS`` times each,
-        with the references of every image at those times."""
-        passes = []
-        for lo in range(0, len(times), _TIMES_PER_PASS):
+        def transform(rows, chunks):
+            points = _size(rows, cols)
+            folded = buffer[: count * points].reshape(count, points)
+            folded[...] = 0.0
+            for a, b, planes in chunks:
+                # the spans that meet levels a..b - 1, cut to them
+                span = bisect.bisect_right(edges, a) - 1
+                while edges[span] < b:
+                    s, e = edges[span], edges[span + 1]
+                    span += 1
+                    i, j = max(s, a), min(e, b)
+                    at = first[s] + i - s
+                    for part, bins in zip(planes, (folded.real, folded.imag)):
+                        bins[at : at + j - i] += part[i - a : j - a].reshape(j - i, points)
+            yield np.fft.fft(folded, axis=0), plans, buffer
+
+        return transform
+
+    def _product_passes(self, times: list, references, largest: slice) -> list:
+        """The product transform's passes, ``_TIMES_PER_PASS`` times a group.
+
+        Each pass is a function of a run's chunks of planes that yields,
+        group by group, an (n g, points) complex view whose line q g + j is
+        Q at the time of image q of the table at time j of the group, with
+        its one plan over all its lines and a scratch of the same size.
+        Where all the levels are one chunk, each group is yielded as soon
+        as it is multiplied, in one buffer, and one pass takes every group.
+        Otherwise each group of a pass sums its products over the chunks
+        in its own buffer, and a pass takes the groups whose buffers fit in
+        one grid, sized for the ``largest`` run.
+        """
+        references = list(references)
+        groups = []
+        for lo, weights in zip(range(0, len(times), _TIMES_PER_PASS), self._weights(times)):
             group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
             xs = np.concatenate([xq[group] for xq, _ in references])
             ys = np.concatenate([yq[group] for _, yq in references])
             ks = np.tile(group, len(references))
-            runs = self._product_runs([times[k] for k in group])
-            passes.append((runs, [(ks, slice(None), xs, ys)]))
-        return passes
+            groups.append((weights, [(ks, slice(None), xs, ys)]))
+        cols = self._hy.shape[1]
+        size = len(groups[0][0]) * _size(largest, cols)
+        chunk = self._chunk(largest.stop - largest.start, cols)
+        chunked = chunk < self._levels.size
+        count = max(1, self._grid.values.size // size) if chunked else len(groups)
+        # the group sums, the scratch, the complex planes of a chunk, and
+        # where the levels go in chunks a buffer for each chunk's product
+        *sums, scratch = np.empty(((min(count, len(groups)) if chunked else 1) + 1, size), complex)
+        joined = np.empty(chunk * _size(largest, cols), dtype=complex)
+        partial = np.empty(size, dtype=complex) if chunked else None
+
+        def transform(rows, chunks, groups):
+            points = _size(rows, cols)
+            for a, b, parts in chunks:
+                planes = _joined(parts, joined)
+                for i, (weights, plans) in enumerate(groups):
+                    series = sums[i if chunked else 0][: len(weights) * points]
+                    series = series.reshape(len(weights), points)
+                    _product(weights[:, a:b], planes, series, partial if a else None)
+                    if b == self._levels.size:
+                        yield series, plans, scratch
+
+        return [
+            lambda rows, chunks, part=groups[i : i + count]: transform(rows, chunks, part)
+            for i in range(0, len(groups), count)
+        ]
+
+    def _weights(self, times: list) -> list[np.ndarray]:
+        """The (n g, K) matrices e^{-i (N+1) w tau} of the product transform,
+        ``_TIMES_PER_PASS`` times each: line q g + j at the time of image q
+        of the table at time j of the group."""
+        out = []
+        for lo in range(0, len(times), _TIMES_PER_PASS):
+            group = times[lo : lo + _TIMES_PER_PASS]
+            phase = np.outer(
+                np.concatenate([self._image_times(group, image) for image in self._images]),
+                self._levels + 1,
+            )
+            out.append(np.exp(-1j * phase))
+        return out
 
     def _whole_turns(self, times: list) -> int:
         """M if the times sweep M >= 1 whole periods in an even number of steps.
@@ -465,7 +537,7 @@ class SpectralEvolver:
         of the FFT's (T, points) buffer would hold more than half a grid.
         """
         count = len(times)
-        cols = self._fields.shape[2]
+        cols = self._hy.shape[1]
         if count < 2 or count % 2 or 2 * count * cols > self._grid.values.size:
             return 0
         turns = round(times[1] * self._omega * count / math.tau)
@@ -486,24 +558,38 @@ class SpectralEvolver:
         """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
 
         S there is Q summed directly over the levels at the time of the
-        image that holds the point, from the stored fields of its quadrant
-        point, then given that image's sign and conjugate; f is 1 where S
-        is 0, as in ``aligned_max_difference``.
+        image that holds the point, then given that image's sign and
+        conjugate; f is 1 where S is 0, as in ``aligned_max_difference``.
+        The levels at the points come from one build of the planes on the
+        distinct quadrant rows and columns that hold them, at least two of
+        each where the quadrant has them: BLAS takes a product with one row
+        or one column by another kernel, whose sums can differ in the last
+        bit from those of the passes.
         """
         ks = np.arange(len(times))
         i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
         ref = x[ks, i] * y[ks, j]
         row0, col0 = self._start
+        flip_x, flip_y = i < row0, j < col0
+        rows, qi = _distinct(np.where(flip_x, x.shape[1] - 1 - i, i) - row0, self._hx.shape[1])
+        cols, qj = _distinct(np.where(flip_y, y.shape[1] - 1 - j, j) - col0, self._hy.shape[1])
+        hx, hy = self._hx[:, rows], self._hy[:, cols]
+        runs = _runs_of(rows.size, cols.size, self._grid.values.size // (2 * self._levels.size or 1))
+        build = self._builder(runs, hx, hy)
+        levels = np.empty((self._levels.size, len(times)), dtype=complex)
+        for run in runs:
+            inside = (qi >= run.start) & (qi < run.stop)
+            for a, b, (re, im) in build(run):
+                levels.real[a:b, inside] = re[:, qi[inside] - run.start, qj[inside]]
+                levels.imag[a:b, inside] = im[:, qi[inside] - run.start, qj[inside]]
         value = np.empty(len(times), dtype=complex)
         for image in self._images:
             fx, fy, s, sign = image
-            at = np.flatnonzero(((i < row0) == fx) & ((j < col0) == fy))
+            at = np.flatnonzero((flip_x == fx) & (flip_y == fy))
             if not at.size:
                 continue
-            rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
-            cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
             phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
-            q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
+            q = np.sum(levels[:, at].T * np.exp(-1j * phase), axis=1)
             value[at] = sign * (q.conj() if s < 0 else q)
         unit = np.ones(len(times), dtype=complex)
         nonzero = value != 0.0
@@ -523,73 +609,160 @@ class SpectralEvolver:
             xq, yq, unit = xq.conj(), yq.conj(), unit.conj()
         return xq * unit.conj()[:, None], yq
 
-    def _row_runs(self, lines: int) -> list[slice]:
-        """The quadrant's rows in runs, tallest first, over each of which a
-        complex (lines, points) array holds at most one grid's values."""
-        _, rows, cols = self._fields.shape
-        height = max(1, self._grid.values.size // (lines * cols))
-        return [slice(i, min(i + height, rows)) for i in range(0, rows, height)]
+    def _runs(self, lines: int) -> list[slice]:
+        """The quadrant's rows in runs, the tallest first, over each of which
+        a complex (lines, points) array holds at most one grid's values and,
+        where a row of them fits, the K level planes at most half a grid's;
+        where none fits, the levels go in chunks (``_chunk``)."""
+        rows, cols = self._hx.shape[1], self._hy.shape[1]
+        size = self._grid.values.size
+        if 2 * self._levels.size * cols <= size:
+            lines = max(lines, 2 * self._levels.size)
+        return _runs_of(rows, cols, size // lines)
 
-    def _product_runs(self, times: list) -> Iterator[tuple[slice, np.ndarray]]:
-        """The product transform at up to ``_TIMES_PER_PASS`` times.
+    def _chunk(self, height: int, width: int) -> int:
+        """Levels per chunk of the planes on ``height`` rows of ``width``
+        columns: each chunk's planes, and its gathered factor of real
+        values, hold at most half a grid's values."""
+        terms = int(self._levels[-1]) // 2 + 1 if self._levels.size else 1
+        chunk = self._grid.values.size // (height * max(2 * width, terms))
+        return min(max(1, chunk), max(1, self._levels.size))
 
-        Yields each run's rows and an (n g, points) complex view whose line
-        q g + j is Q at the time of image q of the table at time j. The
-        view's buffer is reused by the next run.
+    def _builder(self, runs: list, hx: np.ndarray | None = None, hy: np.ndarray | None = None):
+        """A function of a run of rows that yields the level planes F_N on it.
+
+        ``hx`` and ``hy`` are the Hermite functions on the rows and columns
+        the runs index, the quadrant's by default. The function yields the
+        chunks of levels (``_chunk``) in order, each as (a, b, planes), the
+        planes of levels a..b - 1 a complex (b - a, rows, cols) view of one
+        buffer, which the next chunk overwrites. Each level is
+
+            Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
+            Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
+
+        with r_k from ``_cartesian_coefficients``. A chunk's part of one
+        parity is one real (levels rows, L) @ (L, cols) product over the
+        tabulated Hermite functions, L the terms of its top level, the
+        lower levels' terms padded with zeros, in bands within
+        ``_SERIAL_PRODUCT`` that each take only the terms of their own top
+        level (``_bands``). Its left factor, the gathered
+        phi_{N-k}(xi) times the signed r_k, is one (L, levels, rows) buffer
+        read transposed, and the product goes to one real scratch. No
+        Laguerre function, power of rho or angle is evaluated on the grid:
+        the polar eigenbasis enters only through the rotation, which the
+        eigenstate tests pin. The Hermite functions stay finite and carry
+        their own exponents, so the planes are finite on any grid.
         """
-        phase = np.outer(
-            np.concatenate([self._image_times(times, image) for image in self._images]),
-            self._levels + 1,
-        )
-        weights = np.exp(-1j * phase)
-        levels, rows, cols = self._fields.shape
-        fields = self._fields.reshape(levels, rows * cols)
-        lines = len(weights)
-        # each band's (lines, K) @ (K, band) product has m n k <= _SERIAL_PRODUCT
-        band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
-        runs = self._row_runs(lines)
-        buffer = np.empty(lines * runs[0].stop * cols, dtype=complex)
-        for run in runs:
-            lo, hi = run.start * cols, run.stop * cols
-            series = buffer[: lines * (hi - lo)].reshape(lines, hi - lo)
-            for b in range(lo, hi, band):
-                e = min(b + band, hi)
-                np.matmul(weights, fields[:, b:e], out=series[:, b - lo : e - lo])
-            yield run, series
+        hx = self._hx if hx is None else hx
+        hy = self._hy if hy is None else hy
+        levels, offsets, r = self._levels, self._offsets, self._r
+        height, width = runs[0].stop - runs[0].start, hy.shape[1]
+        chunk = self._chunk(height, width)
+        chunks = [(a, min(a + chunk, levels.size)) for a in range(0, max(levels.size, 1), chunk)]
+        terms = int(levels[-1]) // 2 + 1 if levels.size else 1
+        planes = np.empty(2 * chunk * height * width)
+        gathered = np.empty(chunk * height * terms)
 
-    def _fft_runs(self, count: int) -> Iterator[tuple[slice, np.ndarray]]:
-        """The FFT transform over ``count`` bins.
+        # with one chunk, every run takes the same tables of terms and bands
+        memo = {} if len(chunks) == 1 else None
 
-        Yields each run's rows and a (count, points) complex array whose
-        line j is Q at w t = 2 pi j / count on the run's quadrant points.
-        The folded buffer is reused by the next run.
-        """
-        bins = (self._levels + 1) % count
-        layer = (self._levels + 1) // count
-        # runs of consecutive levels in one turn of the bins fold as slices
-        breaks = np.flatnonzero((np.diff(self._levels) != 1) | (np.diff(layer) != 0)) + 1
-        edges = [0, *breaks.tolist(), self._levels.size]
-        spans = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
-        cols = self._fields.shape[2]
-        # the folded levels and their transform hold one grid between them
-        runs = self._row_runs(2 * count)
-        buffer = np.empty(count * runs[0].stop * cols, dtype=complex)
-        for run in runs:
-            points = (run.stop - run.start) * cols
-            folded = buffer[: count * points].reshape(count, points)
-            folded[...] = 0.0
-            for a, b, first in spans:
-                folded[first : first + b - a] += self._fields[a:b, run].reshape(b - a, points)
-            yield run, np.fft.fft(folded, axis=0)
+        def terms(a: int, b: int, parity: int, h: int):
+            """phi_{N-k} rows and signed r_k of levels a..b - 1, k = parity,
+            parity + 2, ..., as (terms, levels) tables, the terms past a
+            level's own reading phi_0 with r 0, and the product's bands."""
+            if memo is not None and (a, parity, h) in memo:
+                return memo[a, parity, h]
+            n = levels[a:b]
+            if memo is not None and (a, parity) in memo:
+                at, coefs = memo[a, parity]
+            else:
+                count = (int(n[-1]) - parity) // 2 + 1 if n.size else 0
+                k = parity + 2 * np.arange(max(count, 0))[:, None]
+                at = offsets[a:b] + k
+                coefs = r.take(at, mode="clip")
+                coefs *= k <= n
+                coefs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
+                np.subtract(n, k, out=at)
+            found = at, coefs, _bands(np.repeat((n - parity) // 2 + 1, h), width)
+            if memo is not None:
+                memo[a, parity] = at, coefs
+                memo[a, parity, h] = found
+            return found
+
+        def build(rows: slice) -> Iterator[tuple[int, int, np.ndarray]]:
+            h = rows.stop - rows.start
+            for a, b in chunks:
+                out = planes[: 2 * (b - a) * h * width].reshape(2, b - a, h, width)
+                for parity, part in enumerate(out):
+                    index, coefs, bands = terms(a, b, parity, h)
+                    if not len(index):  # no level here has a term of this parity
+                        part[...] = 0.0
+                        continue
+                    xs = gathered[: index.size * h].reshape(*index.shape, h)
+                    np.take(hx[:, rows], index, axis=0, out=xs, mode="clip")
+                    xs *= coefs[:, :, None]
+                    product = part.reshape((b - a) * h, width)
+                    _banded_product(xs.reshape(len(index), -1).T, hy[parity::2], product, bands)
+                yield a, b, out
+
+        return build
 
 
-def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _size(rows: slice, cols: int) -> int:
+    """The points of a run of rows."""
+    return (rows.stop - rows.start) * cols
+
+
+def _runs_of(rows: int, cols: int, points: int) -> list[slice]:
+    """``rows`` rows in runs of at most ``points`` points each, at least
+    one row, as even as they can be; the first run is the tallest."""
+    count = max(1, -(-rows // max(1, points // max(1, cols))))
+    edges = [rows - rows * i // count for i in range(count, -1, -1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _distinct(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``index``, with one more of range(size) where
+    there is one value and ``size`` allows another, and each entry's
+    position among them."""
+    values = np.unique(index)
+    if values.size == 1 and size > 1:
+        values = np.array([0, 1]) if values[0] == 0 else np.array([0, values[0]])
+    return values, np.searchsorted(values, index)
+
+
+def _joined(parts: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """A chunk's (2, levels, rows, cols) real and imaginary planes as complex
+    (levels, rows * cols) planes, in ``buffer``."""
+    _, levels, rows, cols = parts.shape
+    planes = buffer[: levels * rows * cols].reshape(levels, rows * cols)
+    planes.real, planes.imag = parts.reshape(2, levels, rows * cols)
+    return planes
+
+
+def _product(weights: np.ndarray, planes: np.ndarray, out: np.ndarray, partial=None) -> None:
+    """out = weights @ planes over the planes' points, or out += it through
+    ``partial``, a buffer of out's size, in bands of points whose
+    (lines, levels) @ (levels, band) products have m n k <=
+    ``_SERIAL_PRODUCT``."""
+    lines, levels = weights.shape
+    planes = planes.reshape(levels, out.shape[1])
+    target = out if partial is None else partial[: out.size].reshape(out.shape)
+    band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
+    for b in range(0, planes.shape[1], band):
+        np.matmul(weights, planes[:, b : b + band], out=target[:, b : b + band])
+    if partial is not None:
+        out += target
+
+
+def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Per line n, max over the points of |x[n, i] y[n, j] - series[n, (i, j)]|.
 
     ``series`` is (n, rows * cols) over a run's points, row-major; the
-    maximum propagates NaN.
+    maximum propagates NaN. The differences are taken in ``scratch``, a
+    complex buffer of at least series' size.
     """
-    diff = np.empty((len(x), x.shape[1], y.shape[1]), dtype=complex)
+    diff = scratch[: series.size].reshape(len(x), x.shape[1], y.shape[1])
     # row by row: numpy buffers a broadcast complex product's operands, up
     # to getbufsize() elements; one row's product keeps that to one row
     for i in range(x.shape[1]):

@@ -7,9 +7,21 @@ the orbit moments one time at a time, which the library takes for all
 times in one array pass.
 """
 
+from __future__ import annotations
+
 import math
+from collections.abc import Iterator
 
 import numpy as np
+
+from coherent2d import CoefficientTable, SpectralEvolver
+from coherent2d.dynamics import (
+    _SERIAL_PRODUCT,
+    _TIMES_PER_PASS,
+    _cartesian_coefficients,
+    _hermite_functions,
+    _mirror_start,
+)
 
 
 def coherent_1d(xi0: float, xi, t: float):
@@ -86,3 +98,287 @@ def orbit_moments_at(t: float, x_factor, y_factor, grid) -> tuple:
         mass_x * mass_y * grid.cell_area,
         float(np.max(wx) * np.max(wy)),
     )
+
+
+# The spectral synthesis as it was when the evolver stored its fields: the
+# whole-quadrant build of every level, and the transforms and alignment
+# that read the stored (K, rows, cols) array. The evolver now builds the
+# planes of one run at a time; the tests pin it against these, bit for bit.
+
+
+def principal_fields(
+    table: CoefficientTable, xi_axis: np.ndarray, eta_axis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums F_N = sum C psi grouped by principal number N.
+
+    Returns the K levels N that hold a stored mode, ascending, and their
+    fields as one complex array of shape (K, len(xi_axis), len(eta_axis)),
+    level-major: F_N of each level.
+
+    Each level is built in the Cartesian Hermite basis, from the table
+    rotated by ``_cartesian_coefficients``, F_N = sum_k i^k r_k |N - k, k>:
+
+        Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
+        Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
+
+    each one real (rows, n) @ (n, cols) product over the tabulated Hermite
+    functions (``_hermite_functions``), in bands whose m n k is at most
+    ``_SERIAL_PRODUCT``. No Laguerre function, power of rho or angle is
+    evaluated on the grid: the polar eigenbasis enters only through the
+    rotation, which the eigenstate tests pin. The Hermite functions stay
+    finite and carry their own exponents, so the fields are finite on any
+    grid.
+
+    On an exactly antisymmetric axis (``_mirror_start``) only its
+    coordinates >= 0 are built; the rest are written as exact images,
+    F_N(xi, -eta) = conj F_N(xi, eta) and
+    F_N(-xi, eta) = (-1)^N conj F_N(xi, eta), so the fields are bitwise
+    mirror-symmetric there, and bitwise those of a build on the half axes.
+    """
+    row0, col0 = _mirror_start(xi_axis), _mirror_start(eta_axis)
+    xi, eta = xi_axis[row0:], eta_axis[col0:]
+    top = int(table.principal.max(initial=0))
+    hx = _hermite_functions(xi, top)
+    hy = hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
+    levels, offsets, r = _cartesian_coefficients(table)
+    fields = np.zeros((levels.size, xi_axis.size, eta_axis.size), dtype=complex)
+    if not levels.size:
+        return levels, fields
+    plane = np.empty((xi.size, eta.size))
+    for level, big_n, lo in zip(fields[:, row0:, col0:], levels.tolist(), offsets.tolist()):
+        coefs = r[lo : lo + big_n + 1]
+        for parity, part in enumerate((level.real, level.imag)):
+            if big_n < parity:
+                continue
+            # k = parity, parity + 2, ..., N - (N - parity) % 2, with phi_{N-k} on xi
+            xs = coefs[parity::2, None] * hx[big_n - parity :: -2]
+            xs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
+            ys = hy[parity::2][: len(xs)]
+            banded_product(xs.T, ys, plane)
+            part[...] = plane
+    if row0:
+        parity = np.where(levels % 2, -1.0, 1.0)[:, None, None]
+        np.multiply(np.conj(fields[:, ::-1][:, :row0]), parity, out=fields[:, :row0])
+    if col0:
+        np.conjugate(fields[:, :, ::-1][:, :, :col0], out=fields[:, :, :col0])
+    return levels, fields
+
+
+def banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b, in bands of out's rows (and of its columns, where one
+    row is too many) whose products have m n k <= ``_SERIAL_PRODUCT``."""
+    inner, cols = b.shape
+    height = max(1, _SERIAL_PRODUCT // (inner * cols))
+    width = min(cols, max(1, _SERIAL_PRODUCT // (height * inner)))
+    for i in range(0, len(a), height):
+        for j in range(0, cols, width):
+            np.matmul(a[i : i + height], b[:, j : j + width], out=out[i : i + height, j : j + width])
+
+
+class FieldEvolver(SpectralEvolver):
+    """``SpectralEvolver`` with its fields stored once, as
+    ``principal_fields`` builds them on the quadrant, and read in place:
+    the product transform's passes of up to ``_TIMES_PER_PASS`` times
+    each re-read every field, and the FFT transform folds them run by
+    run. The image table, the reference factors and the sweep test are
+    the evolver's own."""
+
+    def __init__(self, table, grid):
+        super().__init__(table, grid)
+        row0, col0 = self._start
+        xi, eta = grid.xi_axis[row0:], grid.eta_axis[col0:]
+        self._levels, self._fields = principal_fields(table, xi, eta)
+
+    def at(self, t: float) -> Grid2D:
+        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
+        values = np.empty(self._grid.values.shape, dtype=complex)
+        row0, col0 = self._start
+        cols = self._fields.shape[2]
+        # The frame seen from the quadrant and from each image, indexed like
+        # the quadrant. The quadrant is written last, over the zero of an
+        # odd axis, which is its own image.
+        views = [
+            values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
+            for fx, fy, _, _ in self._images
+        ]
+        for rows, series in self._product_runs([t]):
+            for q in reversed(range(len(views))):
+                _, _, s, sign = self._images[q]
+                image = series[q].reshape(-1, cols)
+                views[q][rows] = sign * (image.conj() if s < 0 else image)
+        return self._grid.with_values(values)
+
+    def residuals(self, times, factors) -> list[float]:
+        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
+
+        ``factors`` is the pair (X, Y) of reference factors, row k of each
+        at the k-th time on the xi and eta axes, as ``closed_form_factors``
+        returns them; S(t) is the synthesized packet and f_k the
+        unit phase that ``aligned_max_difference`` would take, from the
+        reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
+        each run's transform is reduced against the outer product of the
+        factors over its rows. A NaN anywhere makes that time's maximum NaN.
+        """
+        times = [float(t) for t in times]
+        if not times:
+            return []
+        x, y = (np.asarray(factor, dtype=complex) for factor in factors)
+        if x.shape != (len(times), self._grid.xi_axis.size) or y.shape != (
+            len(times), self._grid.eta_axis.size
+        ):
+            raise ValueError("need one pair of factors on the grid axes per time")
+        unit = self._alignment(times, x, y)
+        references = [self._references(x, y, unit, image) for image in self._images]
+        turns = self._whole_turns(times)
+        if turns:
+            passes = self._fft_passes(len(times), turns, references)
+        else:
+            passes = self._product_passes(times, references)
+        worst = np.zeros(len(times))
+        with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
+            for runs, plans in passes:
+                for rows, series in runs:
+                    for ks, lines, xq, yq in plans:
+                        np.maximum.at(worst, ks, peaks(series[lines], xq[:, rows], yq))
+        return worst.tolist()
+
+    def _fft_passes(self, count: int, turns: int, references: list) -> list:
+        """The FFT transform's one pass, with the reference of each image.
+
+        A pass is a transform's runs and, per slice of their series lines,
+        the times those lines hold and the matching (times, quadrant)
+        reference factors, as ``_peaks`` takes them.
+        """
+        step = math.gcd(turns, count)
+        plans = []
+        for (fx, _, s, _), (xq, yq) in zip(self._images, references):
+            bins = s * (turns * np.arange(count) + (count // 2 if fx else 0)) % count
+            # each used bin serves `step` times; take one of them per slice
+            order = np.argsort(bins, kind="stable")
+            for r in range(step):
+                ks = order[r::step]
+                plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
+        return [(self._fft_runs(count), plans)]
+
+    def _product_passes(self, times: list, references: list) -> list:
+        """The product transform's passes, ``_TIMES_PER_PASS`` times each,
+        with the references of every image at those times."""
+        passes = []
+        for lo in range(0, len(times), _TIMES_PER_PASS):
+            group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
+            xs = np.concatenate([xq[group] for xq, _ in references])
+            ys = np.concatenate([yq[group] for _, yq in references])
+            ks = np.tile(group, len(references))
+            runs = self._product_runs([times[k] for k in group])
+            passes.append((runs, [(ks, slice(None), xs, ys)]))
+        return passes
+
+    def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
+
+        S there is Q summed directly over the levels at the time of the
+        image that holds the point, from the stored fields of its quadrant
+        point, then given that image's sign and conjugate; f is 1 where S
+        is 0, as in ``aligned_max_difference``.
+        """
+        ks = np.arange(len(times))
+        i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
+        ref = x[ks, i] * y[ks, j]
+        row0, col0 = self._start
+        value = np.empty(len(times), dtype=complex)
+        for image in self._images:
+            fx, fy, s, sign = image
+            at = np.flatnonzero(((i < row0) == fx) & ((j < col0) == fy))
+            if not at.size:
+                continue
+            rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
+            cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
+            phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
+            q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
+            value[at] = sign * (q.conj() if s < 0 else q)
+        unit = np.ones(len(times), dtype=complex)
+        nonzero = value != 0.0
+        unit[nonzero] = ref[nonzero] / value[nonzero]
+        unit[nonzero] /= np.abs(unit[nonzero])
+        return unit
+
+    def _row_runs(self, lines: int) -> list[slice]:
+        """The quadrant's rows in runs, tallest first, over each of which a
+        complex (lines, points) array holds at most one grid's values."""
+        _, rows, cols = self._fields.shape
+        height = max(1, self._grid.values.size // (lines * cols))
+        return [slice(i, min(i + height, rows)) for i in range(0, rows, height)]
+
+    def _product_runs(self, times: list) -> Iterator[tuple[slice, np.ndarray]]:
+        """The product transform at up to ``_TIMES_PER_PASS`` times.
+
+        Yields each run's rows and an (n g, points) complex view whose line
+        q g + j is Q at the time of image q of the table at time j. The
+        view's buffer is reused by the next run.
+        """
+        phase = np.outer(
+            np.concatenate([self._image_times(times, image) for image in self._images]),
+            self._levels + 1,
+        )
+        weights = np.exp(-1j * phase)
+        levels, rows, cols = self._fields.shape
+        fields = self._fields.reshape(levels, rows * cols)
+        lines = len(weights)
+        # each band's (lines, K) @ (K, band) product has m n k <= _SERIAL_PRODUCT
+        band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
+        runs = self._row_runs(lines)
+        buffer = np.empty(lines * runs[0].stop * cols, dtype=complex)
+        for run in runs:
+            lo, hi = run.start * cols, run.stop * cols
+            series = buffer[: lines * (hi - lo)].reshape(lines, hi - lo)
+            for b in range(lo, hi, band):
+                e = min(b + band, hi)
+                np.matmul(weights, fields[:, b:e], out=series[:, b - lo : e - lo])
+            yield run, series
+
+    def _fft_runs(self, count: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """The FFT transform over ``count`` bins.
+
+        Yields each run's rows and a (count, points) complex array whose
+        line j is Q at w t = 2 pi j / count on the run's quadrant points.
+        The folded buffer is reused by the next run.
+        """
+        bins = (self._levels + 1) % count
+        layer = (self._levels + 1) // count
+        # runs of consecutive levels in one turn of the bins fold as slices
+        breaks = np.flatnonzero((np.diff(self._levels) != 1) | (np.diff(layer) != 0)) + 1
+        edges = [0, *breaks.tolist(), self._levels.size]
+        spans = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
+        cols = self._fields.shape[2]
+        # the folded levels and their transform hold one grid between them
+        runs = self._row_runs(2 * count)
+        buffer = np.empty(count * runs[0].stop * cols, dtype=complex)
+        for run in runs:
+            points = (run.stop - run.start) * cols
+            folded = buffer[: count * points].reshape(count, points)
+            folded[...] = 0.0
+            for a, b, first in spans:
+                folded[first : first + b - a] += self._fields[a:b, run].reshape(b - a, points)
+            yield run, np.fft.fft(folded, axis=0)
+
+
+
+
+def peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per line n, max over the points of |x[n, i] y[n, j] - series[n, (i, j)]|.
+
+    ``series`` is (n, rows * cols) over a run's points, row-major; the
+    maximum propagates NaN.
+    """
+    diff = np.empty((len(x), x.shape[1], y.shape[1]), dtype=complex)
+    # row by row: numpy buffers a broadcast complex product's operands, up
+    # to getbufsize() elements; one row's product keeps that to one row
+    for i in range(x.shape[1]):
+        np.multiply(x[:, i, None], y, out=diff[:, i])
+    diff -= series.reshape(diff.shape)
+    # |diff|^2 into the real parts in place: no scratch beside diff
+    parts = diff.reshape(len(diff), -1).view(float)
+    np.square(parts, out=parts)
+    real = parts[:, 0::2]
+    np.add(real, parts[:, 1::2], out=real)
+    return np.sqrt(real.max(axis=1))

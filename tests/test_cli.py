@@ -582,17 +582,24 @@ class TestNonFinite:
 
     @pytest.fixture
     def nan_fields(self, monkeypatch):
-        """The built fields carry one NaN, at the quadrant's far corner, so
-        every synthesized time is NaN at the grid corners, whichever
-        transform synthesizes it."""
-        true_fields = dynamics._principal_fields
+        """The planes built on the run that holds the quadrant's far corner
+        carry one NaN there, in every level, so every synthesized time is
+        NaN at the grid corners, whichever transform synthesizes it."""
+        true_builder = dynamics.SpectralEvolver._builder
 
-        def poisoned(table, xi_axis, eta_axis):
-            levels, fields = true_fields(table, xi_axis, eta_axis)
-            fields[..., -1, -1] = math.nan
-            return levels, fields
+        def poisoned(self, runs, hx=None, hy=None):
+            build = true_builder(self, runs, hx, hy)
+            corner = (self._hx.shape[1], self._hy.shape[1])
 
-        monkeypatch.setattr(dynamics, "_principal_fields", poisoned)
+            def poisoned_build(rows):
+                for a, b, parts in build(rows):
+                    if hx is None and rows.stop == corner[0]:
+                        parts[:, :, -1, corner[1] - 1] = math.nan
+                    yield a, b, parts
+
+            return poisoned_build
+
+        monkeypatch.setattr(dynamics.SpectralEvolver, "_builder", poisoned)
 
     @pytest.mark.usefixtures("nan_fields")
     def test_evolve_refuses_nan(self, capsys):

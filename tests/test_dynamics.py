@@ -29,15 +29,23 @@ from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
     _TIMES_PER_PASS,
     _banded_product,
+    _bands,
     _hermite_functions,
     _krawtchouk_rows,
+    _cartesian_coefficients,
     _mirror_start,
-    _principal_fields,
+    _runs_of,
 )
 from coherent2d.expansion import CoefficientTable
 from coherent2d.specialfn import log_factorial
 from coherent2d.states import _default_half_width
-from reference_packets import initial_state, orbit_moments_at, packet_factors_at
+from reference_packets import (
+    FieldEvolver,
+    initial_state,
+    orbit_moments_at,
+    packet_factors_at,
+    principal_fields,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -94,6 +102,38 @@ def full_grid_fields(table, grid):
             else:
                 fields[key] = contrib
     return fields
+
+
+def evolver_planes(evolver, lines=4):
+    """The K level planes the evolver builds, run by run, over its quadrant
+    (the whole of an axis that is not mirrored), as one (K, rows, cols)
+    array, and the runs."""
+    rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
+    planes = np.empty((evolver._levels.size, rows, cols), dtype=complex)
+    runs = evolver._runs(lines)
+    build = evolver._builder(runs)
+    for run in runs:
+        for a, b, (re, im) in build(run):
+            planes.real[a:b, run], planes.imag[a:b, run] = re, im
+    return planes, runs
+
+
+def built_fields(table, grid, lines=4):
+    """The evolver's levels and planes on ``grid`` with ``table``."""
+    evolver = SpectralEvolver(table, grid)
+    return evolver._levels, evolver_planes(evolver, lines)[0]
+
+
+def quadrant(grid):
+    """The index of the evolver's quadrant in grid-shaped arrays."""
+    return (slice(_mirror_start(grid.xi_axis), None), slice(_mirror_start(grid.eta_axis), None))
+
+
+def scale_ulps(got, expect, scale=None):
+    """max |got - expect| in units of the last place of max |scale|, by
+    default of max |expect|."""
+    scale = expect if scale is None else scale
+    return float(np.max(np.abs(got - expect)) / np.spacing(np.max(np.abs(scale))))
 
 
 class TestClosedFormEvolution:
@@ -210,19 +250,21 @@ class TestPrincipalFields:
         [(1.5, 0.5, 257), (3.0, 1.0, 129), (0.0, 2.0, 128), (2.5, 2.5, 97)],
     )
     def test_half_build_is_bitwise_the_full_build(self, xi0, eta0, points, chirality):
-        """The quadrant build equals the full-axes build there, bitwise, and
-        the other three quadrants of the full build are its exact images."""
+        """The planes built run by run on the quadrant are bitwise those of
+        the reference build on the full axes there, and the other three
+        quadrants of the full build are their exact images, which the image
+        table reads."""
         p = PacketParams(xi0, eta0, chirality=chirality)
         grid = make_grid(p, points=points)
         table = build_table(p)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         assert row0 == col0 == points // 2
         assert np.all(grid.xi_axis[row0:] >= 0.0)
-        levels, quadrant = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        full_levels, whole = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        levels, planes = built_fields(table, grid)
+        full_levels, whole = principal_fields(table, grid.xi_axis, grid.eta_axis)
         assert np.array_equal(levels, full_levels)
         assert np.array_equal(levels, np.unique(table.principal))
-        assert np.array_equal(quadrant, whole[:, row0:, col0:])
+        assert np.array_equal(planes, whole[:, row0:, col0:])
         for big_n, field in zip(levels.tolist(), whole):
             # F(xi, -eta) = conj F(xi, eta); F(-xi, eta) = (-1)^N conj F(xi, eta)
             sign = (-1) ** big_n
@@ -243,19 +285,19 @@ class TestPrincipalFields:
         p = PacketParams(params.xi0, params.eta0, chirality=chirality)
         grid = make_grid(p, points=points)
         table = build_table(p)
-        fields = complex_fields(_principal_fields(table, grid.xi_axis, grid.eta_axis))
+        fields = complex_fields(built_fields(table, grid))
         expect = full_grid_fields(table, grid)
         assert fields.keys() == expect.keys()
         for big_n, field in fields.items():
-            assert np.max(np.abs(field - expect[big_n])) < 1e-13
+            assert np.max(np.abs(field - expect[big_n][quadrant(grid)])) < 1e-13
 
     def test_unmirrored_grid_matches_eigenstate_sums(self):
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = offset_grid(p, 65)
         assert _mirror_start(grid.eta_axis) == 0
         table = build_table(p)
-        fields = complex_fields(_principal_fields(table, grid.xi_axis, grid.eta_axis))
-        xi, eta = grid.meshes()
+        fields = complex_fields(built_fields(table, grid))
+        xi, eta = (mesh[quadrant(grid)] for mesh in grid.meshes())
         rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
         expect = {}
         for m, n_r, c in zip(table.m.tolist(), table.n_r.tolist(), table.c.tolist()):
@@ -283,9 +325,9 @@ class TestPrincipalFields:
     def test_level_without_modes_holds_no_array(self):
         p = PacketParams(0.0, 0.0)
         grid = make_grid(p, points=33)
-        levels, fields = _principal_fields(build_table(p, n_max=3), grid.xi_axis, grid.eta_axis)
+        levels, fields = built_fields(build_table(p, n_max=3), grid)
         assert levels.tolist() == [0]
-        assert fields.shape == (1, 33, 33)
+        assert fields.shape == (1, 17, 17)
 
     def test_finite_where_the_radial_power_overflows(self):
         """A cutoff far past the packet on a wide, coarse grid: rho^|m| is
@@ -298,9 +340,10 @@ class TestPrincipalFields:
         rho = np.hypot(xi, eta)
         overflowing = 170 * np.log10(rho, where=rho > 0, out=np.zeros_like(rho)) > 308
         assert np.count_nonzero(overflowing) >= 4
-        levels, fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+        levels, fields = built_fields(table, grid)
         assert levels.size == 171
-        assert np.all(np.isfinite(fields[:, overflowing]))
+        assert np.count_nonzero(overflowing[quadrant(grid)]) >= 1
+        assert np.all(np.isfinite(fields[:, overflowing[quadrant(grid)]]))
         assert np.all(np.isfinite(fields))
         assert np.all(np.isfinite(SpectralEvolver(table, grid).at(0.4).values))
 
@@ -316,7 +359,7 @@ class TestPrincipalFields:
         p = PacketParams(xi0, eta0, chirality=chirality)
         grid = make_grid(p, points=17)
         assert grid.xi_axis[-1] == pytest.approx(_default_half_width(p))
-        _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
+        _, fields = built_fields(build_table(p), grid)
         assert np.all(np.isfinite(fields))
 
     def test_finite_at_amplitude_28(self):
@@ -326,7 +369,7 @@ class TestPrincipalFields:
         p = PacketParams(28.0, 0.0)
         grid = make_grid(p, points=17)
         with np.errstate(over="raise", invalid="raise"):
-            _, fields = _principal_fields(build_table(p), grid.xi_axis, grid.eta_axis)
+            _, fields = built_fields(build_table(p), grid)
         assert np.all(np.isfinite(fields))
 
 
@@ -350,13 +393,13 @@ class TestCartesianRotation:
         convention psi_{m,n_r} = (-1)^{n_r} |n+, n-> and d_k = i^k r_k."""
         p = PacketParams(0.0, 0.0)
         grid = make_grid(p, half_width=5.0, points=33) if mirrored else offset_grid(p, 33, 0.3)
-        xi, eta = grid.meshes()
+        xi, eta = (mesh[quadrant(grid)] for mesh in grid.meshes())
         rho, phi = np.hypot(xi, eta), np.arctan2(eta, xi)
         for big_n in range(9):
             for m in range(-big_n, big_n + 1, 2):
                 mode = ModeIndex(m, (big_n - abs(m)) // 2)
                 table = CoefficientTable(p, big_n, [m], [mode.n_r], [1.0])
-                levels, fields = _principal_fields(table, grid.xi_axis, grid.eta_axis)
+                levels, fields = built_fields(table, grid)
                 assert levels.tolist() == [big_n]
                 expect = eigenstate(mode, rho, phi)
                 assert np.max(np.abs(fields[0] - expect)) < 1e-14, (m, mode.n_r)
@@ -395,16 +438,18 @@ class TestCartesianRotation:
         table = CoefficientTable(p, 2, [2, 0], [0, 0], [0.6, 0.8])
         grid = make_grid(p, points=9)
         with pytest.raises(ValueError, match="level order"):
-            _principal_fields(table, grid.xi_axis, grid.eta_axis)
+            SpectralEvolver(table, grid)
 
     def test_build_products_are_serial(self, monkeypatch):
-        """Every product of the field build has m n k <= _SERIAL_PRODUCT, and
-        banding in columns too, where one row is too many, keeps a @ b."""
+        """Every product of the plane build has m n k <= _SERIAL_PRODUCT and
+        at least two rows where the build has them; banding in columns too,
+        where one row is too many, keeps a @ b, and each band takes only
+        the terms of its last row."""
         products = []
         matmul = np.matmul
 
         def recording(a, b, out):
-            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            products.append((a.shape[0], a.shape[0] * a.shape[1] * b.shape[1]))
             return matmul(a, b, out=out)
 
         p = PacketParams(1.5, 0.5)
@@ -412,14 +457,17 @@ class TestCartesianRotation:
         table = build_table(p, n_max=130)
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((5, 700)), rng.standard_normal((700, 200))
+        terms = np.array([3, 3, 650, 700, 700])
+        a[np.arange(700) >= terms[:, None]] = 0.0
         out = np.empty((5, 200))
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", recording)
-            _principal_fields(table, grid.xi_axis[32:], grid.eta_axis[32:])
-            assert products and max(products) <= _SERIAL_PRODUCT
+            built_fields(table, grid)
+            assert products and max(size for _, size in products) <= _SERIAL_PRODUCT
+            assert min(rows for rows, _ in products) >= 2
             products.clear()
-            _banded_product(a, b, out)
-        assert len(products) > 5 and max(products) <= _SERIAL_PRODUCT
+            _banded_product(a, b, out, _bands(terms, 200))
+        assert len(products) > 5 and max(size for _, size in products) <= _SERIAL_PRODUCT
         assert np.max(np.abs(out - a @ b)) < 1e-12
 
 
@@ -490,34 +538,49 @@ def direct_sum(fields, omega, t):
 
 
 def assert_within_serial_bounds(evolver, grid, monkeypatch):
-    """A full pass of _TIMES_PER_PASS times: every band's product has m n k
-    <= _SERIAL_PRODUCT, each run's (lines, points) output holds at most one
-    grid's values, and the runs cover the quadrant's rows in order.
+    """A full group of _TIMES_PER_PASS times through the product transform:
+    every product, of the plane build and of the transform, has m n k <=
+    _SERIAL_PRODUCT; each chunk of planes holds at most half a grid's
+    values and each run's (lines, points) output at most one grid's; and
+    the runs cover the quadrant's rows in order, each built once.
 
-    Returns the (m, k, n) of every product."""
+    Returns the (m, k, n) of every product of the transform."""
     products = []
     matmul = np.matmul
 
     def recording(a, b, out):
-        products.append((*a.shape, b.shape[1]))
+        products.append((a.dtype, a.shape[0] * a.shape[1] * b.shape[1], (*a.shape, b.shape[1])))
         return matmul(a, b, out=out)
 
     times = [0.3 * k for k in range(_TIMES_PER_PASS)]
-    lines = len(evolver._images) * len(times)
-    cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
+    rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
+    references = [(np.zeros((len(times), rows)), np.zeros((len(times), cols)))] * len(
+        evolver._images
+    )
+    runs = evolver._runs(2 * len(evolver._images) * len(times))
+    build = evolver._builder(runs)
+    (transform,) = evolver._product_passes(times, references, runs[0])
     covered = 0
+
+    def checked(run):
+        for a, b, planes in build(run):
+            assert planes.nbytes <= grid.values.nbytes // 2
+            yield a, b, planes
+
     with monkeypatch.context() as patch:
         patch.setattr(np, "matmul", recording)
-        for rows, series in evolver._product_runs(times):
-            assert rows.start == covered
-            assert series.shape == (lines, (rows.stop - rows.start) * cols)
+        for run in runs:
+            assert run.start == covered
+            ((series, _, scratch),) = transform(run, checked(run))
+            assert series.shape == (len(evolver._images) * len(times), (run.stop - run.start) * cols)
             assert series.nbytes <= grid.values.nbytes
-            covered = rows.stop
-    assert covered == grid.xi_axis.size - _mirror_start(grid.xi_axis)
+            assert scratch.size >= series.size
+            covered = run.stop
+    assert covered == rows
     assert products
-    for m, k, n in products:
-        assert m * k * n <= _SERIAL_PRODUCT
-    return products
+    for _, size, _ in products:
+        assert size <= _SERIAL_PRODUCT
+    return [shape for dtype, _, shape in products if dtype == complex]
 
 
 class TestSynthesis:
@@ -534,25 +597,31 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("params,points,mirrored", SYNTHESIS_PACKETS)
     def test_stacks_hold_the_quadrant_planes(self, monkeypatch, params, points, mirrored):
-        """The evolver stores one field array, bitwise the K level planes of
-        F_N that the build makes on the quadrant, and its product transform
-        reads it in runs that cover the quadrant's rows in order, in bands
-        within _SERIAL_PRODUCT."""
+        """The evolver stores no field: its only 2-D arrays are the Hermite
+        tables on the quadrant's axes, (top + 1, axis points) each. The
+        planes its runs build are the K level planes F_N of the reference
+        build on the quadrant, and its product transform reads them in runs
+        that cover the quadrant in order, in bands within _SERIAL_PRODUCT."""
         grid = make_grid(params, points=points) if mirrored else offset_grid(params, points)
         table = build_table(params)
         evolver = SpectralEvolver(table, grid)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
-        levels, fields = _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+        levels, fields = principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
         assert np.array_equal(evolver._levels, levels)
-        assert evolver._fields.tobytes() == fields.tobytes()
+        planes, _ = evolver_planes(evolver)
+        assert scale_ulps(planes, fields) <= PLANE_ULPS
         stored = [v for v in vars(evolver).values() if isinstance(v, np.ndarray) and v.ndim > 1]
-        assert len(stored) == 1 and stored[0] is evolver._fields
+        top = int(levels[-1]) + 1
+        assert {id(v) for v in stored} == {id(evolver._hx), id(evolver._hy)}
+        assert evolver._hx.shape == (top, grid.xi_axis.size - row0)
+        assert evolver._hy.shape == (top, grid.eta_axis.size - col0)
         assert_within_serial_bounds(evolver, grid, monkeypatch)
 
     @pytest.mark.parametrize("params", [PacketParams(1.5, 0.5), PacketParams(4.0, 4.0)])
     def test_build_holds_the_fields_once(self, params):
-        """The constructor's traced peak is at most the field build's own
-        peak plus one grid's values: the fields are never copied."""
+        """The constructor's traced peak is at most the reference field
+        build's own peak plus one grid's values, and below that field
+        build's fields alone: it builds no field."""
         grid = make_grid(params, points=257)
         table = build_table(params)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
@@ -565,27 +634,33 @@ class TestSynthesis:
 
         tracemalloc.start()
         try:
-            fields_peak, built = traced_peak(
-                lambda: _principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+            fields_peak, (_, fields) = traced_peak(
+                lambda: principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
             )
-            del built
             evolver_peak, _ = traced_peak(lambda: SpectralEvolver(table, grid))
         finally:
             tracemalloc.stop()
         assert evolver_peak <= fields_peak + grid.values.nbytes
+        assert evolver_peak < fields.nbytes
 
     def test_tiles_past_one_row_per_stack(self, monkeypatch):
-        """With many levels a band holds less than a quadrant row: each
-        run's product stays within one grid's values and each band's
-        within _SERIAL_PRODUCT; the sum is unchanged, by either transform."""
+        """With so many levels that a quadrant row of their planes holds
+        more than half a grid, the levels go in chunks: each chunk's planes
+        and each run's product stay within half a grid's and one grid's
+        values and each band's within _SERIAL_PRODUCT, each time sums its
+        products over the chunks, and the sum is unchanged, by either
+        transform."""
         p = PacketParams(1.5, 0.5, chirality=Chirality.ADVANCED)
         grid = make_grid(p, points=65)
         table = build_table(p, n_max=130)
         evolver = SpectralEvolver(table, grid)
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
-        assert len(evolver._row_runs(4 * _TIMES_PER_PASS)) > 1
+        runs = evolver._runs(4 * _TIMES_PER_PASS)
+        assert len(runs) > 1
+        assert 2 * evolver._levels.size * cols > grid.values.size
+        assert evolver._chunk(runs[0].stop, cols) < evolver._levels.size
         products = assert_within_serial_bounds(evolver, grid, monkeypatch)
-        assert max(n for _, _, n in products) < cols
+        assert max(k for _, k, _ in products) < evolver._levels.size
         fields = full_grid_fields(table, grid)
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
@@ -651,6 +726,19 @@ SWEEPS = [
 ]
 
 
+def fft_spectra(evolver, count):
+    """(run, spectrum) of the FFT transform over ``count`` bins, run by run:
+    line j of a spectrum is Q at w t = 2 pi j / count on the run's points."""
+    rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
+    references = [(np.zeros((count, rows)), np.zeros((count, cols)))] * len(evolver._images)
+    runs = evolver._runs(2 * count)
+    build = evolver._builder(runs)
+    transform = evolver._fft_transform(count, 1, references, runs[0])
+    for run in runs:
+        ((spectrum, _, _),) = transform(run, build(run))
+        yield run, spectrum
+
+
 def sweep(turns, steps, omega):
     """The times ``evolve`` takes over 2 pi turns: --tmax 2 pi turns, --tsteps steps."""
     span = turns * 2.0 * math.pi
@@ -712,7 +800,7 @@ class TestFusedResidual:
         frames = [evolver.at(t).values for t in sweep(turns, steps, omega)]
         half = steps // 2
         covered = 0
-        for run, spectrum in evolver._fft_runs(steps):
+        for run, spectrum in fft_spectra(evolver, steps):
             assert run.start == covered
             bins = spectrum.reshape(steps, -1, cols)
             rows = slice(row0 + run.start, row0 + run.stop)
@@ -750,10 +838,21 @@ class TestFusedResidual:
 
         def product(tau):
             """Q(tau) on the quadrant: line 0, the quadrant's, at time tau."""
-            runs = evolver._product_runs([tau])
-            return np.concatenate([series[0].copy() for _, series in runs])
+            (weights,) = evolver._weights([tau])
+            runs = evolver._runs(len(weights))
+            build = evolver._builder(runs)
+            lines = []
+            for run in runs:
+                series = np.empty((len(weights), (run.stop - run.start) * cols), complex)
+                partial = np.empty_like(series)
+                joined = np.empty(evolver._levels.size * series.shape[1], complex)
+                for a, b, parts in build(run):
+                    planes = dynamics._joined(parts, joined)
+                    dynamics._product(weights[:, a:b], planes, series, partial if a else None)
+                lines.append(series[0])
+            return np.concatenate(lines)
 
-        chunks = [spectrum.reshape(steps, -1, cols) for _, spectrum in evolver._fft_runs(steps)]
+        chunks = [spectrum.reshape(steps, -1, cols) for _, spectrum in fft_spectra(evolver, steps)]
         bins = np.concatenate(chunks, axis=1)
         for k, t in enumerate(sweep(turns, steps, omega)):
             direct = direct_sum(fields, omega, t)
@@ -771,11 +870,11 @@ class TestFusedResidual:
          (33, 34, False), (65, 7, False)],
     )
     def test_buffers_hold_one_grid(self, monkeypatch, points, steps, fft):
-        """Each chunk's folded (points, T) buffer and its transform hold one
-        grid's values between them, and every residual reduction allocates
-        one grid at most, besides numpy's ufunc buffer of at most
-        getbufsize() elements; past half a grid per quadrant row the sweep
-        takes the product transform."""
+        """Each run's folded (T, points) buffer and its transform hold one
+        grid's values between them, and its planes half a grid's, and every
+        residual reduction allocates one grid at most, besides numpy's
+        ufunc buffer of at most getbufsize() elements; past half a grid per
+        quadrant row the sweep takes the product transform."""
         p = PacketParams(2.0, 1.0)
         grid = make_grid(p, points=points)
         evolver = SpectralEvolver(build_table(p), grid)
@@ -783,20 +882,23 @@ class TestFusedResidual:
         times = sweep(1, steps, 1.0)
         assert bool(evolver._whole_turns(times)) == fft
         if fft:
-            chunks = list(evolver._fft_runs(steps))
+            chunks = list(fft_spectra(evolver, steps))
             assert chunks
-            # the folded buffer has the first, tallest run's shape
+            # the folded buffer has the first, largest run's shape
             folded = chunks[0][1].nbytes
-            for _, spectrum in chunks:
+            for run, spectrum in chunks:
                 assert folded + spectrum.nbytes <= grid.values.nbytes
+                build = evolver._builder(evolver._runs(2 * steps))
+                for _, _, planes in build(run):
+                    assert planes.nbytes <= grid.values.nbytes // 2
         scratch = []
         peaks = dynamics._peaks
 
-        def recording(series, x, y):
+        def recording(series, x, y, buffer):
             # numpy reports its data buffers to tracemalloc
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            result = peaks(series, x, y)
+            result = peaks(series, x, y, buffer)
             scratch.append(tracemalloc.get_traced_memory()[1] - before)
             return result
 
@@ -808,6 +910,162 @@ class TestFusedResidual:
             tracemalloc.stop()
         assert scratch
         assert max(scratch) <= grid.values.nbytes + np.getbufsize() * 16
+
+
+# The largest differences from the stored-field reference measured on the
+# pins below, in units in the last place of the reference's largest
+# magnitude: of each level's plane, and of each frame. BLAS picks the kernel
+# of a product by its shape, and the reference banded its products per level
+# and per run of rows: where one of its bands had one row, or a frame's band
+# another number of points, the sums run in another order. The residuals
+# reduce the same planes through the same transforms, and stay bitwise.
+# Planes: none at the automatic cutoffs, on any run and any columns; 4.0 at
+# n_max = 130 on 65 points, on any run, in units of the level's largest
+# magnitude over the quadrant. Frames: 2.30.
+PLANE_ULPS = 4.0
+FRAME_ULPS = 2.31
+
+
+def pin_sweeps(omega):
+    """verify's four times; whole-period sweeps with more bins than levels
+    and with fewer, whose bins span several turns; and odd sweeps, which
+    take the product transform."""
+    return [
+        [0.0, 0.7 / omega, math.pi / omega, 5.1 / omega],
+        sweep(1, 64, omega),
+        sweep(2, 16, omega),
+        sweep(1, 6, omega),
+        sweep(3, 10, omega),
+        sweep(1, 63, omega),
+        sweep(1, 9, omega),
+    ]
+
+
+# make_grid grids, then offset_grid grids with the (xi, eta) shifts given
+PIN_GRIDS = [None, (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+PIN_PACKETS = [pytest.param(p, points, id=f"{p.xi0}-{p.eta0}-{p.omega}-{points}")
+               for p, points, _ in SYNTHESIS_PACKETS]
+
+
+def pin_grid(params, points, shifts):
+    return make_grid(params, points=points) if shifts is None else offset_grid(params, points, *shifts)
+
+
+class TestReferencePins:
+    """The synthesis run by run against ``FieldEvolver``, the evolver as it
+    was when it stored its (K, rows, cols) fields."""
+
+    @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize("params,points", PIN_PACKETS)
+    def test_residuals_are_the_reference(self, params, points, chirality, shifts):
+        p = dataclasses.replace(params, chirality=chirality)
+        grid = pin_grid(p, points, shifts)
+        table = build_table(p)
+        evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
+        routes = set()
+        for times in pin_sweeps(p.omega):
+            turns = evolver._whole_turns(times)
+            routes.add((bool(turns), turns > 0 and len(times) <= evolver._levels.size))
+            factors = closed_form_factors(p, grid, times)
+            assert bits(evolver.residuals(times, factors)) == bits(
+                reference.residuals(times, factors)
+            )
+        assert {(True, True), (False, False)} <= routes
+
+    @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize("params,points", PIN_PACKETS)
+    def test_frames_are_the_reference(self, params, points, chirality, shifts):
+        p = dataclasses.replace(params, chirality=chirality)
+        grid = pin_grid(p, points, shifts)
+        table = build_table(p)
+        evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
+        for t in (0.0, 0.7, 3.1, 29.3):
+            assert scale_ulps(evolver.at(t).values, reference.at(t).values) <= FRAME_ULPS
+
+    @pytest.mark.parametrize("chirality", list(Chirality))
+    @pytest.mark.parametrize(
+        "params,points,n_max",
+        [(PacketParams(1.5, 0.5), 65, None), (PacketParams(1.5, 0.5), 65, 130),
+         (PacketParams(3.0, 1.0), 128, None), (PacketParams(2.0, 2.0, omega=2.0), 97, None)],
+    )
+    def test_planes_of_any_run_are_the_reference(self, params, points, n_max, chirality):
+        """Runs of one, two, three and seven rows and of the whole quadrant,
+        on all its columns and on two or seven of them, as the alignment
+        builds: their level chunks go from one level to all of them, and
+        each level's plane is the reference build's."""
+        p = dataclasses.replace(params, chirality=chirality)
+        grid = make_grid(p, points=points)
+        table = build_table(p, n_max)
+        evolver = SpectralEvolver(table, grid)
+        row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
+        _, fields = principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
+        rows, cols = fields.shape[1:]
+        chunks = set()
+        for columns in (np.arange(cols), np.array([0, 5]), np.arange(3, cols, 4)[:7]):
+            for height in (1, 2, 3, 7, rows):
+                runs = _runs_of(rows, height, height)
+                build = evolver._builder(runs, evolver._hx, evolver._hy[:, columns])
+                chunks.add(evolver._chunk(height, columns.size))
+                planes = np.empty((len(fields), rows, columns.size), dtype=complex)
+                for run in runs:
+                    for a, b, (re, im) in build(run):
+                        planes.real[a:b, run], planes.imag[a:b, run] = re, im
+                for plane, field in zip(planes, fields):
+                    assert scale_ulps(plane, field[:, columns], field) <= PLANE_ULPS
+        if n_max:
+            assert min(chunks) == 1 and max(chunks) < len(fields)
+        else:
+            assert max(chunks) >= len(fields)
+
+
+# (xi0, eta0, points, steps): a 64-step sweep or verify's four times
+MEMORY_CASES = [(4.0, 4.0, 257, 64), (4.0, 4.0, 257, 4), (6.0, 3.0, 257, 64),
+                (6.0, 3.0, 257, 4), (20.0, 10.0, 65, 4)]
+
+
+class TestMemory:
+    @pytest.mark.parametrize("xi0,eta0,points,steps", MEMORY_CASES)
+    def test_synthesis_holds_three_grids(self, xi0, eta0, points, steps):
+        """Construction plus residuals peak at three grids' values at most,
+        plus numpy's ufunc buffer of getbufsize() elements, however many
+        levels there are (58, 70 and 380 here): no array grows as K times
+        the grid.
+
+        The rotation of the table holds O(modes) arrays whatever the grid,
+        and the evolver keeps the rotated table; at (20, 10) on 65 points
+        those are 104 and 10 grids. There the construction is bounded by
+        the rotation's own peak plus what the evolver keeps, and residuals
+        alone by the three grids. verify's four times only: a 64-step
+        sweep's reference factors are O(T P), four grids on 65 points."""
+        p = PacketParams(xi0, eta0)
+        grid = make_grid(p, points=points)
+        table = build_table(p)
+        times = [0.0, 0.7, math.pi, 5.1] if steps == 4 else sweep(1, steps, 1.0)
+        factors = closed_form_factors(p, grid, times)
+        SpectralEvolver(table, grid).residuals(times, factors)  # first-call imports
+
+        def traced_peak(call):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+            return peak - before, current - before, result
+
+        tracemalloc.start()
+        try:
+            rotation, _, _ = traced_peak(lambda: _cartesian_coefficients(table))
+            construction, held, evolver = traced_peak(lambda: SpectralEvolver(table, grid))
+            residuals, _, _ = traced_peak(lambda: evolver.residuals(times, factors))
+        finally:
+            tracemalloc.stop()
+        bound = 3 * grid.values.nbytes + np.getbufsize() * 16
+        assert residuals <= bound
+        if points == 257:
+            assert max(construction, held + residuals) <= bound
+        else:
+            assert construction <= rotation + held
 
 
 def orbit(params, times, grid):
