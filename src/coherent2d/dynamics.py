@@ -7,8 +7,12 @@ and the phase-quotient comparison used to confront them. The spectral
 route takes only the table's polar (m, n_r) coefficients and calls
 nothing of the closed form: it rotates each level of the table into the
 Cartesian states |N - k, k> and builds the fields from Hermite functions
-on one grid quadrant. The polar eigenbasis is not evaluated on the grid;
-the tests pin it, each single-mode table against ``states.eigenstate``.
+on one grid quadrant. No field is stored: each pass over the quadrant
+builds the level planes of one run of rows at a time, uses them for
+every time of the call and drops them, so memory stays a few grids
+whatever the number of levels. The polar eigenbasis is not evaluated on
+the grid; the tests pin it, each single-mode table against
+``states.eigenstate``.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ _SPECTRAL_TAIL_LIMIT = 1e-10
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
 # on after it returns. Products near 2^16 also ran fastest on one thread.
 _SERIAL_PRODUCT = 2**16
-# Times synthesized per pass over the fields. A pass reads every field
-# once, so this divides the memory traffic of each time.
-_TIMES_PER_PASS = 4
+# Times in one product of the product transform: each group of times is
+# one (n g, K) @ (K, points) product over a run's planes.
+_TIMES_PER_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ class SpectralEvolver:
     (lines, points) output over one run, hold at most half a grid's and
     one grid's values.
 
-    - The product transform takes any times, g = ``_TIMES_PER_PASS`` at a
+    - The product transform takes any times, g = ``_TIMES_PER_GROUP`` at a
       time: an (n g, K) matrix of e^{-i (N+1) w tau} at the image times of
       each time, times the run's (K, points) planes, gives Q at its points
       at every image time. It multiplies in bands of points small enough
@@ -357,21 +361,15 @@ class SpectralEvolver:
             values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
             for fx, fy, _, _ in self._images
         ]
-        (weights,) = self._weights([t])
-        runs = self._runs(len(weights))
+        runs = self._runs(len(views))
         build = self._builder(runs)
-        cols = self._hy.shape[1]
-        series, partial = np.empty((2, len(weights) * _size(runs[0], cols)), dtype=complex)
-        chunk = self._chunk(runs[0].stop - runs[0].start, cols)
-        joined = np.empty(chunk * _size(runs[0], cols), dtype=complex)
+        (transform,) = self._product_passes([t], None, runs[0])
         for rows in runs:
-            lines = series[: len(weights) * _size(rows, cols)].reshape(len(weights), -1)
-            for a, b, parts in build(rows):
-                _product(weights[:, a:b], _joined(parts, joined), lines, partial if a else None)
-            for q in reversed(range(len(views))):
-                _, _, s, sign = self._images[q]
-                image = lines[q].reshape(-1, cols)
-                views[q][rows] = sign * (image.conj() if s < 0 else image)
+            for series, _, _ in transform(rows, build(rows)):
+                for q in reversed(range(len(views))):
+                    _, _, s, sign = self._images[q]
+                    image = series[q].reshape(rows.stop - rows.start, -1)
+                    views[q][rows] = sign * (image.conj() if s < 0 else image)
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
@@ -397,7 +395,7 @@ class SpectralEvolver:
         # the transform keeps the references in the order its lines take them
         references = (self._references(x, y, unit, image) for image in self._images)
         turns = self._whole_turns(times)
-        lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_PASS
+        lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_GROUP
         runs = self._runs(lines)
         build = self._builder(runs)
         if turns:
@@ -467,7 +465,7 @@ class SpectralEvolver:
         return transform
 
     def _product_passes(self, times: list, references, largest: slice) -> list:
-        """The product transform's passes, ``_TIMES_PER_PASS`` times a group.
+        """The product transform's passes, ``_TIMES_PER_GROUP`` times a group.
 
         Each pass is a function of a run's chunks of planes that yields,
         group by group, an (n g, points) complex view whose line q g + j is
@@ -477,16 +475,19 @@ class SpectralEvolver:
         as it is multiplied, in one buffer, and one pass takes every group.
         Otherwise each group of a pass sums its products over the chunks
         in its own buffer, and a pass takes the groups whose buffers fit in
-        one grid, sized for the ``largest`` run.
+        one grid, sized for the ``largest`` run. Without references (None)
+        the plans are None.
         """
-        references = list(references)
+        references = None if references is None else list(references)
         groups = []
-        for lo, weights in zip(range(0, len(times), _TIMES_PER_PASS), self._weights(times)):
-            group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
-            xs = np.concatenate([xq[group] for xq, _ in references])
-            ys = np.concatenate([yq[group] for _, yq in references])
-            ks = np.tile(group, len(references))
-            groups.append((weights, [(ks, slice(None), xs, ys)]))
+        for lo, weights in zip(range(0, len(times), _TIMES_PER_GROUP), self._weights(times)):
+            group = np.arange(lo, min(lo + _TIMES_PER_GROUP, len(times)))
+            plans = None
+            if references is not None:
+                xs = np.concatenate([xq[group] for xq, _ in references])
+                ys = np.concatenate([yq[group] for _, yq in references])
+                plans = [(np.tile(group, len(references)), slice(None), xs, ys)]
+            groups.append((weights, plans))
         cols = self._hy.shape[1]
         size = len(groups[0][0]) * _size(largest, cols)
         chunk = self._chunk(largest.stop - largest.start, cols)
@@ -516,11 +517,11 @@ class SpectralEvolver:
 
     def _weights(self, times: list) -> list[np.ndarray]:
         """The (n g, K) matrices e^{-i (N+1) w tau} of the product transform,
-        ``_TIMES_PER_PASS`` times each: line q g + j at the time of image q
+        ``_TIMES_PER_GROUP`` times each: line q g + j at the time of image q
         of the table at time j of the group."""
         out = []
-        for lo in range(0, len(times), _TIMES_PER_PASS):
-            group = times[lo : lo + _TIMES_PER_PASS]
+        for lo in range(0, len(times), _TIMES_PER_GROUP):
+            group = times[lo : lo + _TIMES_PER_GROUP]
             phase = np.outer(
                 np.concatenate([self._image_times(group, image) for image in self._images]),
                 self._levels + 1,
@@ -574,7 +575,8 @@ class SpectralEvolver:
         rows, qi = _distinct(np.where(flip_x, x.shape[1] - 1 - i, i) - row0, self._hx.shape[1])
         cols, qj = _distinct(np.where(flip_y, y.shape[1] - 1 - j, j) - col0, self._hy.shape[1])
         hx, hy = self._hx[:, rows], self._hy[:, cols]
-        runs = _runs_of(rows.size, cols.size, self._grid.values.size // (2 * self._levels.size or 1))
+        size = self._grid.values.size
+        runs = _runs_of(rows.size, cols.size, size // max(1, 2 * self._levels.size))
         build = self._builder(runs, hx, hy)
         levels = np.empty((self._levels.size, len(times)), dtype=complex)
         for run in runs:

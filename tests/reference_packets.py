@@ -4,7 +4,9 @@ Each re-derives a special case of ``coherent2d.coherent_2d`` from its own
 exponent, so a test can pin the library's factored evaluation against it.
 ``packet_factors_at`` and ``orbit_moments_at`` are the packet's factors and
 the orbit moments one time at a time, which the library takes for all
-times in one array pass.
+times in one array pass. ``principal_fields`` and ``FieldEvolver`` are the
+spectral synthesis from fields stored whole, which the library builds run
+by run.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from coherent2d import CoefficientTable, SpectralEvolver
+from coherent2d import CoefficientTable, Grid2D, SpectralEvolver
 from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
-    _TIMES_PER_PASS,
+    _TIMES_PER_GROUP,
     _cartesian_coefficients,
     _hermite_functions,
     _mirror_start,
@@ -100,10 +102,11 @@ def orbit_moments_at(t: float, x_factor, y_factor, grid) -> tuple:
     )
 
 
-# The spectral synthesis as it was when the evolver stored its fields: the
-# whole-quadrant build of every level, and the transforms and alignment
-# that read the stored (K, rows, cols) array. The evolver now builds the
-# planes of one run at a time; the tests pin it against these, bit for bit.
+# The spectral synthesis with its fields stored whole: the whole-quadrant
+# build of every level, and the transforms and alignment that read the
+# stored (K, rows, cols) array. The evolver builds the planes of one run at
+# a time; the tests pin its residuals to these bit for bit, and its planes
+# and frames to the last units in the place of their largest values.
 
 
 def principal_fields(
@@ -178,7 +181,7 @@ def banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 class FieldEvolver(SpectralEvolver):
     """``SpectralEvolver`` with its fields stored once, as
     ``principal_fields`` builds them on the quadrant, and read in place:
-    the product transform's passes of up to ``_TIMES_PER_PASS`` times
+    the product transform's passes of up to ``_TIMES_PER_GROUP`` times
     each re-read every field, and the FFT transform folds them run by
     run. The image table, the reference factors and the sweep test are
     the evolver's own."""
@@ -261,11 +264,11 @@ class FieldEvolver(SpectralEvolver):
         return [(self._fft_runs(count), plans)]
 
     def _product_passes(self, times: list, references: list) -> list:
-        """The product transform's passes, ``_TIMES_PER_PASS`` times each,
+        """The product transform's passes, ``_TIMES_PER_GROUP`` times each,
         with the references of every image at those times."""
         passes = []
-        for lo in range(0, len(times), _TIMES_PER_PASS):
-            group = np.arange(lo, min(lo + _TIMES_PER_PASS, len(times)))
+        for lo in range(0, len(times), _TIMES_PER_GROUP):
+            group = np.arange(lo, min(lo + _TIMES_PER_GROUP, len(times)))
             xs = np.concatenate([xq[group] for xq, _ in references])
             ys = np.concatenate([yq[group] for _, yq in references])
             ks = np.tile(group, len(references))
@@ -310,7 +313,7 @@ class FieldEvolver(SpectralEvolver):
         return [slice(i, min(i + height, rows)) for i in range(0, rows, height)]
 
     def _product_runs(self, times: list) -> Iterator[tuple[slice, np.ndarray]]:
-        """The product transform at up to ``_TIMES_PER_PASS`` times.
+        """The product transform at up to ``_TIMES_PER_GROUP`` times.
 
         Yields each run's rows and an (n g, points) complex view whose line
         q g + j is Q at the time of image q of the table at time j. The

@@ -27,7 +27,7 @@ from coherent2d import (
 from coherent2d import dynamics
 from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
-    _TIMES_PER_PASS,
+    _TIMES_PER_GROUP,
     _banded_product,
     _bands,
     _hermite_functions,
@@ -538,7 +538,7 @@ def direct_sum(fields, omega, t):
 
 
 def assert_within_serial_bounds(evolver, grid, monkeypatch):
-    """A full group of _TIMES_PER_PASS times through the product transform:
+    """A full group of _TIMES_PER_GROUP times through the product transform:
     every product, of the plane build and of the transform, has m n k <=
     _SERIAL_PRODUCT; each chunk of planes holds at most half a grid's
     values and each run's (lines, points) output at most one grid's; and
@@ -552,7 +552,7 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
         products.append((a.dtype, a.shape[0] * a.shape[1] * b.shape[1], (*a.shape, b.shape[1])))
         return matmul(a, b, out=out)
 
-    times = [0.3 * k for k in range(_TIMES_PER_PASS)]
+    times = [0.3 * k for k in range(_TIMES_PER_GROUP)]
     rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
     references = [(np.zeros((len(times), rows)), np.zeros((len(times), cols)))] * len(
         evolver._images
@@ -572,7 +572,8 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
         for run in runs:
             assert run.start == covered
             ((series, _, scratch),) = transform(run, checked(run))
-            assert series.shape == (len(evolver._images) * len(times), (run.stop - run.start) * cols)
+            lines = len(evolver._images) * len(times)
+            assert series.shape == (lines, (run.stop - run.start) * cols)
             assert series.nbytes <= grid.values.nbytes
             assert scratch.size >= series.size
             covered = run.stop
@@ -655,7 +656,7 @@ class TestSynthesis:
         table = build_table(p, n_max=130)
         evolver = SpectralEvolver(table, grid)
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
-        runs = evolver._runs(4 * _TIMES_PER_PASS)
+        runs = evolver._runs(4 * _TIMES_PER_GROUP)
         assert len(runs) > 1
         assert 2 * evolver._levels.size * cols > grid.values.size
         assert evolver._chunk(runs[0].stop, cols) < evolver._levels.size
@@ -676,7 +677,7 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
     def test_frames_match_direct_sum(self, count):
-        """Full and partial groups of _TIMES_PER_PASS times: each frame
+        """Full and partial groups of _TIMES_PER_GROUP times: each frame
         matches the direct sum, and each time's residual is the one
         aligned_max_difference takes against it, in order."""
         p = PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED)
@@ -948,7 +949,9 @@ PIN_PACKETS = [pytest.param(p, points, id=f"{p.xi0}-{p.eta0}-{p.omega}-{points}"
 
 
 def pin_grid(params, points, shifts):
-    return make_grid(params, points=points) if shifts is None else offset_grid(params, points, *shifts)
+    if shifts is None:
+        return make_grid(params, points=points)
+    return offset_grid(params, points, *shifts)
 
 
 class TestReferencePins:
