@@ -624,10 +624,10 @@ class SpectralEvolver:
 
     def _chunk(self, height: int, width: int) -> int:
         """Levels per chunk of the planes on ``height`` rows of ``width``
-        columns: each chunk's planes, and its gathered factor of real
-        values, hold at most half a grid's values."""
+        columns: each chunk's planes hold at most half a grid's values, and
+        its gathered factor a quarter grid's."""
         terms = int(self._levels[-1]) // 2 + 1 if self._levels.size else 1
-        chunk = self._grid.values.size // (height * max(2 * width, terms))
+        chunk = self._grid.values.size // (2 * height * max(width, terms))
         return min(max(1, chunk), max(1, self._levels.size))
 
     def _builder(self, runs: list, hx: np.ndarray | None = None, hy: np.ndarray | None = None):
@@ -636,8 +636,9 @@ class SpectralEvolver:
         ``hx`` and ``hy`` are the Hermite functions on the rows and columns
         the runs index, the quadrant's by default. The function yields the
         chunks of levels (``_chunk``) in order, each as (a, b, planes), the
-        planes of levels a..b - 1 a complex (b - a, rows, cols) view of one
-        buffer, which the next chunk overwrites. Each level is
+        planes of levels a..b - 1 a real (2, b - a, rows, cols) view of one
+        buffer, real parts then imaginary parts, which the next chunk
+        overwrites. Each level is
 
             Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
             Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
@@ -649,7 +650,7 @@ class SpectralEvolver:
         ``_SERIAL_PRODUCT`` that each take only the terms of their own top
         level (``_bands``). Its left factor, the gathered
         phi_{N-k}(xi) times the signed r_k, is one (L, levels, rows) buffer
-        read transposed, and the product goes to one real scratch. No
+        read transposed, and the product goes straight to its planes. No
         Laguerre function, power of rho or angle is evaluated on the grid:
         the polar eigenbasis enters only through the rotation, which the
         eigenstate tests pin. The Hermite functions stay finite and carry
@@ -665,30 +666,26 @@ class SpectralEvolver:
         planes = np.empty(2 * chunk * height * width)
         gathered = np.empty(chunk * height * terms)
 
-        # with one chunk, every run takes the same tables of terms and bands
+        # with one chunk, every run of a height reads the same tables
         memo = {} if len(chunks) == 1 else None
 
-        def terms(a: int, b: int, parity: int, h: int):
+        def tables(a: int, b: int, parity: int, h: int):
             """phi_{N-k} rows and signed r_k of levels a..b - 1, k = parity,
             parity + 2, ..., as (terms, levels) tables, the terms past a
             level's own reading phi_0 with r 0, and the product's bands."""
-            if memo is not None and (a, parity, h) in memo:
-                return memo[a, parity, h]
+            if memo is not None and (parity, h) in memo:
+                return memo[parity, h]
             n = levels[a:b]
-            if memo is not None and (a, parity) in memo:
-                at, coefs = memo[a, parity]
-            else:
-                count = (int(n[-1]) - parity) // 2 + 1 if n.size else 0
-                k = parity + 2 * np.arange(max(count, 0))[:, None]
-                at = offsets[a:b] + k
-                coefs = r.take(at, mode="clip")
-                coefs *= k <= n
-                coefs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
-                np.subtract(n, k, out=at)
+            count = (int(n[-1]) - parity) // 2 + 1 if n.size else 0
+            k = parity + 2 * np.arange(max(count, 0))[:, None]
+            at = offsets[a:b] + k
+            coefs = r.take(at, mode="clip")
+            coefs *= k <= n
+            coefs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
+            np.subtract(n, k, out=at)
             found = at, coefs, _bands(np.repeat((n - parity) // 2 + 1, h), width)
             if memo is not None:
-                memo[a, parity] = at, coefs
-                memo[a, parity, h] = found
+                memo[parity, h] = found
             return found
 
         def build(rows: slice) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -696,7 +693,7 @@ class SpectralEvolver:
             for a, b in chunks:
                 out = planes[: 2 * (b - a) * h * width].reshape(2, b - a, h, width)
                 for parity, part in enumerate(out):
-                    index, coefs, bands = terms(a, b, parity, h)
+                    index, coefs, bands = tables(a, b, parity, h)
                     if not len(index):  # no level here has a term of this parity
                         part[...] = 0.0
                         continue
