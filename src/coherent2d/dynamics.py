@@ -392,7 +392,7 @@ class SpectralEvolver:
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
         unit = self._alignment(times, x, y)
-        # the transform keeps the references in the order its lines take them
+        # made one image at a time: the transform keeps only its reordered copies
         references = (self._references(x, y, unit, image) for image in self._images)
         turns = self._whole_turns(times)
         lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_GROUP
