@@ -255,11 +255,13 @@ def _bands(terms: np.ndarray, cols: int) -> list[tuple[int, int, int, int]]:
     terms = terms.tolist()
     hi = len(terms)
     while hi > 0:
-        inner = max(1, terms[hi - 1])
-        lo = max(0, hi - max(1, _SERIAL_PRODUCT // (inner * cols)))
-        if lo == 1 and hi > 3:
+        inner = terms[hi - 1] or 1
+        lo = hi - (_SERIAL_PRODUCT // (inner * cols) or 1)
+        if lo < 0:
+            lo = 0
+        elif lo == 1 and hi > 3:
             lo = 2
-        bands.append((lo, hi, inner, min(cols, max(1, _SERIAL_PRODUCT // ((hi - lo) * inner)))))
+        bands.append((lo, hi, inner, min(cols, _SERIAL_PRODUCT // ((hi - lo) * inner) or 1)))
         hi = lo
     return bands
 
@@ -690,6 +692,8 @@ class SpectralEvolver:
 
         def build(rows: slice) -> Iterator[tuple[int, int, np.ndarray]]:
             h = rows.stop - rows.start
+            # np.take reads a contiguous table: one copy per run, not per chunk
+            run = np.ascontiguousarray(hx[:, rows])
             for a, b in chunks:
                 out = planes[: 2 * (b - a) * h * width].reshape(2, b - a, h, width)
                 for parity, part in enumerate(out):
@@ -698,7 +702,7 @@ class SpectralEvolver:
                         part[...] = 0.0
                         continue
                     xs = gathered[: index.size * h].reshape(*index.shape, h)
-                    np.take(hx[:, rows], index, axis=0, out=xs, mode="clip")
+                    np.take(run, index, axis=0, out=xs, mode="clip")
                     xs *= coefs[:, :, None]
                     product = part.reshape((b - a) * h, width)
                     _banded_product(xs.reshape(len(index), -1).T, hy[parity::2], product, bands)
