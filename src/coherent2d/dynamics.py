@@ -438,13 +438,12 @@ class SpectralEvolver:
                 ks = order[r::step]
                 plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
         levels = self._levels
-        first = (levels + 1) % count
+        first = ((levels + 1) % count).tolist()
         layer = (levels + 1) // count
         # runs of consecutive levels in one turn of the bins fold as slices,
         # N ascending, so that each bin sums its levels in order
         breaks = np.flatnonzero((np.diff(levels) != 1) | (np.diff(layer) != 0)) + 1
         edges = [0, *breaks.tolist(), levels.size]
-        first = first.tolist()
         cols = self._hy.shape[1]
         buffer = np.empty(count * _size(largest, cols), dtype=complex)
 
