@@ -59,6 +59,10 @@ _SERIAL_PRODUCT = 2**16
 # Times in one product of the product transform: each group of times is
 # one (n g, K) @ (K, points) product over a run's planes.
 _TIMES_PER_GROUP = 4
+# A multiple of the points a BLAS product kernel takes at once, and the
+# spare columns at each end of a run's planes and products (``_product``).
+_GROUP = 8
+_MARGIN = 2 * _GROUP - 1
 
 
 @dataclass(frozen=True)
@@ -364,7 +368,7 @@ class SpectralEvolver:
             for fx, fy, _, _ in self._images
         ]
         runs = self._runs(len(views))
-        build = self._builder(runs)
+        build = self._builder(_height(runs[0]))
         (transform,) = self._product_passes([t], None, runs[0])
         for rows in runs:
             for series, _, _ in transform(rows, build(rows)):
@@ -399,7 +403,7 @@ class SpectralEvolver:
         turns = self._whole_turns(times)
         lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_GROUP
         runs = self._runs(lines)
-        build = self._builder(runs)
+        build = self._builder(_height(runs[0]))
         if turns:
             passes = [self._fft_transform(len(times), turns, references, runs[0])]
         else:
@@ -471,15 +475,18 @@ class SpectralEvolver:
         Each pass is a function of a run's chunks of planes that yields,
         group by group, an (n g, points) complex view whose line q g + j is
         Q at the time of image q of the table at time j of the group, with
-        its one plan over all its lines and a scratch of the same size.
-        Where all the levels are one chunk, each group is yielded as soon
-        as it is multiplied, in one buffer, and one pass takes every group.
-        Otherwise each group of a pass sums its products over the chunks
-        in its own buffer, and a pass takes the groups whose buffers fit in
-        one grid, sized for the ``largest`` run. Without references (None)
-        the plans are None.
+        its one plan over all its lines and a scratch of its size. Each
+        group's product keeps the layout of bands of its number of lines
+        (``_product``). Where all the levels are one chunk, each group is
+        yielded as soon as it is multiplied, in one buffer, and one pass
+        takes every group. Otherwise each group of a pass sums its products
+        over the chunks in its own buffer, and a pass takes the groups whose
+        buffers fit in one grid, sized for the ``largest`` run. Without
+        references (None) the plans are None.
         """
         references = None if references is None else list(references)
+        cols = self._hy.shape[1]
+        total = self._hx.shape[1] * cols
         groups = []
         for lo, weights in zip(range(0, len(times), _TIMES_PER_GROUP), self._weights(times)):
             group = np.arange(lo, min(lo + _TIMES_PER_GROUP, len(times)))
@@ -488,28 +495,29 @@ class SpectralEvolver:
                 xs = np.concatenate([xq[group] for xq, _ in references])
                 ys = np.concatenate([yq[group] for _, yq in references])
                 plans = [(np.tile(group, len(references)), slice(None), xs, ys)]
-            groups.append((weights, plans))
-        cols = self._hy.shape[1]
-        size = len(groups[0][0]) * _size(largest, cols)
-        chunk = self._chunk(largest.stop - largest.start, cols)
+            span = max(1, self._grid.values.size // (len(weights) * cols)) * cols
+            groups.append((weights, (span, total), plans))
+        width = _size(largest, cols) + 2 * _MARGIN
+        size = len(groups[0][0]) * width
+        chunk = self._chunk(_height(largest), cols)
         chunked = chunk < self._levels.size
         count = max(1, self._grid.values.size // size) if chunked else len(groups)
-        # the group sums, the scratch, the complex planes of a chunk, and
-        # where the levels go in chunks a buffer for each chunk's product
-        *sums, scratch = np.empty(((min(count, len(groups)) if chunked else 1) + 1, size), complex)
-        joined = np.empty(chunk * _size(largest, cols), dtype=complex)
-        partial = np.empty(size, dtype=complex) if chunked else None
+        # the group sums, the complex planes of a chunk, and the scratch,
+        # which takes each later chunk's product until its group is summed
+        sums = np.empty((min(count, len(groups)) if chunked else 1, size), complex)
+        joined = np.empty(chunk * width, dtype=complex)
+        scratch = np.empty(size, dtype=complex)
 
         def transform(rows, chunks, groups):
-            points = _size(rows, cols)
+            first, points = rows.start * cols, _size(rows, cols) + 2 * _MARGIN
             for a, b, parts in chunks:
                 planes = _joined(parts, joined)
-                for i, (weights, plans) in enumerate(groups):
-                    series = sums[i if chunked else 0][: len(weights) * points]
-                    series = series.reshape(len(weights), points)
-                    _product(weights[:, a:b], planes, series, partial if a else None)
+                for i, (weights, layout, plans) in enumerate(groups):
+                    out = sums[i % len(sums)][: len(weights) * points]
+                    out = out.reshape(len(weights), points)
+                    _product(weights[:, a:b], planes, out, first, layout, scratch if a else None)
                     if b == self._levels.size:
-                        yield series, plans, scratch
+                        yield out[:, _MARGIN:-_MARGIN], plans, scratch
 
         return [
             lambda rows, chunks, part=groups[i : i + count]: transform(rows, chunks, part)
@@ -563,28 +571,21 @@ class SpectralEvolver:
         image that holds the point, then given that image's sign and
         conjugate; f is 1 where S is 0, as in ``aligned_max_difference``.
         The levels at the points come from one build of the planes on the
-        distinct quadrant rows and columns that hold them, at least two of
-        each where the quadrant has them: BLAS takes a product with one row
-        or one column by another kernel, whose sums can differ in the last
-        bit from those of the passes.
+        quadrant rows that hold them, as the passes build them, so S is the
+        sum of the passes' values.
         """
         ks = np.arange(len(times))
         i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
         ref = x[ks, i] * y[ks, j]
         row0, col0 = self._start
         flip_x, flip_y = i < row0, j < col0
-        rows, qi = _distinct(np.where(flip_x, x.shape[1] - 1 - i, i) - row0, self._hx.shape[1])
-        cols, qj = _distinct(np.where(flip_y, y.shape[1] - 1 - j, j) - col0, self._hy.shape[1])
-        hx, hy = self._hx[:, rows], self._hy[:, cols]
-        size = self._grid.values.size
-        runs = _runs_of(rows.size, cols.size, size // max(1, 2 * self._levels.size))
-        build = self._builder(runs, hx, hy)
+        qi = np.where(flip_x, x.shape[1] - 1 - i, i) - row0
+        qj = np.where(flip_y, y.shape[1] - 1 - j, j) - col0
+        rows = np.unique(qi)
+        qi = np.searchsorted(rows, qi)
         levels = np.empty((self._levels.size, len(times)), dtype=complex)
-        for run in runs:
-            inside = (qi >= run.start) & (qi < run.stop)
-            for a, b, (re, im) in build(run):
-                levels.real[a:b, inside] = re[:, qi[inside] - run.start, qj[inside]]
-                levels.imag[a:b, inside] = im[:, qi[inside] - run.start, qj[inside]]
+        for a, b, (re, im) in self._builder(rows.size)(rows):
+            levels.real[a:b], levels.imag[a:b] = re[:, qi, qj], im[:, qi, qj]
         value = np.empty(len(times), dtype=complex)
         for image in self._images:
             fx, fy, s, sign = image
@@ -631,15 +632,14 @@ class SpectralEvolver:
         chunk = self._grid.values.size // (2 * height * max(width, terms))
         return min(max(1, chunk), max(1, self._levels.size))
 
-    def _builder(self, runs: list, hx: np.ndarray | None = None, hy: np.ndarray | None = None):
-        """A function of a run of rows that yields the level planes F_N on it.
+    def _builder(self, height: int):
+        """A function of a run of at most ``height`` quadrant rows, a slice
+        or an index array of them, that yields the level planes F_N on it.
 
-        ``hx`` and ``hy`` are the Hermite functions on the rows and columns
-        the runs index, the quadrant's by default. The function yields the
-        chunks of levels (``_chunk``) in order, each as (a, b, planes), the
-        planes of levels a..b - 1 a real (2, b - a, rows, cols) view of one
-        buffer, real parts then imaginary parts, which the next chunk
-        overwrites. Each level is
+        The function yields the chunks of levels (``_chunk``) in order, each
+        as (a, b, planes), the planes of levels a..b - 1 a real
+        (2, b - a, rows, cols) view of one buffer, real parts then imaginary
+        parts, which the next chunk overwrites. Each level is
 
             Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
             Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
@@ -651,31 +651,30 @@ class SpectralEvolver:
         ``_SERIAL_PRODUCT`` that each take only the terms of their own top
         level (``_bands``). Its left factor, the gathered
         phi_{N-k}(xi) times the signed r_k, is one (L, levels, rows) buffer
-        read transposed, and the product goes straight to its planes. No
-        Laguerre function, power of rho or angle is evaluated on the grid:
-        the polar eigenbasis enters only through the rotation, which the
-        eigenstate tests pin. The Hermite functions stay finite and carry
-        their own exponents, so the planes are finite on any grid.
+        read transposed, and the product goes straight to its planes. A
+        chunk's gather tables, and its bands for each run height, are kept
+        until another chunk is built: with one chunk every run reads the
+        same. No Laguerre function, power of rho or angle is
+        evaluated on the grid: the polar eigenbasis enters only through the
+        rotation, which the eigenstate tests pin. The Hermite functions stay
+        finite and carry their own exponents, so the planes are finite on
+        any grid.
         """
-        hx = self._hx if hx is None else hx
-        hy = self._hy if hy is None else hy
+        hx, hy = self._hx, self._hy
         levels, offsets, r = self._levels, self._offsets, self._r
-        height, width = runs[0].stop - runs[0].start, hy.shape[1]
+        width = hy.shape[1]
         chunk = self._chunk(height, width)
         chunks = [(a, min(a + chunk, levels.size)) for a in range(0, max(levels.size, 1), chunk)]
         terms = int(levels[-1]) // 2 + 1 if levels.size else 1
         planes = np.empty(2 * chunk * height * width)
         gathered = np.empty(chunk * height * terms)
+        # per parity, the last chunk's (a, index, coefs, bands per run height)
+        last = [(None,), (None,)]
 
-        # with one chunk, every run of a height reads the same tables
-        memo = {} if len(chunks) == 1 else None
-
-        def tables(a: int, b: int, parity: int, h: int):
+        def table(a: int, b: int, parity: int):
             """phi_{N-k} rows and signed r_k of levels a..b - 1, k = parity,
             parity + 2, ..., as (terms, levels) tables, the terms past a
-            level's own reading phi_0 with r 0, and the product's bands."""
-            if memo is not None and (parity, h) in memo:
-                return memo[parity, h]
+            level's own reading phi_0 with r 0."""
             n = levels[a:b]
             count = (int(n[-1]) - parity) // 2 + 1 if n.size else 0
             k = parity + 2 * np.arange(max(count, 0))[:, None]
@@ -684,35 +683,42 @@ class SpectralEvolver:
             coefs *= k <= n
             coefs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
             np.subtract(n, k, out=at)
-            found = at, coefs, _bands(np.repeat((n - parity) // 2 + 1, h), width)
-            if memo is not None:
-                memo[parity, h] = found
-            return found
+            return at, coefs
 
-        def build(rows: slice) -> Iterator[tuple[int, int, np.ndarray]]:
-            h = rows.stop - rows.start
+        def build(rows) -> Iterator[tuple[int, int, np.ndarray]]:
             # np.take reads a contiguous table: one copy per run, not per chunk
             run = np.ascontiguousarray(hx[:, rows])
+            h = run.shape[1]
             for a, b in chunks:
                 out = planes[: 2 * (b - a) * h * width].reshape(2, b - a, h, width)
                 for parity, part in enumerate(out):
-                    index, coefs, bands = tables(a, b, parity, h)
+                    if last[parity][0] != a:
+                        last[parity] = (a, *table(a, b, parity), {})
+                    _, index, coefs, bands = last[parity]
                     if not len(index):  # no level here has a term of this parity
                         part[...] = 0.0
                         continue
+                    if h not in bands:
+                        n = levels[a:b]
+                        bands[h] = _bands(np.repeat((n - parity) // 2 + 1, h), width)
                     xs = gathered[: index.size * h].reshape(*index.shape, h)
                     np.take(run, index, axis=0, out=xs, mode="clip")
                     xs *= coefs[:, :, None]
                     product = part.reshape((b - a) * h, width)
-                    _banded_product(xs.reshape(len(index), -1).T, hy[parity::2], product, bands)
+                    _banded_product(xs.reshape(len(index), -1).T, hy[parity::2], product, bands[h])
                 yield a, b, out
 
         return build
 
 
+def _height(rows: slice) -> int:
+    """The rows of a run."""
+    return rows.stop - rows.start
+
+
 def _size(rows: slice, cols: int) -> int:
     """The points of a run of rows."""
-    return (rows.stop - rows.start) * cols
+    return _height(rows) * cols
 
 
 def _runs_of(rows: int, cols: int, points: int) -> list[slice]:
@@ -723,38 +729,60 @@ def _runs_of(rows: int, cols: int, points: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _distinct(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``index``, with one more of range(size) where
-    there is one value and ``size`` allows another, and each entry's
-    position among them."""
-    values = np.unique(index)
-    if values.size == 1 and size > 1:
-        values = np.array([0, 1]) if values[0] == 0 else np.array([0, values[0]])
-    return values, np.searchsorted(values, index)
-
-
 def _joined(parts: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """A chunk's (2, levels, rows, cols) real and imaginary planes as complex
-    (levels, rows * cols) planes, in ``buffer``."""
+    (levels, rows * cols + 2 _MARGIN) planes in ``buffer``, the points
+    between zeroed margins of ``_MARGIN`` columns (``_product``)."""
     _, levels, rows, cols = parts.shape
-    planes = buffer[: levels * rows * cols].reshape(levels, rows * cols)
-    planes.real, planes.imag = parts.reshape(2, levels, rows * cols)
+    width = rows * cols + 2 * _MARGIN
+    planes = buffer[: levels * width].reshape(levels, width)
+    planes[:, :_MARGIN] = planes[:, -_MARGIN:] = 0.0
+    inner = planes[:, _MARGIN:-_MARGIN]
+    inner.real, inner.imag = parts.reshape(2, levels, rows * cols)
     return planes
 
 
-def _product(weights: np.ndarray, planes: np.ndarray, out: np.ndarray, partial=None) -> None:
-    """out = weights @ planes over the planes' points, or out += it through
-    ``partial``, a buffer of out's size, in bands of points whose
-    (lines, levels) @ (levels, band) products have m n k <=
-    ``_SERIAL_PRODUCT``."""
+def _product(weights, planes, out, first: int, layout: tuple, partial=None) -> None:
+    """out = weights @ planes over a run's points, or out += it through
+    ``partial``, a buffer of at least out's size.
+
+    ``planes`` (levels, n) and ``out`` (lines, n) hold the run's points
+    between margins of ``_MARGIN`` columns; the run's first point is point
+    ``first`` of the quadrant. ``layout`` is (span, total): the quadrant's
+    ``total`` points go in spans of ``span`` points, each cut from its
+    start into bands whose (lines, levels) @ (levels, band) products have
+    m n k <= ``_SERIAL_PRODUCT``. BLAS takes a band's points in groups by
+    one kernel and the last few by another, whose sums can differ in the
+    last bit, and a single point by its matrix-vector kernel. So the run
+    multiplies the points of each band that it holds in whole
+    ``_GROUP``s from the band's start, and the band's last few with the
+    group before them, the margins taking what falls outside the run:
+    each point's value is then the same however the quadrant's rows go
+    in runs.
+    """
     lines, levels = weights.shape
-    planes = planes.reshape(levels, out.shape[1])
-    target = out if partial is None else partial[: out.size].reshape(out.shape)
+    span, total = layout
     band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
-    for b in range(0, planes.shape[1], band):
-        np.matmul(weights, planes[:, b : b + band], out=target[:, b : b + band])
+    target = out if partial is None else partial[: out.size].reshape(out.shape)
+    point, stop = first, first + out.shape[1] - 2 * _MARGIN
+    while point < stop:
+        start = point - point % span
+        lo = start + (point - start) // band * band
+        hi = min(lo + band, start + span, total)
+        whole = lo + (hi - lo) // _GROUP * _GROUP
+        last = hi if whole == hi else max(lo, whole - _GROUP)  # the last window's start
+        if point < last:  # whole groups
+            lo, hi = lo + (point - lo) // _GROUP * _GROUP, min(last, stop + (lo - stop) % _GROUP)
+        else:  # the band's last whole group, if any, with its last few points
+            lo = last
+        a, b = lo - first + _MARGIN, hi - first + _MARGIN
+        np.matmul(weights, planes[:, a:b], out=target[:, a:b])
+        point = hi
     if partial is not None:
-        out += target
+        # the run's points only, row by row: numpy buffers a ufunc over
+        # non-contiguous 2-D views
+        for line, part in zip(out, target):
+            line[_MARGIN:-_MARGIN] += part[_MARGIN:-_MARGIN]
 
 
 def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -587,13 +587,15 @@ class TestNonFinite:
         NaN at the grid corners, whichever transform synthesizes it."""
         true_builder = dynamics.SpectralEvolver._builder
 
-        def poisoned(self, runs, hx=None, hy=None):
-            build = true_builder(self, runs, hx, hy)
+        def poisoned(self, height):
+            build = true_builder(self, height)
             corner = (self._hx.shape[1], self._hy.shape[1])
 
             def poisoned_build(rows):
+                # a slice or an ascending index array of quadrant rows
+                last = np.arange(corner[0])[rows][-1]
                 for a, b, parts in build(rows):
-                    if hx is None and rows.stop == corner[0]:
+                    if last == corner[0] - 1:
                         parts[:, :, -1, corner[1] - 1] = math.nan
                     yield a, b, parts
 

@@ -111,7 +111,7 @@ def evolver_planes(evolver, lines=4):
     rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
     planes = np.empty((evolver._levels.size, rows, cols), dtype=complex)
     runs = evolver._runs(lines)
-    build = evolver._builder(runs)
+    build = evolver._builder(runs[0].stop - runs[0].start)
     for run in runs:
         for a, b, (re, im) in build(run):
             planes.real[a:b, run], planes.imag[a:b, run] = re, im
@@ -558,7 +558,7 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
         evolver._images
     )
     runs = evolver._runs(2 * len(evolver._images) * len(times))
-    build = evolver._builder(runs)
+    build = evolver._builder(runs[0].stop - runs[0].start)
     (transform,) = evolver._product_passes(times, references, runs[0])
     covered = 0
 
@@ -610,7 +610,7 @@ class TestSynthesis:
         levels, fields = principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
         assert np.array_equal(evolver._levels, levels)
         planes, _ = evolver_planes(evolver)
-        assert scale_ulps(planes, fields) <= PLANE_ULPS
+        assert planes.tobytes() == fields.tobytes()
         stored = [v for v in vars(evolver).values() if isinstance(v, np.ndarray) and v.ndim > 1]
         top = int(levels[-1]) + 1
         assert {id(v) for v in stored} == {id(evolver._hx), id(evolver._hy)}
@@ -733,7 +733,7 @@ def fft_spectra(evolver, count):
     rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
     references = [(np.zeros((count, rows)), np.zeros((count, cols)))] * len(evolver._images)
     runs = evolver._runs(2 * count)
-    build = evolver._builder(runs)
+    build = evolver._builder(runs[0].stop - runs[0].start)
     transform = evolver._fft_transform(count, 1, references, runs[0])
     for run in runs:
         ((spectrum, _, _),) = transform(run, build(run))
@@ -839,18 +839,12 @@ class TestFusedResidual:
 
         def product(tau):
             """Q(tau) on the quadrant: line 0, the quadrant's, at time tau."""
-            (weights,) = evolver._weights([tau])
-            runs = evolver._runs(len(weights))
-            build = evolver._builder(runs)
-            lines = []
-            for run in runs:
-                series = np.empty((len(weights), (run.stop - run.start) * cols), complex)
-                partial = np.empty_like(series)
-                joined = np.empty(evolver._levels.size * series.shape[1], complex)
-                for a, b, parts in build(run):
-                    planes = dynamics._joined(parts, joined)
-                    dynamics._product(weights[:, a:b], planes, series, partial if a else None)
-                lines.append(series[0])
+            runs = evolver._runs(len(evolver._images))
+            build = evolver._builder(runs[0].stop - runs[0].start)
+            (transform,) = evolver._product_passes([tau], None, runs[0])
+            lines = [
+                series[0].copy() for run in runs for series, _, _ in transform(run, build(run))
+            ]
             return np.concatenate(lines)
 
         chunks = [spectrum.reshape(steps, -1, cols) for _, spectrum in fft_spectra(evolver, steps)]
@@ -889,7 +883,7 @@ class TestFusedResidual:
             folded = chunks[0][1].nbytes
             for run, spectrum in chunks:
                 assert folded + spectrum.nbytes <= grid.values.nbytes
-                build = evolver._builder(evolver._runs(2 * steps))
+                build = evolver._builder(chunks[0][0].stop - chunks[0][0].start)
                 for _, _, planes in build(run):
                     assert planes.nbytes <= grid.values.nbytes // 2
         scratch = []
@@ -915,16 +909,16 @@ class TestFusedResidual:
 
 # The largest differences from the stored-field reference measured on the
 # pins below, in units in the last place of the reference's largest
-# magnitude: of each level's plane, and of each frame. BLAS picks the kernel
-# of a product by its shape, and the reference banded its products per level
-# and per run of rows: where one of its bands had one row, or a frame's band
-# another number of points, the sums run in another order. The residuals
-# reduce the same planes through the same transforms, and stay bitwise.
-# Planes: none at the automatic cutoffs, on any run and any columns; 4.0 at
-# n_max = 130 on 65 points, on any run, in units of the level's largest
-# magnitude over the quadrant. Frames: 2.30.
+# magnitude. The reference multiplied each level alone, in bands of its rows,
+# and where one of those bands held one row, BLAS took it by its
+# matrix-vector kernel, whose sums run in another order; so did a frame's
+# product with one line, on a grid with no mirrored axis, whose points that
+# kernel splits among BLAS's threads. Planes: 4.0 where a run's levels go in
+# chunks, at n_max = 130 on 65 points, per level; none at the automatic
+# cutoffs on make_grid grids. Frames: 1.51 (1.5052 measured). Residuals
+# reduce the planes to maxima, and stay bitwise.
 PLANE_ULPS = 4.0
-FRAME_ULPS = 2.31
+FRAME_ULPS = 1.51
 
 
 def pin_sweeps(omega):
@@ -971,21 +965,34 @@ class TestReferencePins:
             turns = evolver._whole_turns(times)
             routes.add((bool(turns), turns > 0 and len(times) <= evolver._levels.size))
             factors = closed_form_factors(p, grid, times)
-            assert bits(evolver.residuals(times, factors)) == bits(
-                reference.residuals(times, factors)
-            )
+            got, expect = evolver.residuals(times, factors), reference.residuals(times, factors)
+            if len(evolver._images) == 1 and not turns and len(times) % _TIMES_PER_GROUP == 1:
+                # the last time's product has one line: within FRAME_ULPS of its frame
+                peak = np.max(np.abs(reference.at(times[-1]).values))
+                assert abs(got[-1] - expect[-1]) <= FRAME_ULPS * np.spacing(peak)
+                got, expect = got[:-1], expect[:-1]
+            assert bits(got) == bits(expect)
         assert {(True, True), (False, False)} <= routes
 
     @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
     @pytest.mark.parametrize("chirality", list(Chirality))
     @pytest.mark.parametrize("params,points", PIN_PACKETS)
     def test_frames_are_the_reference(self, params, points, chirality, shifts):
+        """Bit for bit wherever the planes are the reference's and the
+        product has more than one line, as on every make_grid grid."""
         p = dataclasses.replace(params, chirality=chirality)
         grid = pin_grid(p, points, shifts)
         table = build_table(p)
         evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
+        planes, _ = evolver_planes(evolver)
+        bitwise = planes.tobytes() == reference._fields.tobytes() and len(evolver._images) > 1
+        assert bitwise or shifts is not None
         for t in (0.0, 0.7, 3.1, 29.3):
-            assert scale_ulps(evolver.at(t).values, reference.at(t).values) <= FRAME_ULPS
+            got, expect = evolver.at(t).values, reference.at(t).values
+            if bitwise:
+                assert got.tobytes() == expect.tobytes()
+            else:
+                assert scale_ulps(got, expect) <= FRAME_ULPS
 
     @pytest.mark.parametrize("chirality", list(Chirality))
     @pytest.mark.parametrize(
@@ -994,10 +1001,10 @@ class TestReferencePins:
          (PacketParams(3.0, 1.0), 128, None), (PacketParams(2.0, 2.0, omega=2.0), 97, None)],
     )
     def test_planes_of_any_run_are_the_reference(self, params, points, n_max, chirality):
-        """Runs of one, two, three and seven rows and of the whole quadrant,
-        on all its columns and on two or seven of them, as the alignment
-        builds: their level chunks go from one level to all of them, and
-        each level's plane is the reference build's."""
+        """Runs of at most one, two, three and seven rows and of the whole
+        quadrant, as the passes and the alignment build them: their level
+        chunks go from one level to all of them, and each level's plane is
+        the reference build's, bit for bit at the automatic cutoff."""
         p = dataclasses.replace(params, chirality=chirality)
         grid = make_grid(p, points=points)
         table = build_table(p, n_max)
@@ -1006,17 +1013,19 @@ class TestReferencePins:
         _, fields = principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
         rows, cols = fields.shape[1:]
         chunks = set()
-        for columns in (np.arange(cols), np.array([0, 5]), np.arange(3, cols, 4)[:7]):
-            for height in (1, 2, 3, 7, rows):
-                runs = _runs_of(rows, height, height)
-                build = evolver._builder(runs, evolver._hx, evolver._hy[:, columns])
-                chunks.add(evolver._chunk(height, columns.size))
-                planes = np.empty((len(fields), rows, columns.size), dtype=complex)
-                for run in runs:
-                    for a, b, (re, im) in build(run):
-                        planes.real[a:b, run], planes.imag[a:b, run] = re, im
-                for plane, field in zip(planes, fields):
-                    assert scale_ulps(plane, field[:, columns], field) <= PLANE_ULPS
+        for height in (1, 2, 3, 7, rows):
+            runs = _runs_of(rows, cols, height * cols)
+            assert runs[0].stop - runs[0].start == height
+            build = evolver._builder(height)
+            chunks.add(evolver._chunk(height, cols))
+            planes = np.empty_like(fields)
+            for run in runs:
+                for a, b, (re, im) in build(run):
+                    planes.real[a:b, run], planes.imag[a:b, run] = re, im
+            if n_max is None:
+                assert planes.tobytes() == fields.tobytes()
+            for plane, field in zip(planes, fields):
+                assert scale_ulps(plane, field) <= PLANE_ULPS
         if n_max:
             assert min(chunks) == 1 and max(chunks) < len(fields)
         else:
