@@ -751,10 +751,11 @@ def _product(weights, planes, out, first: int, layout: tuple, partial=None) -> N
     ``first`` of the quadrant. ``layout`` is (span, total): the quadrant's
     ``total`` points go in spans of ``span`` points, each cut from its
     start into bands whose (lines, levels) @ (levels, band) products have
-    m n k <= ``_SERIAL_PRODUCT``. BLAS takes a band's points in groups by
-    one kernel and the last few by another, whose sums can differ in the
-    last bit, and a single point by its matrix-vector kernel. So the run
-    multiplies the points of each band that it holds in whole
+    m n k <= ``_SERIAL_PRODUCT``. Each band that the run holds whole is
+    one product. BLAS takes a band's points in groups by one kernel and
+    the last few by another, whose sums can differ in the last bit, and a
+    single point by its matrix-vector kernel. So of a band cut by the
+    run's ends, the run multiplies the points it holds in whole
     ``_GROUP``s from the band's start, and the band's last few with the
     group before them, the margins taking what falls outside the run:
     each point's value is then the same however the quadrant's rows go
@@ -769,12 +770,14 @@ def _product(weights, planes, out, first: int, layout: tuple, partial=None) -> N
         start = point - point % span
         lo = start + (point - start) // band * band
         hi = min(lo + band, start + span, total)
-        whole = lo + (hi - lo) // _GROUP * _GROUP
-        last = hi if whole == hi else max(lo, whole - _GROUP)  # the last window's start
-        if point < last:  # whole groups
-            lo, hi = lo + (point - lo) // _GROUP * _GROUP, min(last, stop + (lo - stop) % _GROUP)
-        else:  # the band's last whole group, if any, with its last few points
-            lo = last
+        if lo < point or stop < hi:  # a band cut by the run's ends
+            whole = lo + (hi - lo) // _GROUP * _GROUP
+            last = hi if whole == hi else max(lo, whole - _GROUP)  # the last window's start
+            if point < last:  # whole groups
+                ends = lo + (point - lo) // _GROUP * _GROUP, stop + (lo - stop) % _GROUP
+                lo, hi = ends[0], min(last, ends[1])
+            else:  # the band's last whole group, if any, with its last few points
+                lo = last
         a, b = lo - first + _MARGIN, hi - first + _MARGIN
         np.matmul(weights, planes[:, a:b], out=target[:, a:b])
         point = hi
