@@ -316,7 +316,9 @@ class SpectralEvolver:
       each time, times the run's (K, points) planes, gives Q at its points
       at every image time. It multiplies in bands of points small enough
       that each product runs on the calling thread, so no BLAS worker
-      wakes. Every group of times reads the same planes; where the levels
+      wakes; the bands are fixed over the quadrant, so a point's value
+      does not depend on the runs (``_product``). Every group of times
+      reads the same planes; where the levels
       go in several chunks, each group sums its products over the chunks,
       and the groups whose sums fit in one grid make one pass.
     - The FFT transform takes T times that sweep M whole periods in equal

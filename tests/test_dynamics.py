@@ -1002,9 +1002,10 @@ class TestReferencePins:
     )
     def test_planes_of_any_run_are_the_reference(self, params, points, n_max, chirality):
         """Runs of at most one, two, three and seven rows and of the whole
-        quadrant, as the passes and the alignment build them: their level
-        chunks go from one level to all of them, and each level's plane is
-        the reference build's, bit for bit at the automatic cutoff."""
+        quadrant, as the passes build them, and an index array of rows, as
+        the alignment does: their level chunks go from one level to all of
+        them, and each level's plane is the reference build's, bit for bit
+        at the automatic cutoff."""
         p = dataclasses.replace(params, chirality=chirality)
         grid = make_grid(p, points=points)
         table = build_table(p, n_max)
@@ -1026,6 +1027,14 @@ class TestReferencePins:
                 assert planes.tobytes() == fields.tobytes()
             for plane, field in zip(planes, fields):
                 assert scale_ulps(plane, field) <= PLANE_ULPS
+        pick = np.array([0, 3, 4, rows - 1])
+        picked = np.empty((len(fields), pick.size, cols), dtype=complex)
+        for a, b, (re, im) in evolver._builder(pick.size)(pick):
+            picked.real[a:b], picked.imag[a:b] = re, im
+        if n_max is None:
+            assert picked.tobytes() == fields[:, pick].tobytes()
+        for plane, field in zip(picked, fields):
+            assert scale_ulps(plane, field[pick], field) <= PLANE_ULPS
         if n_max:
             assert min(chunks) == 1 and max(chunks) < len(fields)
         else:
