@@ -6,18 +6,20 @@ this module provides both, plus centroid/variance trajectory extraction
 and the phase-quotient comparison used to confront them. The spectral
 route takes only the table's polar (m, n_r) coefficients and calls
 nothing of the closed form: it rotates each level of the table into the
-Cartesian states |N - k, k> and builds the fields from Hermite functions
-on one grid quadrant. No field is stored: each pass over the quadrant
-builds the level planes of one run of rows at a time, uses them for
-every time of the call and drops them, so memory stays a few grids
-whatever the number of levels. The polar eigenbasis is not evaluated on
-the grid; the tests pin it, each single-mode table against
-``states.eigenstate``.
+Cartesian states |N - k, k> and synthesizes from Hermite functions on one
+grid quadrant. No field is stored. A time is one fused product
+e^{-i w t} Phi_xi(t)^T D Phi_eta(t) over the rotated table D, in chunks
+of its rows, with the comparison's reference folded in; a sweep of whole
+periods builds the level planes of one run of rows at a time and takes
+one FFT per point. Either way memory stays a few grids whatever the
+number of levels. The polar eigenbasis is not evaluated on the grid; the
+tests pin it, each single-mode table against ``states.eigenstate``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from collections.abc import Iterator
@@ -56,13 +58,7 @@ _SPECTRAL_TAIL_LIMIT = 1e-10
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
 # on after it returns. Products near 2^16 also ran fastest on one thread.
 _SERIAL_PRODUCT = 2**16
-# Times in one product of the product transform: each group of times is
-# one (n g, K) @ (K, points) product over a run's planes.
-_TIMES_PER_GROUP = 4
-# A multiple of the points a BLAS product kernel takes at once, and the
-# spare columns at each end of a run's planes and products (``_product``).
-_GROUP = 8
-_MARGIN = 2 * _GROUP - 1
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n at n mod 4
 
 
 @dataclass(frozen=True)
@@ -280,59 +276,48 @@ def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bands: list) 
 class SpectralEvolver:
     """Reusable spectral synthesis for one table on one grid.
 
-    The fields F_N = R_N + i I_N live on the rows and columns from
-    ``_mirror_start``: the xi >= 0, eta >= 0 quadrant of a ``make_grid``
-    grid, the whole of an axis that is not antisymmetric. C is real and
-    N = |m| (mod 2), so the rest of the grid holds images:
+    The evolver keeps the table rotated into the Cartesian basis
+    (``_cartesian_coefficients``), the Hermite functions phi_n on the rows
+    and columns from ``_mirror_start`` and an image table; it stores no
+    field. Its quadrant is the xi >= 0, eta >= 0 quarter of a ``make_grid``
+    grid, the whole of an axis that is not antisymmetric. Each entry
+    (flip xi, flip eta, s, sign) of the image table, the quadrant first,
+    names the part of the grid seen from the quadrant with those axes
+    reversed. With the box A[nx, ny] = i^ny r_{nx+ny, ny} of the rotated
+    table, the packet is
 
-        F_N(xi, -eta) = conj F_N(xi, eta),
-        F_N(-xi, eta) = (-1)^N conj F_N(xi, eta).
+        S(t) = e^{-i w t} Phi_xi(t)^T A Phi_eta(t),  Phi(t)[n] = e^{-i n w t} phi_n,
 
-    With Q(t) = sum_N e^{-i (N+1) w t} F_N on the quadrant, each mirrored
-    part of the grid is one entry of an image table, Q taken at a time
-    tau = s (t + [flip xi] pi/w), negated where xi is flipped and
-    conjugated where s = -1:
+    and phi_n(-x) = (-1)^n phi_n(x), so an image is the same sum with the
+    signs (-1)^nx of a flipped xi and (-1)^ny of a flipped eta on the box.
 
-        (flip xi, flip eta) = (F, T): conj Q(-t),
-                              (T, F): -conj Q(-t - pi/w),
-                              (T, T): -Q(t + pi/w).
-
-    The table holds the quadrant and the images of the mirrored axes, and
-    every reader takes Q at the image times from it, then the image's sign
-    and conjugate. No field is stored: the evolver keeps the table rotated
-    into the Cartesian basis (``_cartesian_coefficients``) and the Hermite
-    functions on the quadrant's axes. Each reader makes one pass over the
-    quadrant in runs of rows (``_runs``). On each run it builds the level
-    planes F_N there (``_builder``), in chunks of levels, and each chunk
-    goes through a transform for every time of the call before the next
-    chunk is built; the transform's output then goes to its consumer. A
-    run holds the planes of all K levels in one chunk wherever a row of
-    them fits in half a grid; each chunk of planes, and a transform's
-    (lines, points) output over one run, hold at most half a grid's and
-    one grid's values.
-
-    - The product transform takes any times, g = ``_TIMES_PER_GROUP`` at a
-      time: an (n g, K) matrix of e^{-i (N+1) w tau} at the image times of
-      each time, times the run's (K, points) planes, gives Q at its points
-      at every image time. It multiplies in bands of points small enough
-      that each product runs on the calling thread, so no BLAS worker
-      wakes; the bands are fixed over the quadrant, so a point's value
-      does not depend on the runs (``_product``). Every group of times
-      reads the same planes; where the levels
-      go in several chunks, each group sums its products over the chunks,
-      and the groups whose sums fit in one grid make one pass.
+    - The fused product (``_fused``) takes any times, one at a time: the
+      phase e^{-i (N+1) w t} goes on the box as a scaling of its rows and
+      columns, with the comparison's unit phase on the rows, and one real
+      product per image gives f S - X Y on it, the reference folded in.
+      ``at`` takes it with no reference.
     - The FFT transform takes T times that sweep M whole periods in equal
-      steps, w t_k = 2 pi M k / T, when T is even. It folds the run's
-      planes into T bins, G_r = sum of F_N over N + 1 = r (mod T), N
-      ascending, and takes one length-T FFT per point, whose bin j is Q at
-      w tau = 2 pi j / T, so image time k is bin s (M k + [flip xi] T/2)
-      (mod T).
+      steps, w t_k = 2 pi M k / T, when T is even. It builds the level
+      planes F_N of one run of quadrant rows at a time (``_runs``,
+      ``_builder``), folds them into T bins, G_r = sum of F_N over
+      N + 1 = r (mod T), N ascending, and takes one length-T FFT per point,
+      whose bin j is Q(tau) = sum_N e^{-i (N+1) w tau} F_N at
+      w tau = 2 pi j / T. C is real and N = |m| (mod 2), so
+      F_N(xi, -eta) = conj F_N(xi, eta) and
+      F_N(-xi, eta) = (-1)^N conj F_N(xi, eta): an image is sign Q(tau),
+      conjugated where s = -1, at tau = s (t + [flip xi] pi/w),
 
-    ``at`` writes the frame at one time from the product transform; it is
-    the only consumer that builds a frame, and it builds the planes anew
-    on every call. ``residuals`` compares the synthesis with a separable
-    reference, run by run, through the FFT transform where the times allow
-    it and the product transform otherwise.
+          (flip xi, flip eta) = (F, T): conj Q(-t),
+                                (T, F): -conj Q(-t - pi/w),
+                                (T, T): -Q(t + pi/w),
+
+      so image time k is bin s (M k + [flip xi] T/2) (mod T).
+
+    ``residuals`` compares the synthesis with a separable reference through
+    the FFT transform where the times allow it and the fused product
+    otherwise. Every product has m n k <= ``_SERIAL_PRODUCT`` and no operand
+    of one row, and a call's working arrays hold a few grids' values at
+    most, whatever the number of levels.
     """
 
     def __init__(self, table: CoefficientTable, grid: Grid2D):
@@ -348,7 +333,12 @@ class SpectralEvolver:
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
         xi, eta = xi[row0:], eta[col0:]
         self._levels, self._offsets, self._r = _cartesian_coefficients(table)
-        top = int(self._levels[-1]) if self._levels.size else 0
+        self._top = int(self._levels[-1]) if self._levels.size else 0
+        # each level's first index in r; -1 where it holds no mode, and past the top
+        self._starts = np.full(self._top + 2, -1)
+        self._starts[self._levels] = self._offsets[:-1]
+        # phi_0..phi_3 at least: each parity of the box's columns reads two rows
+        top = max(self._top, 3)
         self._hx = _hermite_functions(xi, top)
         self._hy = self._hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
         # the image table: (flip xi, flip eta, s, sign), the quadrant first
@@ -359,25 +349,18 @@ class SpectralEvolver:
         ]
 
     def at(self, t: float) -> Grid2D:
-        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
+        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t, from
+        one fused product."""
         values = np.empty(self._grid.values.shape, dtype=complex)
         row0, col0 = self._start
-        # The frame seen from the quadrant and from each image, indexed like
-        # the quadrant. The quadrant is written last, over the zero of an
-        # odd axis, which is its own image.
-        views = [
-            values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
-            for fx, fy, _, _ in self._images
-        ]
-        runs = self._runs(len(views))
-        build = self._builder(_height(runs[0]))
-        (transform,) = self._product_passes([t], None, runs[0])
-        for rows in runs:
-            for series, _, _ in transform(rows, build(rows)):
-                for q in reversed(range(len(views))):
-                    _, _, s, sign = self._images[q]
-                    image = series[q].reshape(rows.stop - rows.start, -1)
-                    views[q][rows] = sign * (image.conj() if s < 0 else image)
+        cols = self._hy.shape[1]
+        x, y = np.zeros((1, values.shape[0])), np.zeros((1, values.shape[1]))
+        (parts,) = self._fused([float(t)], np.ones(1), x, y)
+        # The quadrant is written last, over the zero of an odd axis, which
+        # is its own image.
+        for (fx, fy, _, _), part in reversed(list(zip(self._images, parts))):
+            view = values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
+            view.real, view.imag = part[:, :cols], part[:, cols:]
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
@@ -388,8 +371,9 @@ class SpectralEvolver:
         returns them; S(t) is the synthesized packet and f_k the
         unit phase that ``aligned_max_difference`` would take, from the
         reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
-        each run's transform is reduced against the outer product of the
-        factors over its rows. A NaN anywhere makes that time's maximum NaN.
+        the fused product gives the difference itself, and each run of the
+        FFT transform is reduced against the outer product of the factors
+        over its rows. A NaN anywhere makes that time's maximum NaN.
         """
         times = [float(t) for t in times]
         if not times:
@@ -400,27 +384,125 @@ class SpectralEvolver:
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
         unit = self._alignment(times, x, y)
-        # made one image at a time: the transform keeps only its reordered copies
-        references = (self._references(x, y, unit, image) for image in self._images)
         turns = self._whole_turns(times)
-        lines = 2 * len(times) if turns else 2 * len(self._images) * _TIMES_PER_GROUP
-        runs = self._runs(lines)
-        build = self._builder(_height(runs[0]))
-        if turns:
-            passes = [self._fft_transform(len(times), turns, references, runs[0])]
-        else:
-            passes = self._product_passes(times, references, runs[0])
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
-            for transform in passes:
-                for rows in runs:
-                    for series, plans, scratch in transform(rows, build(rows)):
-                        for ks, at, xq, yq in plans:
-                            peaks = _peaks(series[at], xq[:, rows], yq, scratch)
-                            np.maximum.at(worst, ks, peaks)
-                    # drop the run's series before the next run's transform
-                    del series, plans, scratch
+            if not turns:
+                for k, parts in enumerate(self._fused(times, unit, x, y)):
+                    worst[k] = _largest_modulus(parts)
+                return worst.tolist()
+            # made one image at a time: the transform keeps only its reordered copies
+            references = (self._references(x, y, unit, image) for image in self._images)
+            runs = self._runs(2 * len(times))
+            transform = self._fft_transform(len(times), turns, references, runs[0])
+            build = self._builder(_height(runs[0]))
+            for rows in runs:
+                for series, plans, scratch in transform(rows, build(rows)):
+                    for ks, at, xq, yq in plans:
+                        peaks = _peaks(series[at], xq[:, rows], yq, scratch)
+                        np.maximum.at(worst, ks, peaks)
+                # drop the run's series before the next run's transform
+                del series, plans, scratch
         return worst.tolist()
+
+    def _fused(self, times: list, units, x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+        """f S(t) - X Y on the quadrant seen from each image, time by time.
+
+        Yields per time k one real (images, rows, 2 cols) array, which the
+        next time overwrites: for each entry of the image table, row i of
+        the quadrant seen from it holds the real parts and then the
+        imaginary parts of units[k] S(t_k) - X_k Y_k there, X_k and Y_k row
+        k of ``x`` and ``y`` on the grid axes.
+
+        At each time the box goes in chunks of nx rows (``_box``), and each
+        chunk in one pass over its entries takes the phase
+        f e^{-i w t} e^{-i nx w t} e^{-i ny w t} of its row and column, real
+        and imaginary parts apart. Its even and odd columns times the
+        quadrant's phi_ny(eta) give B_e and B_o, and an image's
+        B = B_e -+ B_o, the rows of odd nx negated where xi is flipped. Then
+        one real product
+
+            [phi_nx(xi)^T | Re X | Im X] @ [B; -Re Y, -Im Y; Im Y, -Re Y]
+
+        is f S - X Y on the image; a later chunk adds phi^T B alone.
+        """
+        hx, hy = self._hx, self._hy
+        rows, cols = hx.shape[1], hy.shape[1]
+        row0, col0 = self._start
+        references = [
+            ((x[:, ::-1] if fx else x)[:, row0:], (y[:, ::-1] if fy else y)[:, col0:])
+            for fx, fy, _, _ in self._images
+        ]
+        chunks = self._box_chunks()
+        height = max(b - a for a, b in chunks)
+        width = _box_columns(self._top + 1).size
+        box, phased = np.empty(height * width), np.empty(2 * height * width)
+        even, odd = np.empty((2, 2 * height * cols))
+        left, right = np.empty(rows * (height + 2)), np.empty((height + 2) * 2 * cols)
+        parts = np.empty((len(self._images), rows, 2 * cols))
+        # a later chunk's tiles before they are added: m n <= _SERIAL_PRODUCT / k, k >= 2
+        scratch = np.empty(min(_SERIAL_PRODUCT // 2, parts[0].size)) if len(chunks) > 1 else None
+        n = np.arange(hx.shape[0])
+        for k, t in enumerate(times):
+            wt = self._omega * t
+            row_phase = units[k] * np.exp(-1j * ((n + 1) * wt))
+            column_phase = _I_POWERS[n % 4] * np.exp(-1j * (n * wt))
+            for c, (a, b) in enumerate(chunks):
+                h = b - a
+                ny = _box_columns(self._top + 1 - a)
+                split = (ny.size + 1) // 2
+                gathered = box[: h * ny.size].reshape(h, ny.size)
+                self._box(a, b, ny, gathered)
+                lhs = left[: rows * (h + 2)].reshape(rows, h + 2)
+                lhs[:, :h] = hx[a:b].T
+                phase = np.multiply.outer(row_phase[a:b], column_phase[ny])
+                box_t = phased[: 2 * h * ny.size].reshape(h, 2, ny.size)
+                np.multiply(gathered, phase.real, out=box_t[:, 0])
+                np.multiply(gathered, phase.imag, out=box_t[:, 1])
+                b_even = even[: 2 * h * cols].reshape(2 * h, cols)
+                b_odd = odd[: 2 * h * cols].reshape(2 * h, cols)
+                evens, odds = box_t[:, :, :split], box_t[:, :, split:]
+                _serial_product(evens.reshape(2 * h, -1), hy[0::2][:split], b_even)
+                _serial_product(odds.reshape(2 * h, -1), hy[1::2][: ny.size - split], b_odd)
+                rhs = right[: (h + 2) * 2 * cols].reshape(h + 2, 2 * cols)
+                for part, (fx, fy, _, _), (xq, yq) in zip(parts, self._images, references):
+                    (np.subtract if fy else np.add)(b_even, b_odd, out=rhs[:h].reshape(2 * h, cols))
+                    if fx:
+                        rhs[(a + 1) % 2 : h : 2] *= -1.0
+                    if c:
+                        _serial_product(lhs[:, :h], rhs[:h], part, scratch)
+                        continue
+                    lhs[:, h], lhs[:, h + 1] = xq[k].real, xq[k].imag
+                    rhs[h, :cols], rhs[h, cols:] = -yq[k].real, -yq[k].imag
+                    rhs[h + 1, :cols], rhs[h + 1, cols:] = yq[k].imag, -yq[k].real
+                    _serial_product(lhs, rhs, part)
+            yield parts
+
+    def _box_chunks(self) -> list[tuple[int, int]]:
+        """The box's nx rows 0..top in chunks (a, b) of rows a..b - 1, as
+        even as they can be and of two rows at least where there are two:
+        each chunk's real box holds at most a quarter as many numbers as the
+        grid has points, and each of its products B_e and B_o, (2 rows,
+        cols), an eighth as many complex values as the grid."""
+        total = self._top + 1
+        size = self._grid.values.size
+        most = min(size // (4 * _box_columns(total).size), size // (8 * self._hy.shape[1]))
+        count = max(1, min(-(-total // max(2, most)), total // 2))
+        edges = [total * i // count for i in range(count + 1)]
+        return list(zip(edges, edges[1:]))
+
+    def _box(self, a: int, b: int, ny: np.ndarray, out: np.ndarray) -> None:
+        """Rows a..b - 1 of the real box r_{nx+ny, ny}, at the columns ``ny``,
+        into ``out``: 0 past the top level and on a level that holds no
+        mode."""
+        if not self._r.size:
+            out[...] = 0.0
+            return
+        at = self._starts.take(np.add.outer(np.arange(a, b), ny), mode="clip")
+        missing = at < 0
+        at += ny
+        np.take(self._r, at, mode="clip", out=out)
+        out[missing] = 0.0
 
     def _fft_transform(self, count: int, turns: int, references, largest: slice):
         """The FFT transform over ``count`` bins, with the reference of each image.
@@ -471,75 +553,6 @@ class SpectralEvolver:
 
         return transform
 
-    def _product_passes(self, times: list, references, largest: slice) -> list:
-        """The product transform's passes, ``_TIMES_PER_GROUP`` times a group.
-
-        Each pass is a function of a run's chunks of planes that yields,
-        group by group, an (n g, points) complex view whose line q g + j is
-        Q at the time of image q of the table at time j of the group, with
-        its one plan over all its lines and a scratch of its size. Each
-        group's product keeps the layout of bands of its number of lines
-        (``_product``). Where all the levels are one chunk, each group is
-        yielded as soon as it is multiplied, in one buffer, and one pass
-        takes every group. Otherwise each group of a pass sums its products
-        over the chunks in its own buffer, and a pass takes the groups whose
-        buffers fit in one grid, sized for the ``largest`` run. Without
-        references (None) the plans are None.
-        """
-        references = None if references is None else list(references)
-        cols = self._hy.shape[1]
-        total = self._hx.shape[1] * cols
-        groups = []
-        for lo, weights in zip(range(0, len(times), _TIMES_PER_GROUP), self._weights(times)):
-            group = np.arange(lo, min(lo + _TIMES_PER_GROUP, len(times)))
-            plans = None
-            if references is not None:
-                xs = np.concatenate([xq[group] for xq, _ in references])
-                ys = np.concatenate([yq[group] for _, yq in references])
-                plans = [(np.tile(group, len(references)), slice(None), xs, ys)]
-            span = max(1, self._grid.values.size // (len(weights) * cols)) * cols
-            groups.append((weights, (span, total), plans))
-        width = _size(largest, cols) + 2 * _MARGIN
-        size = len(groups[0][0]) * width
-        chunk = self._chunk(_height(largest), cols)
-        chunked = chunk < self._levels.size
-        count = max(1, self._grid.values.size // size) if chunked else len(groups)
-        # the group sums, the complex planes of a chunk, and the scratch,
-        # which takes each later chunk's product until its group is summed
-        sums = np.empty((min(count, len(groups)) if chunked else 1, size), complex)
-        joined = np.empty(chunk * width, dtype=complex)
-        scratch = np.empty(size, dtype=complex)
-
-        def transform(rows, chunks, groups):
-            first, points = rows.start * cols, _size(rows, cols) + 2 * _MARGIN
-            for a, b, parts in chunks:
-                planes = _joined(parts, joined)
-                for i, (weights, layout, plans) in enumerate(groups):
-                    out = sums[i % len(sums)][: len(weights) * points]
-                    out = out.reshape(len(weights), points)
-                    _product(weights[:, a:b], planes, out, first, layout, scratch if a else None)
-                    if b == self._levels.size:
-                        yield out[:, _MARGIN:-_MARGIN], plans, scratch
-
-        return [
-            lambda rows, chunks, part=groups[i : i + count]: transform(rows, chunks, part)
-            for i in range(0, len(groups), count)
-        ]
-
-    def _weights(self, times: list) -> list[np.ndarray]:
-        """The (n g, K) matrices e^{-i (N+1) w tau} of the product transform,
-        ``_TIMES_PER_GROUP`` times each: line q g + j at the time of image q
-        of the table at time j of the group."""
-        out = []
-        for lo in range(0, len(times), _TIMES_PER_GROUP):
-            group = times[lo : lo + _TIMES_PER_GROUP]
-            phase = np.outer(
-                np.concatenate([self._image_times(group, image) for image in self._images]),
-                self._levels + 1,
-            )
-            out.append(np.exp(-1j * phase))
-        return out
-
     def _whole_turns(self, times: list) -> int:
         """M if the times sweep M >= 1 whole periods in an even number of steps.
 
@@ -560,43 +573,30 @@ class SpectralEvolver:
             return 0
         return turns
 
-    def _image_times(self, times, image) -> np.ndarray:
-        """w tau = s w (t + [flip xi] pi/w) of each time at one image."""
-        fx, _, s, _ = image
-        shift = math.pi / self._omega if fx else 0.0
-        return s * self._omega * (np.asarray(times, dtype=float) + shift)
 
     def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
 
-        S there is Q summed directly over the levels at the time of the
-        image that holds the point, then given that image's sign and
-        conjugate; f is 1 where S is 0, as in ``aligned_max_difference``.
-        The levels at the points come from one build of the planes on the
-        quadrant rows that hold them, as the passes build them, so S is the
-        sum of the passes' values.
+        S there is u^T A v over the box, chunk by chunk (``_box``), with
+        u[nx] = e^{-i (nx+1) w t} phi_nx(xi) and v[ny] = i^ny e^{-i ny w t}
+        phi_ny(eta) at the point, the Hermite functions read from the
+        quadrant's tables, times (-1)^n at a mirrored coordinate. f is 1
+        where S is 0, as in ``aligned_max_difference``.
         """
         ks = np.arange(len(times))
         i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
         ref = x[ks, i] * y[ks, j]
-        row0, col0 = self._start
-        flip_x, flip_y = i < row0, j < col0
-        qi = np.where(flip_x, x.shape[1] - 1 - i, i) - row0
-        qj = np.where(flip_y, y.shape[1] - 1 - j, j) - col0
-        rows = np.unique(qi)
-        qi = np.searchsorted(rows, qi)
-        levels = np.empty((self._levels.size, len(times)), dtype=complex)
-        for a, b, (re, im) in self._builder(rows.size)(rows):
-            levels.real[a:b], levels.imag[a:b] = re[:, qi, qj], im[:, qi, qj]
-        value = np.empty(len(times), dtype=complex)
-        for image in self._images:
-            fx, fy, s, sign = image
-            at = np.flatnonzero((flip_x == fx) & (flip_y == fy))
-            if not at.size:
-                continue
-            phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
-            q = np.sum(levels[:, at].T * np.exp(-1j * phase), axis=1)
-            value[at] = sign * (q.conj() if s < 0 else q)
+        n = np.arange(self._hx.shape[0])[:, None]
+        theta = self._omega * np.asarray(times)
+        u = _hermite_at(self._hx, i, self._start[0]) * np.exp(-1j * (n + 1) * theta)
+        v = _hermite_at(self._hy, j, self._start[1]) * np.exp(-1j * n * theta)
+        v *= _I_POWERS[n % 4]
+        value = np.zeros(len(times), dtype=complex)
+        for a, b in self._box_chunks():
+            ny = _box_columns(self._top + 1 - a)
+            box = np.empty((b - a, ny.size))
+            self._box(a, b, ny, box)
+            value += np.einsum("ak,ab,bk->k", u[a:b], box, v[ny])
         unit = np.ones(len(times), dtype=complex)
         nonzero = value != 0.0
         unit[nonzero] = ref[nonzero] / value[nonzero]
@@ -635,8 +635,8 @@ class SpectralEvolver:
         return min(max(1, chunk), max(1, self._levels.size))
 
     def _builder(self, height: int):
-        """A function of a run of at most ``height`` quadrant rows, a slice
-        or an index array of them, that yields the level planes F_N on it.
+        """A function of a run of at most ``height`` quadrant rows, a slice,
+        that yields the level planes F_N on it.
 
         The function yields the chunks of levels (``_chunk``) in order, each
         as (a, b, planes), the planes of levels a..b - 1 a real
@@ -731,63 +731,71 @@ def _runs_of(rows: int, cols: int, points: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _joined(parts: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """A chunk's (2, levels, rows, cols) real and imaginary planes as complex
-    (levels, rows * cols + 2 _MARGIN) planes in ``buffer``, the points
-    between zeroed margins of ``_MARGIN`` columns (``_product``)."""
-    _, levels, rows, cols = parts.shape
-    width = rows * cols + 2 * _MARGIN
-    planes = buffer[: levels * width].reshape(levels, width)
-    planes[:, :_MARGIN] = planes[:, -_MARGIN:] = 0.0
-    inner = planes[:, _MARGIN:-_MARGIN]
-    inner.real, inner.imag = parts.reshape(2, levels, rows * cols)
-    return planes
+def _hermite_at(hermite: np.ndarray, index: np.ndarray, start: int) -> np.ndarray:
+    """phi_n, n = 0..top, as rows, at the points ``index`` of an axis whose
+    table ``hermite`` holds its coordinates from ``start`` on: a point
+    before ``start`` is the mirror of one in the table, and
+    phi_n(-x) = (-1)^n phi_n(x)."""
+    flip = index < start
+    last = start + hermite.shape[1] - 1
+    n = np.arange(len(hermite))[:, None]
+    columns = hermite[:, np.where(flip, last - index, index) - start]
+    return columns * np.where(flip & (n % 2 == 1), -1.0, 1.0)
 
 
-def _product(weights, planes, out, first: int, layout: tuple, partial=None) -> None:
-    """out = weights @ planes over a run's points, or out += it through
-    ``partial``, a buffer of at least out's size.
+@functools.lru_cache(maxsize=None)
+def _box_columns(count: int) -> np.ndarray:
+    """The box's columns ny = 0..count - 1, even ny first, then odd ny, each
+    parity padded to two columns at least (``_box`` gives them 0); shared,
+    so read-only."""
+    even, odd = 2 * np.arange(max(2, (count + 1) // 2)), 2 * np.arange(max(2, count // 2)) + 1
+    columns = np.concatenate([even, odd])
+    columns.flags.writeable = False
+    return columns
 
-    ``planes`` (levels, n) and ``out`` (lines, n) hold the run's points
-    between margins of ``_MARGIN`` columns; the run's first point is point
-    ``first`` of the quadrant. ``layout`` is (span, total): the quadrant's
-    ``total`` points go in spans of ``span`` points, each cut from its
-    start into bands whose (lines, levels) @ (levels, band) products have
-    m n k <= ``_SERIAL_PRODUCT``. Each band that the run holds whole is
-    one product. BLAS takes a band's points in groups by one kernel and
-    the last few by another, whose sums can differ in the last bit, and a
-    single point by its matrix-vector kernel. So of a band cut by the
-    run's ends, the run multiplies the points it holds in whole
-    ``_GROUP``s from the band's start, and the band's last few with the
-    group before them, the margins taking what falls outside the run:
-    each point's value is then the same however the quadrant's rows go
-    in runs.
+
+@functools.lru_cache(maxsize=None)
+def _tiles(rows: int, inner: int, cols: int) -> tuple:
+    """The tiles of an (rows, inner) @ (inner, cols) product whose products
+    have m n k <= ``_SERIAL_PRODUCT``, as (row slice, column slice) pairs.
+
+    Rows and columns each go in bands as even as they can be, two wide at
+    least where the product has two: BLAS takes a product of one row or one
+    column by its matrix-vector kernel.
     """
-    lines, levels = weights.shape
-    span, total = layout
-    band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
-    target = out if partial is None else partial[: out.size].reshape(out.shape)
-    point, stop = first, first + out.shape[1] - 2 * _MARGIN
-    while point < stop:
-        start = point - point % span
-        lo = start + (point - start) // band * band
-        hi = min(lo + band, start + span, total)
-        if lo < point or stop < hi:  # a band cut by the run's ends
-            whole = lo + (hi - lo) // _GROUP * _GROUP
-            last = hi if whole == hi else max(lo, whole - _GROUP)  # the last window's start
-            if point < last:  # whole groups
-                ends = lo + (point - lo) // _GROUP * _GROUP, stop + (lo - stop) % _GROUP
-                lo, hi = ends[0], min(last, ends[1])
-            else:  # the band's last whole group, if any, with its last few points
-                lo = last
-        a, b = lo - first + _MARGIN, hi - first + _MARGIN
-        np.matmul(weights, planes[:, a:b], out=target[:, a:b])
-        point = hi
-    if partial is not None:
-        # the run's points only, row by row: numpy buffers a ufunc over
-        # non-contiguous 2-D views
-        for line, part in zip(out, target):
-            line[_MARGIN:-_MARGIN] += part[_MARGIN:-_MARGIN]
+
+    def bands(size: int, most: int) -> list[slice]:
+        count = max(1, min(-(-size // max(2, most)), size // 2))
+        edges = [size * i // count for i in range(count + 1)]
+        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    heights = bands(rows, _SERIAL_PRODUCT // (inner * cols))
+    tallest = max(band.stop - band.start for band in heights)
+    widths = bands(cols, _SERIAL_PRODUCT // (tallest * inner))
+    return tuple((r, c) for r in heights for c in widths)
+
+
+def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None) -> None:
+    """out = a @ b tile by tile (``_tiles``), or out += a @ b through the
+    flat buffer ``scratch``, which holds the largest tile."""
+    for rs, cs in _tiles(a.shape[0], a.shape[1], b.shape[1]):
+        if scratch is None:
+            np.matmul(a[rs], b[:, cs], out=out[rs, cs])
+        else:
+            tile = scratch[: (rs.stop - rs.start) * (cs.stop - cs.start)]
+            tile = tile.reshape(rs.stop - rs.start, cs.stop - cs.start)
+            np.matmul(a[rs], b[:, cs], out=tile)
+            out[rs, cs] += tile
+
+
+def _largest_modulus(parts: np.ndarray) -> float:
+    """max |re + i im| over an (..., 2 cols) array whose rows hold real parts
+    then imaginary parts, taken in place; the maximum propagates NaN."""
+    cols = parts.shape[-1] // 2
+    np.square(parts, out=parts)
+    real = parts[..., :cols]
+    np.add(real, parts[..., cols:], out=real)
+    return math.sqrt(real.max())
 
 
 def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from coherent2d import CoefficientTable, Grid2D, SpectralEvolver
 from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
-    _TIMES_PER_GROUP,
     _cartesian_coefficients,
     _hermite_functions,
     _mirror_start,
@@ -103,10 +102,12 @@ def orbit_moments_at(t: float, x_factor, y_factor, grid) -> tuple:
 
 
 # The spectral synthesis with its fields stored whole: the whole-quadrant
-# build of every level, and the transforms and alignment that read the
-# stored (K, rows, cols) array. The evolver builds the planes of one run at
-# a time; the tests pin its residuals to these bit for bit, and its planes
-# and frames to the last units in the place of their largest values.
+# build of every level, the frames summed from the stored (K, rows, cols)
+# array, the FFT transform and an alignment that read it. The evolver builds
+# the planes of one run at a time and takes other times by one fused product
+# over the rotated table; the tests pin its planes and FFT residuals to these
+# bit for bit, and its frames and other residuals to the last units in the
+# place of their largest values.
 
 
 def principal_fields(
@@ -180,11 +181,11 @@ def banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 class FieldEvolver(SpectralEvolver):
     """``SpectralEvolver`` with its fields stored once, as
-    ``principal_fields`` builds them on the quadrant, and read in place:
-    the product transform's passes of up to ``_TIMES_PER_GROUP`` times
-    each re-read every field, and the FFT transform folds them run by
-    run. The image table, the reference factors and the sweep test are
-    the evolver's own."""
+    ``principal_fields`` builds them on the quadrant, and read in place: a
+    frame is the stored fields summed at each image's time, level by level,
+    and the FFT transform folds them run by run. The image table, the
+    alignment, the reference factors and the sweep test are the evolver's
+    own; ``field_alignment`` is the alignment read off the stored fields."""
 
     def __init__(self, table, grid):
         super().__init__(table, grid)
@@ -192,36 +193,32 @@ class FieldEvolver(SpectralEvolver):
         xi, eta = grid.xi_axis[row0:], grid.eta_axis[col0:]
         self._levels, self._fields = principal_fields(table, xi, eta)
 
+    def quadrant_sum(self, tau: float) -> np.ndarray:
+        """Q(tau) = sum_N e^{-i (N+1) w tau} F_N on the quadrant, N ascending."""
+        total = np.zeros(self._fields.shape[1:], dtype=complex)
+        for big_n, field in zip(self._levels.tolist(), self._fields):
+            total += np.exp(-1j * (big_n + 1) * self._omega * tau) * field
+        return total
+
     def at(self, t: float) -> Grid2D:
-        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t."""
+        """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t: each
+        image of the quadrant is sign Q(tau), conjugated where s = -1, at
+        tau = s (t + [flip xi] pi/w)."""
         values = np.empty(self._grid.values.shape, dtype=complex)
         row0, col0 = self._start
-        cols = self._fields.shape[2]
-        # The frame seen from the quadrant and from each image, indexed like
-        # the quadrant. The quadrant is written last, over the zero of an
-        # odd axis, which is its own image.
-        views = [
-            values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
-            for fx, fy, _, _ in self._images
-        ]
-        for rows, series in self._product_runs([t]):
-            for q in reversed(range(len(views))):
-                _, _, s, sign = self._images[q]
-                image = series[q].reshape(-1, cols)
-                views[q][rows] = sign * (image.conj() if s < 0 else image)
+        # The quadrant is written last, over the zero of an odd axis, which
+        # is its own image.
+        for fx, fy, s, sign in reversed(self._images):
+            q = self.quadrant_sum(s * (t + (math.pi / self._omega if fx else 0.0)))
+            view = values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
+            view[...] = sign * (q.conj() if s < 0 else q)
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
-        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
-
-        ``factors`` is the pair (X, Y) of reference factors, row k of each
-        at the k-th time on the xi and eta axes, as ``closed_form_factors``
-        returns them; S(t) is the synthesized packet and f_k the
-        unit phase that ``aligned_max_difference`` would take, from the
-        reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
-        each run's transform is reduced against the outer product of the
-        factors over its rows. A NaN anywhere makes that time's maximum NaN.
-        """
+        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time,
+        f_k the evolver's unit phase: through the FFT transform where the
+        times allow it, as the evolver takes it, and from the frame ``at``
+        otherwise. A NaN anywhere makes that time's maximum NaN."""
         times = [float(t) for t in times]
         if not times:
             return []
@@ -231,15 +228,16 @@ class FieldEvolver(SpectralEvolver):
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
         unit = self._alignment(times, x, y)
-        references = [self._references(x, y, unit, image) for image in self._images]
         turns = self._whole_turns(times)
-        if turns:
-            passes = self._fft_passes(len(times), turns, references)
-        else:
-            passes = self._product_passes(times, references)
+        if not turns:
+            return [
+                float(np.max(np.abs(np.outer(x[k], y[k]) - unit[k] * self.at(t).values)))
+                for k, t in enumerate(times)
+            ]
+        references = [self._references(x, y, unit, image) for image in self._images]
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
-            for runs, plans in passes:
+            for runs, plans in self._fft_passes(len(times), turns, references):
                 for rows, series in runs:
                     for ks, lines, xq, yq in plans:
                         np.maximum.at(worst, ks, peaks(series[lines], xq[:, rows], yq))
@@ -263,20 +261,7 @@ class FieldEvolver(SpectralEvolver):
                 plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
         return [(self._fft_runs(count), plans)]
 
-    def _product_passes(self, times: list, references: list) -> list:
-        """The product transform's passes, ``_TIMES_PER_GROUP`` times each,
-        with the references of every image at those times."""
-        passes = []
-        for lo in range(0, len(times), _TIMES_PER_GROUP):
-            group = np.arange(lo, min(lo + _TIMES_PER_GROUP, len(times)))
-            xs = np.concatenate([xq[group] for xq, _ in references])
-            ys = np.concatenate([yq[group] for _, yq in references])
-            ks = np.tile(group, len(references))
-            runs = self._product_runs([times[k] for k in group])
-            passes.append((runs, [(ks, slice(None), xs, ys)]))
-        return passes
-
-    def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def field_alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
 
         S there is Q summed directly over the levels at the time of the
@@ -289,14 +274,15 @@ class FieldEvolver(SpectralEvolver):
         ref = x[ks, i] * y[ks, j]
         row0, col0 = self._start
         value = np.empty(len(times), dtype=complex)
-        for image in self._images:
-            fx, fy, s, sign = image
+        for fx, fy, s, sign in self._images:
             at = np.flatnonzero(((i < row0) == fx) & ((j < col0) == fy))
             if not at.size:
                 continue
             rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
             cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
-            phase = np.outer(self._image_times([times[k] for k in at], image), self._levels + 1)
+            shift = math.pi / self._omega if fx else 0.0
+            taus = s * self._omega * (np.asarray([times[k] for k in at]) + shift)
+            phase = np.outer(taus, self._levels + 1)
             q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
             value[at] = sign * (q.conj() if s < 0 else q)
         unit = np.ones(len(times), dtype=complex)
@@ -311,33 +297,6 @@ class FieldEvolver(SpectralEvolver):
         _, rows, cols = self._fields.shape
         height = max(1, self._grid.values.size // (lines * cols))
         return [slice(i, min(i + height, rows)) for i in range(0, rows, height)]
-
-    def _product_runs(self, times: list) -> Iterator[tuple[slice, np.ndarray]]:
-        """The product transform at up to ``_TIMES_PER_GROUP`` times.
-
-        Yields each run's rows and an (n g, points) complex view whose line
-        q g + j is Q at the time of image q of the table at time j. The
-        view's buffer is reused by the next run.
-        """
-        phase = np.outer(
-            np.concatenate([self._image_times(times, image) for image in self._images]),
-            self._levels + 1,
-        )
-        weights = np.exp(-1j * phase)
-        levels, rows, cols = self._fields.shape
-        fields = self._fields.reshape(levels, rows * cols)
-        lines = len(weights)
-        # each band's (lines, K) @ (K, band) product has m n k <= _SERIAL_PRODUCT
-        band = max(1, _SERIAL_PRODUCT // (lines * max(1, levels)))
-        runs = self._row_runs(lines)
-        buffer = np.empty(lines * runs[0].stop * cols, dtype=complex)
-        for run in runs:
-            lo, hi = run.start * cols, run.stop * cols
-            series = buffer[: lines * (hi - lo)].reshape(lines, hi - lo)
-            for b in range(lo, hi, band):
-                e = min(b + band, hi)
-                np.matmul(weights, fields[:, b:e], out=series[:, b - lo : e - lo])
-            yield run, series
 
     def _fft_runs(self, count: int) -> Iterator[tuple[slice, np.ndarray]]:
         """The FFT transform over ``count`` bins.
@@ -363,8 +322,6 @@ class FieldEvolver(SpectralEvolver):
             for a, b, first in spans:
                 folded[first : first + b - a] += self._fields[a:b, run].reshape(b - a, points)
             yield run, np.fft.fft(folded, axis=0)
-
-
 
 
 def peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

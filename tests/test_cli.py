@@ -582,26 +582,19 @@ class TestNonFinite:
 
     @pytest.fixture
     def nan_fields(self, monkeypatch):
-        """The planes built on the run that holds the quadrant's far corner
-        carry one NaN there, in every level, so every synthesized time is
-        NaN at the grid corners, whichever transform synthesizes it."""
-        true_builder = dynamics.SpectralEvolver._builder
+        """The Hermite tables carry one NaN at the quadrant's last point of
+        each axis, in every order, so every synthesized time is NaN at the
+        grid's edges, whichever route synthesizes it."""
+        true_init = dynamics.SpectralEvolver.__init__
 
-        def poisoned(self, height):
-            build = true_builder(self, height)
-            corner = (self._hx.shape[1], self._hy.shape[1])
+        def poisoned(self, table, grid):
+            true_init(self, table, grid)
+            for name in ("_hx", "_hy"):
+                hermite = getattr(self, name).copy()
+                hermite[:, -1] = math.nan
+                setattr(self, name, hermite)
 
-            def poisoned_build(rows):
-                # a slice or an ascending index array of quadrant rows
-                last = np.arange(corner[0])[rows][-1]
-                for a, b, parts in build(rows):
-                    if last == corner[0] - 1:
-                        parts[:, :, -1, corner[1] - 1] = math.nan
-                    yield a, b, parts
-
-            return poisoned_build
-
-        monkeypatch.setattr(dynamics.SpectralEvolver, "_builder", poisoned)
+        monkeypatch.setattr(dynamics.SpectralEvolver, "__init__", poisoned)
 
     @pytest.mark.usefixtures("nan_fields")
     def test_evolve_refuses_nan(self, capsys):
