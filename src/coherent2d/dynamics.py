@@ -19,7 +19,6 @@ tests pin it, each single-mode table against ``states.eigenstate``.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import warnings
 from collections.abc import Iterator
@@ -240,37 +239,55 @@ def _cartesian_coefficients(
     return levels, offsets, r
 
 
-def _bands(terms: np.ndarray, cols: int) -> list[tuple[int, int, int, int]]:
-    """The bands of a product a @ b with ``cols`` columns, where row i of a
+def _bands(terms: list, cols: int) -> list[tuple[list[slice], int, list[slice]]]:
+    """The tiles of a product a @ b with ``cols`` columns, where row i of a
     is zero past its first terms[i] entries and terms is ascending.
 
     The rows go in bands from the last, each band's product taking only the
-    terms of its own last row, and in bands of columns too where one row is
+    terms of its own last row, and its columns in bands too where one row is
     too many, so that every product has m n k <= ``_SERIAL_PRODUCT``.
-    Returns (lo, hi, terms, width) per band of rows lo..hi - 1. No band is
-    left with one row where it can take two: BLAS takes a one-row product
-    by its matrix-vector kernel, whose sums can differ in the last bit.
+    Returns (row bands, terms, column bands) per group of bands that take
+    the same terms: one group where every row has the same. Rows and
+    columns each go as even as they can be (``_pieces``), and two at least
+    where there are two: BLAS takes a product of one row or one column by
+    its matrix-vector kernel, whose sums can differ in the last bit.
     """
-    bands = []
-    terms = terms.tolist()
+    groups = []
     hi = len(terms)
     while hi > 0:
         inner = terms[hi - 1] or 1
-        lo = hi - (_SERIAL_PRODUCT // (inner * cols) or 1)
-        if lo < 0:
-            lo = 0
-        elif lo == 1 and hi > 3:
-            lo = 2
-        bands.append((lo, hi, inner, min(cols, _SERIAL_PRODUCT // ((hi - lo) * inner) or 1)))
-        hi = lo
-    return bands
+        count = _pieces(hi, _SERIAL_PRODUCT // (inner * cols))
+        # an even spread of the rows left at this band's terms: all of it
+        # where every row left has these terms, else its last band
+        edges = [hi * i // count for i in range(0 if terms[0] == inner else count - 1, count + 1)]
+        pieces = _pieces(cols, _SERIAL_PRODUCT // (-(-hi // count) * inner))
+        columns = [slice(cols * j // pieces, cols * (j + 1) // pieces) for j in range(pieces)]
+        groups.append(([slice(*pair) for pair in zip(edges, edges[1:])], inner, columns))
+        hi = edges[0]
+    return groups
 
 
-def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bands: list) -> None:
-    """out = a @ b over the ``_bands`` of the product."""
-    for lo, hi, inner, width in bands:
-        for j in range(0, b.shape[1], width):
-            np.matmul(a[lo:hi, :inner], b[:inner, j : j + width], out=out[lo:hi, j : j + width])
+def _pieces(size: int, most: int) -> int:
+    """How many pieces as even as they can be ``size`` goes in: of at most
+    ``most`` each where that leaves two at least, and two at least where
+    there are two."""
+    return max(1, min(-(-size // max(2, most)), size // 2))
+
+
+def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bands: list, scratch=None) -> None:
+    """out = a @ b over the ``_bands`` of the product, or out += a @ b
+    through the flat buffer ``scratch``, which holds the largest tile."""
+    for rows, inner, columns in bands:
+        rights = [(cs, b[:inner, cs]) for cs in columns]
+        for band in rows:
+            left = a[band, :inner]
+            for cs, right in rights:
+                if scratch is None:
+                    np.matmul(left, right, out=out[band, cs])
+                    continue
+                tile = scratch[: len(left) * right.shape[1]].reshape(len(left), -1)
+                np.matmul(left, right, out=tile)
+                out[band, cs] += tile
 
 
 class SpectralEvolver:
@@ -352,15 +369,12 @@ class SpectralEvolver:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t, from
         one fused product."""
         values = np.empty(self._grid.values.shape, dtype=complex)
-        row0, col0 = self._start
-        cols = self._hy.shape[1]
         x, y = np.zeros((1, values.shape[0])), np.zeros((1, values.shape[1]))
-        (parts,) = self._fused([float(t)], np.ones(1), x, y)
-        # The quadrant is written last, over the zero of an odd axis, which
-        # is its own image.
-        for (fx, fy, _, _), part in reversed(list(zip(self._images, parts))):
-            view = values[:: -1 if fx else 1, :: -1 if fy else 1][row0:, col0:]
-            view.real, view.imag = part[:, :cols], part[:, cols:]
+        ((_, parts),) = self._fused([float(t)], np.ones(1), x, y)
+        row0, col0 = self._start
+        for (fx, fy, _, _), part in zip(self._images, parts):
+            si, sj = self._skips(fx, fy)
+            values[:: -1 if fx else 1, :: -1 if fy else 1][row0 + si :, col0 + sj :] = part
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
@@ -388,8 +402,8 @@ class SpectralEvolver:
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
             if not turns:
-                for k, parts in enumerate(self._fused(times, unit, x, y)):
-                    worst[k] = _largest_modulus(parts)
+                for k, (flat, _) in enumerate(self._fused(times, unit, x, y)):
+                    worst[k] = _largest_modulus(flat)
                 return worst.tolist()
             # made one image at a time: the transform keeps only its reordered copies
             references = (self._references(x, y, unit, image) for image in self._images)
@@ -405,44 +419,65 @@ class SpectralEvolver:
                 del series, plans, scratch
         return worst.tolist()
 
-    def _fused(self, times: list, units, x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
-        """f S(t) - X Y on the quadrant seen from each image, time by time.
+    def _fused(self, times: list, units, x: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
+        """f S(t) - X Y on the part of the grid each image covers, time by time.
 
-        Yields per time k one real (images, rows, 2 cols) array, which the
-        next time overwrites: for each entry of the image table, row i of
-        the quadrant seen from it holds the real parts and then the
-        imaginary parts of units[k] S(t_k) - X_k Y_k there, X_k and Y_k row
-        k of ``x`` and ``y`` on the grid axes.
+        Yields per time k a real buffer of one grid's values, which the next
+        time overwrites, and per entry of the image table a complex view of
+        it: the part of the grid that the image covers, seen from it
+        (``_skips``), holding units[k] S(t_k) - X_k Y_k there, X_k and Y_k
+        row k of ``x`` and ``y`` on the grid axes. The parts cover the grid
+        once each.
 
         At each time the box goes in chunks of nx rows (``_box``), and each
         chunk in one pass over its entries takes the phase
         f e^{-i w t} e^{-i nx w t} e^{-i ny w t} of its row and column, real
         and imaginary parts apart. Its even and odd columns times the
-        quadrant's phi_ny(eta) give B_e and B_o, and an image's
-        B = B_e -+ B_o, the rows of odd nx negated where xi is flipped. Then
-        one real product
+        quadrant's phi_ny(eta) give B_e and B_o, and B = B_e -+ B_o where
+        eta is flipped or not, its real and imaginary parts interleaved;
+        phi_nx(xi) takes the signs (-1)^nx where xi is flipped. Each flip's
+        factors are built once on the whole quadrant, and each image reads
+        them past the line it leaves out. Then one real product
 
-            [phi_nx(xi)^T | Re X | Im X] @ [B; -Re Y, -Im Y; Im Y, -Re Y]
+            [phi_nx(xi)^T | Re X | Im X] @ [B; -Y; -i Y]
 
-        is f S - X Y on the image; a later chunk adds phi^T B alone.
+        is f S - X Y on the image, read as complex; a later chunk adds
+        phi^T B alone.
         """
         hx, hy = self._hx, self._hy
         rows, cols = hx.shape[1], hy.shape[1]
         row0, col0 = self._start
-        references = [
-            ((x[:, ::-1] if fx else x)[:, row0:], (y[:, ::-1] if fy else y)[:, col0:])
-            for fx, fy, _, _ in self._images
-        ]
         chunks = self._box_chunks()
         height = max(b - a for a, b in chunks)
         width = _box_columns(self._top + 1).size
         box, phased = np.empty(height * width), np.empty(2 * height * width)
         even, odd = np.empty((2, 2 * height * cols))
-        left, right = np.empty(rows * (height + 2)), np.empty((height + 2) * 2 * cols)
-        parts = np.empty((len(self._images), rows, 2 * cols))
+        # per flip of xi, its reference factor on the quadrant and a buffer
+        # of its left factor; per flip of eta the same for the right factor
+        lefts, rights = {}, {}
+        flat = np.empty(2 * self._grid.values.size)
+        outputs, skips, at = [], [], 0
+        for fx, fy, _, _ in self._images:
+            lefts[fx] = ((x[:, ::-1] if fx else x)[:, row0:], np.empty(rows * (height + 2)))
+            rights[fy] = ((y[:, ::-1] if fy else y)[:, col0:], np.empty((height + 2) * 2 * cols))
+            si, sj = self._skips(fx, fy)
+            skips.append((si, sj))
+            size = 2 * (rows - si) * (cols - sj)
+            outputs.append(flat[at : at + size].reshape(rows - si, -1))
+            at += size
+        parts = [output.view(complex) for output in outputs]
         # a later chunk's tiles before they are added: m n <= _SERIAL_PRODUCT / k, k >= 2
-        scratch = np.empty(min(_SERIAL_PRODUCT // 2, parts[0].size)) if len(chunks) > 1 else None
+        largest = max(output.size for output in outputs)
+        scratch = np.empty(min(_SERIAL_PRODUCT // 2, largest)) if len(chunks) > 1 else None
         n = np.arange(hx.shape[0])
+        tiles = {}  # the bands of each shape of product, the same at every time
+
+        def product(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None) -> None:
+            shape = (*a.shape, b.shape[1])
+            if shape not in tiles:
+                tiles[shape] = _bands([a.shape[1]] * a.shape[0], b.shape[1])
+            _banded_product(a, b, out, tiles[shape], scratch)
+
         for k, t in enumerate(times):
             wt = self._omega * t
             row_phase = units[k] * np.exp(-1j * ((n + 1) * wt))
@@ -453,8 +488,6 @@ class SpectralEvolver:
                 split = (ny.size + 1) // 2
                 gathered = box[: h * ny.size].reshape(h, ny.size)
                 self._box(a, b, ny, gathered)
-                lhs = left[: rows * (h + 2)].reshape(rows, h + 2)
-                lhs[:, :h] = hx[a:b].T
                 phase = np.multiply.outer(row_phase[a:b], column_phase[ny])
                 box_t = phased[: 2 * h * ny.size].reshape(h, 2, ny.size)
                 np.multiply(gathered, phase.real, out=box_t[:, 0])
@@ -462,21 +495,41 @@ class SpectralEvolver:
                 b_even = even[: 2 * h * cols].reshape(2 * h, cols)
                 b_odd = odd[: 2 * h * cols].reshape(2 * h, cols)
                 evens, odds = box_t[:, :, :split], box_t[:, :, split:]
-                _serial_product(evens.reshape(2 * h, -1), hy[0::2][:split], b_even)
-                _serial_product(odds.reshape(2 * h, -1), hy[1::2][: ny.size - split], b_odd)
-                rhs = right[: (h + 2) * 2 * cols].reshape(h + 2, 2 * cols)
-                for part, (fx, fy, _, _), (xq, yq) in zip(parts, self._images, references):
-                    (np.subtract if fy else np.add)(b_even, b_odd, out=rhs[:h].reshape(2 * h, cols))
+                product(evens.reshape(2 * h, -1), hy[0::2][:split], b_even)
+                product(odds.reshape(2 * h, -1), hy[1::2][: ny.size - split], b_odd)
+                left, right = {}, {}
+                for fx, (xq, free) in lefts.items():
+                    left[fx] = lhs = free[: rows * (h + 2)].reshape(rows, h + 2)
+                    lhs[:, :h] = hx[a:b].T
                     if fx:
-                        rhs[(a + 1) % 2 : h : 2] *= -1.0
-                    if c:
-                        _serial_product(lhs[:, :h], rhs[:h], part, scratch)
-                        continue
+                        lhs[:, (a + 1) % 2 : h : 2] *= -1.0
                     lhs[:, h], lhs[:, h + 1] = xq[k].real, xq[k].imag
-                    rhs[h, :cols], rhs[h, cols:] = -yq[k].real, -yq[k].imag
-                    rhs[h + 1, :cols], rhs[h + 1, cols:] = yq[k].imag, -yq[k].real
-                    _serial_product(lhs, rhs, part)
-            yield parts
+                for fy, (yq, free) in rights.items():
+                    right[fy] = rhs = free[: (h + 2) * 2 * cols].reshape(h + 2, 2 * cols)
+                    # (re, im) of each column side by side, taken along the columns
+                    interleaved = rhs[:h].reshape(h, cols, 2).transpose(0, 2, 1)
+                    terms = (part.reshape(h, 2, cols) for part in (b_even, b_odd))
+                    (np.subtract if fy else np.add)(*terms, out=interleaved)
+                    np.negative(yq[k].real, out=rhs[h, 0::2])
+                    np.negative(yq[k].imag, out=rhs[h, 1::2])
+                    rhs[h + 1, 0::2] = yq[k].imag
+                    np.negative(yq[k].real, out=rhs[h + 1, 1::2])
+                # an image leaves out the line its flip shares with the quadrant
+                for output, (fx, fy, _, _), (si, sj) in zip(outputs, self._images, skips):
+                    lhs, rhs = left[fx][si:], right[fy][:, 2 * sj :]
+                    if c:
+                        product(lhs[:, :h], rhs[:h], output, scratch)
+                    else:
+                        product(lhs, rhs, output)
+            yield flat, parts
+
+    def _skips(self, fx: bool, fy: bool) -> tuple[int, int]:
+        """The quadrant rows and columns that the image (flip xi, flip eta)
+        leaves out in the fused product: the first, the zero line, on a
+        flipped axis of an odd number of points, where the unflipped images
+        cover it; none otherwise."""
+        size_x, size_y = self._grid.values.shape
+        return (size_x % 2 if fx else 0), (size_y % 2 if fy else 0)
 
     def _box_chunks(self) -> list[tuple[int, int]]:
         """The box's nx rows 0..top in chunks (a, b) of rows a..b - 1, as
@@ -702,7 +755,7 @@ class SpectralEvolver:
                         continue
                     if h not in bands:
                         n = levels[a:b]
-                        bands[h] = _bands(np.repeat((n - parity) // 2 + 1, h), width)
+                        bands[h] = _bands(np.repeat((n - parity) // 2 + 1, h).tolist(), width)
                     xs = gathered[: index.size * h].reshape(*index.shape, h)
                     np.take(run, index, axis=0, out=xs, mode="clip")
                     xs *= coefs[:, :, None]
@@ -743,58 +796,19 @@ def _hermite_at(hermite: np.ndarray, index: np.ndarray, start: int) -> np.ndarra
     return columns * np.where(flip & (n % 2 == 1), -1.0, 1.0)
 
 
-@functools.lru_cache(maxsize=None)
 def _box_columns(count: int) -> np.ndarray:
     """The box's columns ny = 0..count - 1, even ny first, then odd ny, each
-    parity padded to two columns at least (``_box`` gives them 0); shared,
-    so read-only."""
+    parity padded to two columns at least (``_box`` gives them 0)."""
     even, odd = 2 * np.arange(max(2, (count + 1) // 2)), 2 * np.arange(max(2, count // 2)) + 1
-    columns = np.concatenate([even, odd])
-    columns.flags.writeable = False
-    return columns
+    return np.concatenate([even, odd])
 
 
-@functools.lru_cache(maxsize=None)
-def _tiles(rows: int, inner: int, cols: int) -> tuple:
-    """The tiles of an (rows, inner) @ (inner, cols) product whose products
-    have m n k <= ``_SERIAL_PRODUCT``, as (row slice, column slice) pairs.
-
-    Rows and columns each go in bands as even as they can be, two wide at
-    least where the product has two: BLAS takes a product of one row or one
-    column by its matrix-vector kernel.
-    """
-
-    def bands(size: int, most: int) -> list[slice]:
-        count = max(1, min(-(-size // max(2, most)), size // 2))
-        edges = [size * i // count for i in range(count + 1)]
-        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-    heights = bands(rows, _SERIAL_PRODUCT // (inner * cols))
-    tallest = max(band.stop - band.start for band in heights)
-    widths = bands(cols, _SERIAL_PRODUCT // (tallest * inner))
-    return tuple((r, c) for r in heights for c in widths)
-
-
-def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None) -> None:
-    """out = a @ b tile by tile (``_tiles``), or out += a @ b through the
-    flat buffer ``scratch``, which holds the largest tile."""
-    for rs, cs in _tiles(a.shape[0], a.shape[1], b.shape[1]):
-        if scratch is None:
-            np.matmul(a[rs], b[:, cs], out=out[rs, cs])
-        else:
-            tile = scratch[: (rs.stop - rs.start) * (cs.stop - cs.start)]
-            tile = tile.reshape(rs.stop - rs.start, cs.stop - cs.start)
-            np.matmul(a[rs], b[:, cs], out=tile)
-            out[rs, cs] += tile
-
-
-def _largest_modulus(parts: np.ndarray) -> float:
-    """max |re + i im| over an (..., 2 cols) array whose rows hold real parts
-    then imaginary parts, taken in place; the maximum propagates NaN."""
-    cols = parts.shape[-1] // 2
-    np.square(parts, out=parts)
-    real = parts[..., :cols]
-    np.add(real, parts[..., cols:], out=real)
+def _largest_modulus(values: np.ndarray) -> float:
+    """max |re + i im| over a flat array of real and imaginary parts
+    interleaved, taken in place; the maximum propagates NaN."""
+    np.square(values, out=values)
+    real = values[0::2]
+    np.add(real, values[1::2], out=real)
     return math.sqrt(real.max())
 
 

@@ -566,9 +566,9 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
     plane build over every run of a sweep's FFT transform: every product of
     the fused route is serial (``assert_serial``), and every product of the
     build has m n k <= _SERIAL_PRODUCT and two rows at least; each time's
-    (images, rows, 2 cols) output holds at most one grid's values, besides
-    the line that the images of an odd axis share, and each chunk of planes
-    half a grid's; and the runs cover the quadrant's rows in order, each
+    output, one part per image in one buffer, covers the grid once and
+    holds at most one grid's values, and each chunk of planes half a
+    grid's; and the runs cover the quadrant's rows in order, each
     built once.
 
     Returns the (m, k, n) of every product of the fused route."""
@@ -578,9 +578,12 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
     y = np.zeros((len(times), grid.eta_axis.size))
 
     def fused():
-        for parts in evolver._fused(times, np.ones(len(times)), x, y):
-            assert parts.shape == (len(evolver._images), rows, 2 * cols)
-            assert parts.nbytes <= (grid.xi_axis.size + 1) * (grid.eta_axis.size + 1) * 16
+        for values, parts in evolver._fused(times, np.ones(len(times)), x, y):
+            assert values.nbytes <= grid.values.nbytes
+            assert len(parts) == len(evolver._images)
+            assert all(np.shares_memory(part, values) for part in parts)
+            assert sum(part.nbytes for part in parts) == values.nbytes
+            assert parts[0].shape == (rows, cols)
         evolver.at(0.3)
 
     products = recorded_products(monkeypatch, fused)
