@@ -473,13 +473,16 @@ def run_verification(
             abs(sample.var_eta - 0.5),
         ]
         if params.xi0 > 0.0 and params.eta0 > 0.0:
-            residuals.append(
-                abs(
-                    (sample.centroid_xi / params.xi0) ** 2
-                    + (sample.centroid_eta / params.eta0) ** 2
-                    - 1.0
+            try:
+                residuals.append(
+                    abs(
+                        (sample.centroid_xi / params.xi0) ** 2
+                        + (sample.centroid_eta / params.eta0) ** 2
+                        - 1.0
+                    )
                 )
-            )
+            except OverflowError:  # a square past the doubles: non-finite, so the check fails
+                residuals.append(math.inf)
     worst = _worst(residuals)
     orbit_ok = worst <= 1e-6
     if params.xi0 > 0.0 and params.eta0 > 0.0:

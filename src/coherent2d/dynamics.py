@@ -9,11 +9,13 @@ nothing of the closed form: it rotates each level of the table into the
 Cartesian states |N - k, k> and synthesizes from Hermite functions on one
 grid quadrant. No field is stored. A time is one fused product
 e^{-i w t} Phi_xi(t)^T D Phi_eta(t) over the rotated table D, in chunks
-of its rows, with the comparison's reference folded in; a sweep of whole
-periods builds the level planes of one run of rows at a time and takes
-one FFT per point. Either way memory stays a few grids whatever the
-number of levels. The polar eigenbasis is not evaluated on the grid; the
-tests pin it, each single-mode table against ``states.eigenstate``.
+of its rows, with the comparison's reference folded in, which writes the
+grid itself; a sweep of whole periods builds the level planes of one run
+of rows at a time and takes one FFT per point, whose images of the
+quadrant give the rest of the grid. Either way memory stays a few grids
+whatever the number of levels. The polar eigenbasis is not evaluated on
+the grid; the tests pin it, each single-mode table against
+``states.eigenstate``.
 """
 
 from __future__ import annotations
@@ -295,24 +297,22 @@ class SpectralEvolver:
 
     The evolver keeps the table rotated into the Cartesian basis
     (``_cartesian_coefficients``), the Hermite functions phi_n on the rows
-    and columns from ``_mirror_start`` and an image table; it stores no
-    field. Its quadrant is the xi >= 0, eta >= 0 quarter of a ``make_grid``
-    grid, the whole of an axis that is not antisymmetric. Each entry
-    (flip xi, flip eta, s, sign) of the image table, the quadrant first,
-    names the part of the grid seen from the quadrant with those axes
-    reversed. With the box A[nx, ny] = i^ny r_{nx+ny, ny} of the rotated
-    table, the packet is
+    and columns from ``_mirror_start`` and the FFT sweep's image table; it
+    stores no field. Its quadrant is the xi >= 0, eta >= 0 quarter of a
+    ``make_grid`` grid, the whole of an axis that is not antisymmetric.
+    With the box A[nx, ny] = i^ny r_{nx+ny, ny} of the rotated table, the
+    packet is
 
         S(t) = e^{-i w t} Phi_xi(t)^T A Phi_eta(t),  Phi(t)[n] = e^{-i n w t} phi_n,
 
-    and phi_n(-x) = (-1)^n phi_n(x), so an image is the same sum with the
-    signs (-1)^nx of a flipped xi and (-1)^ny of a flipped eta on the box.
+    and phi_n(-x) = (-1)^n phi_n(x) gives the mirrored half of an axis
+    from the quadrant's Hermite functions with the signs (-1)^n.
 
     - The fused product (``_fused``) takes any times, one at a time: the
       phase e^{-i (N+1) w t} goes on the box as a scaling of its rows and
       columns, with the comparison's unit phase on the rows, and one real
-      product per image gives f S - X Y on it, the reference folded in.
-      ``at`` takes it with no reference.
+      product per block of the grid's columns writes f S - X Y there, the
+      reference folded in. ``at`` takes it with no reference.
     - The FFT transform takes T times that sweep M whole periods in equal
       steps, w t_k = 2 pi M k / T, when T is even. It builds the level
       planes F_N of one run of quadrant rows at a time (``_runs``,
@@ -321,8 +321,11 @@ class SpectralEvolver:
       whose bin j is Q(tau) = sum_N e^{-i (N+1) w tau} F_N at
       w tau = 2 pi j / T. C is real and N = |m| (mod 2), so
       F_N(xi, -eta) = conj F_N(xi, eta) and
-      F_N(-xi, eta) = (-1)^N conj F_N(xi, eta): an image is sign Q(tau),
-      conjugated where s = -1, at tau = s (t + [flip xi] pi/w),
+      F_N(-xi, eta) = (-1)^N conj F_N(xi, eta). Each entry (flip xi,
+      flip eta, s, sign) of the image table, the quadrant first, names the
+      part of the grid seen from the quadrant with those axes reversed,
+      and that image is sign Q(tau), conjugated where s = -1, at
+      tau = s (t + [flip xi] pi/w),
 
           (flip xi, flip eta) = (F, T): conj Q(-t),
                                 (T, F): -conj Q(-t - pi/w),
@@ -368,14 +371,9 @@ class SpectralEvolver:
     def at(self, t: float) -> Grid2D:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t, from
         one fused product."""
-        values = np.empty(self._grid.values.shape, dtype=complex)
-        x, y = np.zeros((1, values.shape[0])), np.zeros((1, values.shape[1]))
-        ((_, parts),) = self._fused([float(t)], np.ones(1), x, y)
-        row0, col0 = self._start
-        for (fx, fy, _, _), part in zip(self._images, parts):
-            si, sj = self._skips(fx, fy)
-            values[:: -1 if fx else 1, :: -1 if fy else 1][row0 + si :, col0 + sj :] = part
-        return self._grid.with_values(values)
+        x, y = (np.zeros((1, size)) for size in self._grid.values.shape)
+        ((_, blocks),) = self._fused([float(t)], np.ones(1), x, y)
+        return self._grid.with_values(np.concatenate(blocks, axis=1))
 
     def residuals(self, times, factors) -> list[float]:
         """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
@@ -408,68 +406,64 @@ class SpectralEvolver:
             # made one image at a time: the transform keeps only its reordered copies
             references = (self._references(x, y, unit, image) for image in self._images)
             runs = self._runs(2 * len(times))
-            transform = self._fft_transform(len(times), turns, references, runs[0])
-            build = self._builder(_height(runs[0]))
+            plans, scratch, transform = self._fft_transform(len(times), turns, references, runs[0])
+            build = self._builder(runs[0].stop - runs[0].start)
             for rows in runs:
-                for series, plans, scratch in transform(rows, build(rows)):
-                    for ks, at, xq, yq in plans:
-                        peaks = _peaks(series[at], xq[:, rows], yq, scratch)
-                        np.maximum.at(worst, ks, peaks)
+                series = transform(rows, build(rows))
+                for ks, at, xq, yq in plans:
+                    np.maximum.at(worst, ks, _peaks(series[at], xq[:, rows], yq, scratch))
                 # drop the run's series before the next run's transform
-                del series, plans, scratch
+                del series
         return worst.tolist()
 
     def _fused(self, times: list, units, x: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
-        """f S(t) - X Y on the part of the grid each image covers, time by time.
+        """f S(t) - X Y on the grid, time by time.
 
         Yields per time k a real buffer of one grid's values, which the next
-        time overwrites, and per entry of the image table a complex view of
-        it: the part of the grid that the image covers, seen from it
-        (``_skips``), holding units[k] S(t_k) - X_k Y_k there, X_k and Y_k
-        row k of ``x`` and ``y`` on the grid axes. The parts cover the grid
-        once each.
+        time overwrites, and the complex blocks of it that tile the grid's
+        columns in order: the mirrored eta < 0 columns where eta is
+        mirrored, then the rest. They hold units[k] S(t_k) - X_k Y_k, X_k and
+        Y_k row k of ``x`` and ``y`` on the grid axes.
 
         At each time the box goes in chunks of nx rows (``_box``), and each
         chunk in one pass over its entries takes the phase
         f e^{-i w t} e^{-i nx w t} e^{-i ny w t} of its row and column, real
         and imaginary parts apart. Its even and odd columns times the
-        quadrant's phi_ny(eta) give B_e and B_o, and B = B_e -+ B_o where
-        eta is flipped or not, its real and imaginary parts interleaved;
-        phi_nx(xi) takes the signs (-1)^nx where xi is flipped. Each flip's
-        factors are built once on the whole quadrant, and each image reads
-        them past the line it leaves out. Then one real product
+        quadrant's phi_ny(eta) give B_e and B_o, and B is B_e + B_o on the
+        quadrant's columns and B_e - B_o read in reverse on the mirrored
+        ones, its real and imaginary parts interleaved. The left factor
+        phi_nx(xi) covers the whole xi axis: the quadrant's rows, and before
+        them the mirrored rows, the quadrant's read in reverse with the
+        signs (-1)^nx. Then one real product per block
 
             [phi_nx(xi)^T | Re X | Im X] @ [B; -Y; -i Y]
 
-        is f S - X Y on the image, read as complex; a later chunk adds
-        phi^T B alone.
+        is f S - X Y on it, read as complex; a later chunk adds phi^T B
+        alone.
         """
         hx, hy = self._hx, self._hy
-        rows, cols = hx.shape[1], hy.shape[1]
+        size_x, size_y = self._grid.values.shape
         row0, col0 = self._start
+        cols = hy.shape[1]
         chunks = self._box_chunks()
         height = max(b - a for a, b in chunks)
         width = _box_columns(self._top + 1).size
         box, phased = np.empty(height * width), np.empty(2 * height * width)
         even, odd = np.empty((2, 2 * height * cols))
-        # per flip of xi, its reference factor on the quadrant and a buffer
-        # of its left factor; per flip of eta the same for the right factor
-        lefts, rights = {}, {}
+        lefts, rights = np.empty(size_x * (height + 2)), np.empty((height + 2) * 2 * size_y)
         flat = np.empty(2 * self._grid.values.size)
-        outputs, skips, at = [], [], 0
-        for fx, fy, _, _ in self._images:
-            lefts[fx] = ((x[:, ::-1] if fx else x)[:, row0:], np.empty(rows * (height + 2)))
-            rights[fy] = ((y[:, ::-1] if fy else y)[:, col0:], np.empty((height + 2) * 2 * cols))
-            si, sj = self._skips(fx, fy)
-            skips.append((si, sj))
-            size = 2 * (rows - si) * (cols - sj)
-            outputs.append(flat[at : at + size].reshape(rows - si, -1))
-            at += size
-        parts = [output.view(complex) for output in outputs]
-        # a later chunk's tiles before they are added: m n <= _SERIAL_PRODUCT / k, k >= 2
+        # each block's real columns in the right factor, and its output
+        edges = [0, col0, size_y] if col0 else [0, size_y]
+        spans = [slice(2 * lo, 2 * hi) for lo, hi in zip(edges, edges[1:])]
+        outputs = [flat[size_x * s.start : size_x * s.stop].reshape(size_x, -1) for s in spans]
+        blocks = [output.view(complex) for output in outputs]
+        # a later chunk's tiles before they are added: m n <= _SERIAL_PRODUCT / k,
+        # k the chunk's rows
         largest = max(output.size for output in outputs)
-        scratch = np.empty(min(_SERIAL_PRODUCT // 2, largest)) if len(chunks) > 1 else None
+        fewest = min(b - a for a, b in chunks)
+        scratch = np.empty(min(_SERIAL_PRODUCT // fewest, largest)) if len(chunks) > 1 else None
         n = np.arange(hx.shape[0])
+        signs = np.where(n % 2, -1.0, 1.0)  # phi_n(-x) = (-1)^n phi_n(x)
         tiles = {}  # the bands of each shape of product, the same at every time
 
         def product(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None) -> None:
@@ -497,39 +491,27 @@ class SpectralEvolver:
                 evens, odds = box_t[:, :, :split], box_t[:, :, split:]
                 product(evens.reshape(2 * h, -1), hy[0::2][:split], b_even)
                 product(odds.reshape(2 * h, -1), hy[1::2][: ny.size - split], b_odd)
-                left, right = {}, {}
-                for fx, (xq, free) in lefts.items():
-                    left[fx] = lhs = free[: rows * (h + 2)].reshape(rows, h + 2)
-                    lhs[:, :h] = hx[a:b].T
-                    if fx:
-                        lhs[:, (a + 1) % 2 : h : 2] *= -1.0
-                    lhs[:, h], lhs[:, h + 1] = xq[k].real, xq[k].imag
-                for fy, (yq, free) in rights.items():
-                    right[fy] = rhs = free[: (h + 2) * 2 * cols].reshape(h + 2, 2 * cols)
-                    # (re, im) of each column side by side, taken along the columns
-                    interleaved = rhs[:h].reshape(h, cols, 2).transpose(0, 2, 1)
-                    terms = (part.reshape(h, 2, cols) for part in (b_even, b_odd))
-                    (np.subtract if fy else np.add)(*terms, out=interleaved)
-                    np.negative(yq[k].real, out=rhs[h, 0::2])
-                    np.negative(yq[k].imag, out=rhs[h, 1::2])
-                    rhs[h + 1, 0::2] = yq[k].imag
-                    np.negative(yq[k].real, out=rhs[h + 1, 1::2])
-                # an image leaves out the line its flip shares with the quadrant
-                for output, (fx, fy, _, _), (si, sj) in zip(outputs, self._images, skips):
-                    lhs, rhs = left[fx][si:], right[fy][:, 2 * sj :]
+                lhs = lefts[: size_x * (h + 2)].reshape(size_x, h + 2)
+                lhs[row0:, :h] = hx[a:b].T
+                np.multiply(lhs[::-1][:row0, :h], signs[a:b], out=lhs[:row0, :h])
+                lhs[:, h], lhs[:, h + 1] = x[k].real, x[k].imag
+                rhs = rights[: (h + 2) * 2 * size_y].reshape(h + 2, 2 * size_y)
+                # (re, im) of each column side by side, taken along the columns
+                interleaved = rhs[:h].reshape(h, size_y, 2).transpose(0, 2, 1)
+                terms = [part.reshape(h, 2, cols) for part in (b_even, b_odd)]
+                np.add(*terms, out=interleaved[:, :, col0:])
+                mirrored = (part[:, :, ::-1][:, :, :col0] for part in terms)
+                np.subtract(*mirrored, out=interleaved[:, :, :col0])
+                np.negative(y[k].real, out=rhs[h, 0::2])
+                np.negative(y[k].imag, out=rhs[h, 1::2])
+                rhs[h + 1, 0::2] = y[k].imag
+                np.negative(y[k].real, out=rhs[h + 1, 1::2])
+                for output, span in zip(outputs, spans):
                     if c:
-                        product(lhs[:, :h], rhs[:h], output, scratch)
+                        product(lhs[:, :h], rhs[:h, span], output, scratch)
                     else:
-                        product(lhs, rhs, output)
-            yield flat, parts
-
-    def _skips(self, fx: bool, fy: bool) -> tuple[int, int]:
-        """The quadrant rows and columns that the image (flip xi, flip eta)
-        leaves out in the fused product: the first, the zero line, on a
-        flipped axis of an odd number of points, where the unflipped images
-        cover it; none otherwise."""
-        size_x, size_y = self._grid.values.shape
-        return (size_x % 2 if fx else 0), (size_y % 2 if fy else 0)
+                        product(lhs, rhs[:, span], output)
+            yield flat, blocks
 
     def _box_chunks(self) -> list[tuple[int, int]]:
         """The box's nx rows 0..top in chunks (a, b) of rows a..b - 1, as
@@ -540,7 +522,7 @@ class SpectralEvolver:
         total = self._top + 1
         size = self._grid.values.size
         most = min(size // (4 * _box_columns(total).size), size // (8 * self._hy.shape[1]))
-        count = max(1, min(-(-total // max(2, most)), total // 2))
+        count = _pieces(total, most)
         edges = [total * i // count for i in range(count + 1)]
         return list(zip(edges, edges[1:]))
 
@@ -560,19 +542,19 @@ class SpectralEvolver:
     def _fft_transform(self, count: int, turns: int, references, largest: slice):
         """The FFT transform over ``count`` bins, with the reference of each image.
 
-        Returns a function of a run's chunks of planes that yields one
-        (count, points) complex array, whose line j is Q at w t =
-        2 pi j / count on the run's points, with its plans and a scratch
-        buffer for ``_peaks``: per slice of its lines, the plans hold the
-        times those lines hold and the matching (times, quadrant) reference
-        factors. The folded buffer, sized for the ``largest`` run, is the
-        scratch once its transform is taken, and the next run folds into it
-        again.
+        Returns the plans, a scratch buffer for ``_peaks``, and a function
+        of a run's chunks of planes that returns one (count, points) complex
+        array, whose line j is Q at w t = 2 pi j / count on the run's
+        points. Per slice of those lines, the plans hold the times the lines
+        hold and the matching (times, quadrant) reference factors. The
+        folded buffer, sized for the ``largest`` run, is the scratch once
+        its transform is taken, and the next run folds into it again.
         """
         step = math.gcd(turns, count)
         plans = []
         for (fx, _, s, _), (xq, yq) in zip(self._images, references):
-            bins = s * (turns * np.arange(count) + (count // 2 if fx else 0)) % count
+            # the bins depend on the turns modulo count alone, which no int64 overflows
+            bins = s * (turns % count * np.arange(count) + (count // 2 if fx else 0)) % count
             # each used bin serves `step` times; take one of them per slice
             order = np.argsort(bins, kind="stable")
             for r in range(step):
@@ -586,10 +568,10 @@ class SpectralEvolver:
         breaks = np.flatnonzero((np.diff(levels) != 1) | (np.diff(layer) != 0)) + 1
         edges = [0, *breaks.tolist(), levels.size]
         cols = self._hy.shape[1]
-        buffer = np.empty(count * _size(largest, cols), dtype=complex)
+        buffer = np.empty(count * (largest.stop - largest.start) * cols, dtype=complex)
 
         def transform(rows, chunks):
-            points = _size(rows, cols)
+            points = (rows.stop - rows.start) * cols
             folded = buffer[: count * points].reshape(count, points)
             folded[...] = 0.0
             for a, b, planes in chunks:
@@ -602,9 +584,9 @@ class SpectralEvolver:
                     at = first[s] + i - s
                     for part, bins in zip(planes, (folded.real, folded.imag)):
                         bins[at : at + j - i] += part[i - a : j - a].reshape(j - i, points)
-            yield np.fft.fft(folded, axis=0), plans, buffer
+            return np.fft.fft(folded, axis=0)
 
-        return transform
+        return plans, buffer, transform
 
     def _whole_turns(self, times: list) -> int:
         """M if the times sweep M >= 1 whole periods in an even number of steps.
@@ -764,16 +746,6 @@ class SpectralEvolver:
                 yield a, b, out
 
         return build
-
-
-def _height(rows: slice) -> int:
-    """The rows of a run."""
-    return rows.stop - rows.start
-
-
-def _size(rows: slice, cols: int) -> int:
-    """The points of a run of rows."""
-    return _height(rows) * cols
 
 
 def _runs_of(rows: int, cols: int, points: int) -> list[slice]:

@@ -190,7 +190,9 @@ def _marginal(keys: np.ndarray, weights: np.ndarray) -> dict[int, float]:
     ``np.bincount`` adds each key's weights in row order from 0.0, so every
     sum is rounded exactly as the same additions over the rows in Python.
     """
-    present = np.unique(keys)
     low = keys.min(initial=0)
-    sums = np.bincount(keys - low, weights=weights)
-    return dict(zip(present.tolist(), sums[present - low].tolist()))
+    shifted = keys - low
+    # the keys present, ascending; np.unique would import numpy.ma on numpy 2
+    present = np.flatnonzero(np.bincount(shifted))
+    sums = np.bincount(shifted, weights=weights)
+    return dict(zip((present + low).tolist(), sums[present].tolist()))

@@ -286,7 +286,8 @@ def verify_laguerre_integral(n, mu, lam) -> tuple:
     closed = (-1) ** n * factorial[lam] * _generalized_binomial(lam - mu, n)
     quadrature = np.empty(n.shape)
     orders = lam + n + 2
-    for order in np.unique(orders).tolist():
+    # the orders present, ascending; np.unique would import numpy.ma on numpy 2
+    for order in np.flatnonzero(np.bincount(orders.ravel())).tolist():
         at = orders == order
         rule = gauss_laguerre(order)
         u = rule.nodes

@@ -428,8 +428,64 @@ class TestEvolve:
             math.sqrt(3.0) * 0.5, abs=1e-6
         )
 
+    @pytest.mark.parametrize("steps", ["2", "4"])
+    def test_huge_tmax_takes_the_fft_sweep(self, steps, capsys):
+        """--tmax 1e300 is about 1.6e299 whole periods: the sweep's bins
+        take the turns modulo the steps, and every number is finite."""
+        code, out, err = run(
+            ["evolve", "--xi0", "1.5", "--eta0", "0.5", "--tmax", "1e300", "--tsteps", steps,
+             "--grid-points", "65", "--format", "json"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = strict_json(out)["rows"]
+        assert len(rows) == int(steps)
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+
+
+CHECKS = [
+    "laguerre-integral-identity", "coefficient-oracle", "coefficient-oracle-imag",
+    "normalization", "poisson-marginal", "moment-identities", "orbit-nonspreading",
+    "spectral-completeness",
+]
+
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "xi0,eta0", [("1e-300", "1"), ("1", "1e-300"), ("1e-12", "1"), ("1e-20", "2")]
+    )
+    def test_tiny_amplitudes_report_every_check(self, xi0, eta0, capsys):
+        """One PASS or FAIL line per check and nothing on stderr, however
+        small one amplitude is; an ellipse residual past the doubles fails
+        its check as a non-finite residual."""
+        code, out, err = run(["verify", "--xi0", xi0, "--eta0", eta0], capsys)
+        lines = out.splitlines()
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL) and err == ""
+        assert [line.split()[1] for line in lines] == CHECKS
+        assert all(line.split()[0] in ("PASS", "FAIL") for line in lines)
+        if xi0 == "1e-300":
+            assert lines[CHECKS.index("orbit-nonspreading")].startswith(
+                "FAIL orbit-nonspreading residual=nan "
+            )
+
+    def test_leaves_numpy_ma_unloaded(self):
+        """verify imports nothing numpy loads lazily: numpy 2's np.unique
+        without optional outputs imports numpy.ma."""
+        script = (
+            "import sys, contextlib, io; import numpy; loaded = 'numpy.ma' in sys.modules; "
+            "from coherent2d import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): "
+            "code = cli.main(['verify', '--xi0', '1.5', '--eta0', '0.5', '--grid-points', '65'])\n"
+            "print(loaded, code, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+        loaded, code, after = out.split()
+        if loaded == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert (code, after) == (str(EXIT_OK), "False")
+
     def test_passes_on_pristine_build(self, capsys):
         code, out, _ = run(
             ["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST, capsys

@@ -566,24 +566,26 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
     plane build over every run of a sweep's FFT transform: every product of
     the fused route is serial (``assert_serial``), and every product of the
     build has m n k <= _SERIAL_PRODUCT and two rows at least; each time's
-    output, one part per image in one buffer, covers the grid once and
-    holds at most one grid's values, and each chunk of planes half a
+    output, column blocks of one buffer, tiles the grid's columns in order
+    and holds at most one grid's values, and each chunk of planes half a
     grid's; and the runs cover the quadrant's rows in order, each
     built once.
 
     Returns the (m, k, n) of every product of the fused route."""
     times = [0.0, 0.7, math.pi, 5.1]
-    rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
+    rows = evolver._hx.shape[1]
+    col0 = _mirror_start(grid.eta_axis)
     x = np.zeros((len(times), grid.xi_axis.size))
     y = np.zeros((len(times), grid.eta_axis.size))
 
     def fused():
-        for values, parts in evolver._fused(times, np.ones(len(times)), x, y):
+        for values, blocks in evolver._fused(times, np.ones(len(times)), x, y):
             assert values.nbytes <= grid.values.nbytes
-            assert len(parts) == len(evolver._images)
-            assert all(np.shares_memory(part, values) for part in parts)
-            assert sum(part.nbytes for part in parts) == values.nbytes
-            assert parts[0].shape == (rows, cols)
+            assert len(blocks) == 1 + bool(col0)
+            assert all(np.shares_memory(block, values) for block in blocks)
+            assert sum(block.nbytes for block in blocks) == values.nbytes
+            assert [block.shape[1] for block in blocks[:-1]] == [col0] * bool(col0)
+            assert np.concatenate(blocks, axis=1).shape == grid.values.shape
         evolver.at(0.3)
 
     products = recorded_products(monkeypatch, fused)
@@ -757,16 +759,44 @@ def fft_spectra(evolver, count):
     references = [(np.zeros((count, rows)), np.zeros((count, cols)))] * len(evolver._images)
     runs = evolver._runs(2 * count)
     build = evolver._builder(runs[0].stop - runs[0].start)
-    transform = evolver._fft_transform(count, 1, references, runs[0])
+    _, _, transform = evolver._fft_transform(count, 1, references, runs[0])
     for run in runs:
-        ((spectrum, _, _),) = transform(run, build(run))
-        yield run, spectrum
+        yield run, transform(run, build(run))
 
 
 def sweep(turns, steps, omega):
     """The times ``evolve`` takes over 2 pi turns: --tmax 2 pi turns, --tsteps steps."""
     span = turns * 2.0 * math.pi
     return [span * k / steps / omega for k in range(steps)]
+
+
+@pytest.mark.parametrize(
+    "turns,count",
+    [(3, 10), (7, 6), (10**17, 100), (10**17 + 1, 126), (2**63 + 5, 12), (10**300, 2),
+     (10**300 + 3, 4)],
+    ids=["3-10", "7-6", "1e17-100", "1e17+1-126", "2^63+5-12", "1e300-2", "1e300+3-4"],
+)
+def test_fft_bins_are_the_integer_bins(turns, count):
+    """Each plan's lines are the bins s (M k + [flip xi] T/2) (mod T) of its
+    times, as Python's integers give them for any M: past 2^63 M k
+    overflows an int64, and below it wraps where T is no power of two."""
+    p = PacketParams(1.5, 0.5)
+    grid = make_grid(p, points=33)
+    evolver = SpectralEvolver(build_table(p), grid)
+    rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
+    references = [(np.zeros((count, rows)), np.zeros((count, cols)))] * len(evolver._images)
+    plans, _, _ = evolver._fft_transform(count, turns, references, evolver._runs(2 * count)[0])
+    step = math.gcd(turns, count)
+    assert len(plans) == step * len(evolver._images)
+    for (fx, _, s, _), image_plans in zip(evolver._images, zip(*[iter(plans)] * step)):
+        times = []
+        for ks, at, _, _ in image_plans:
+            lines = range(count)[at]
+            assert len(lines) == len(ks)
+            for k, line in zip(ks.tolist(), lines):
+                assert line == s * (turns * k + (count // 2 if fx else 0)) % count
+            times += ks.tolist()
+        assert sorted(times) == list(range(count))
 
 
 # The sweeps on make_grid grids, then on offset_grid grids with the (xi, eta)
