@@ -57,8 +57,9 @@ _LN2_LO = 1.90821492927058770002e-10
 _SPECTRAL_TAIL_LIMIT = 1e-10
 # Largest m n k of one synthesis product. OpenBLAS computes a product up to
 # 2^18 on the calling thread; a larger one wakes worker threads, which spin
-# on after it returns. Products near 2^16 also ran fastest on one thread.
-_SERIAL_PRODUCT = 2**16
+# on after it returns. Against 2^16, 2^18 ran verify's oracle deck 2-6 %
+# faster, and no orbit deck or large-packet run got slower or larger.
+_SERIAL_PRODUCT = 2**18
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n at n mod 4
 
 
@@ -400,8 +401,9 @@ class SpectralEvolver:
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
             if not turns:
+                squares = np.empty(self._grid.values.size)
                 for k, (flat, _) in enumerate(self._fused(times, unit, x, y)):
-                    worst[k] = _largest_modulus(flat)
+                    worst[k] = _largest_modulus(flat, squares)
                 return worst.tolist()
             # made one image at a time: the transform keeps only its reordered copies
             references = (self._references(x, y, unit, image) for image in self._images)
@@ -775,13 +777,14 @@ def _box_columns(count: int) -> np.ndarray:
     return np.concatenate([even, odd])
 
 
-def _largest_modulus(values: np.ndarray) -> float:
+def _largest_modulus(values: np.ndarray, squares: np.ndarray) -> float:
     """max |re + i im| over a flat array of real and imaginary parts
-    interleaved, taken in place; the maximum propagates NaN."""
+    interleaved; the maximum propagates NaN. The parts are squared in place
+    and their sums taken in ``squares``, a contiguous buffer of half their
+    size, where the maximum runs unstrided."""
     np.square(values, out=values)
-    real = values[0::2]
-    np.add(real, values[1::2], out=real)
-    return math.sqrt(real.max())
+    np.add(values[0::2], values[1::2], out=squares)
+    return math.sqrt(squares.max())
 
 
 def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:

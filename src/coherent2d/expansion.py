@@ -296,7 +296,12 @@ def coeff_quadrature_batch(
     order of ``modes``; no order is checked here (see ``coeff_quadrature``
     and ``oracle_orders``).
     """
-    modes = list(modes)
+    pairs = [(mode.m, mode.n_r) for mode in modes]
+    return _quadrature(params, pairs, radial_order, angular_points)
+
+
+def _quadrature(params: PacketParams, pairs, radial_order: int, angular_points: int) -> np.ndarray:
+    """``coeff_quadrature_batch`` on the modes given as (m, n_r) pairs of ints."""
     rule = gauss_laguerre(radial_order)
     u = rule.nodes
     rho = np.sqrt(u)
@@ -314,23 +319,23 @@ def coeff_quadrature_batch(
     log_weights = np.log(rule.weights, where=positive, out=np.full_like(u, -np.inf))
     weights = np.exp(log_weights + params.xi0 * rho - 0.5 * params.xi0**2)
     top_nr: dict[int, int] = {}
-    for mode in modes:
-        am = abs(mode.m)
-        top_nr[am] = max(top_nr.get(am, 0), mode.n_r)
+    for mode_m, mode_nr in pairs:
+        am = abs(mode_m)
+        top_nr[am] = max(top_nr.get(am, 0), mode_nr)
     radial = {}
     for am, top in top_nr.items():
         power = np.power(rho, am)
         ladder = itertools.islice(laguerre_ladder(float(am), u), top + 1)
-        for n_r, values in enumerate(ladder):
-            radial[am, n_r] = power * values
-    out = np.empty(len(modes), dtype=complex)
-    for i, mode in enumerate(modes):
-        am = abs(mode.m)
+        for k, values in enumerate(ladder):
+            radial[am, k] = power * values
+    out = np.empty(len(pairs), dtype=complex)
+    for i, (mode_m, mode_nr) in enumerate(pairs):
+        am = abs(mode_m)
         prefactor = math.exp(
-            0.5 * (log_factorial(mode.n_r) - log_factorial(am + mode.n_r))
+            0.5 * (log_factorial(mode_nr) - log_factorial(am + mode_nr))
         ) / math.pi
-        column = angular[:, mode.m % angular_points]
-        out[i] = prefactor * 0.5 * np.dot(weights, radial[am, mode.n_r] * column)
+        column = angular[:, mode_m % angular_points]
+        out[i] = prefactor * 0.5 * np.dot(weights, radial[am, mode_nr] * column)
     return out
 
 

@@ -10,7 +10,6 @@ Rules are memoized per order and hold read-only arrays.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,61 +153,69 @@ class QuadratureRule:
             raise ValueError("first moment deviates from 1 beyond 1e-12")
 
 
-def _scaled_ladder(order: int, x: np.ndarray):
-    """Degree-``order`` Laguerre data at every entry of x, with overflow rescaling.
+def _scaled_ladder(orders: np.ndarray, x: np.ndarray, sums: bool = True):
+    """Laguerre data of each entry of x at its own degree, with overflow rescaling.
 
-    Returns (L_{order-1}, L_order, sum_{k < order} L_k^2, log_scale): the
-    pair is divided by e^{log_scale} and the sum by its square. Plain upward
-    recurrence overflows around degree 220 for x near the top of the
-    order-512 node range, so each entry is renormalized as it grows.
+    ``orders`` gives each entry's degree and does not increase along x.
+    Returns (L_{order-1}, L_order, sum_{k < order} L_k^2, log_scale) per
+    entry: the pair is divided by e^{log_scale} and the sum by its square,
+    which is left at zero without ``sums``. One upward recurrence serves
+    every entry; at step k it runs over the prefix of entries whose order
+    exceeds k, so each entry takes exactly the steps its own order takes.
+    Plain upward recurrence overflows around degree 220 for x near the top
+    of the order-512 node range, so an entry is renormalized once it passes
+    1e120. Since |L_k(x)| <= e^{x/2} for x >= 0 (A&S 22.14.12), no entry
+    comes near that for x in [0, 500], and there the test is left out.
     """
     p = np.zeros_like(x)
     q = np.ones_like(x)
     s = np.zeros_like(x)
     log_scale = np.zeros_like(x)
-    for k in range(order):
-        s += q * q
-        p, q = q, ((2.0 * k + 1.0 - x) * q - k * p) / (k + 1.0)
-        mag = np.abs(q)
+    checked = not np.all((x >= 0.0) & (x <= 500.0))
+    top = int(orders[0]) if orders.size else 0
+    # entries with an order above k, for every step k
+    running = orders.size - np.searchsorted(orders[::-1], np.arange(top), side="right")
+    for k, count in enumerate(running.tolist()):
+        xk, pk, qk, sk = x[:count], p[:count], q[:count], s[:count]
+        if sums:
+            sk += qk * qk
+        step = ((2.0 * k + 1.0 - xk) * qk - k * pk) / (k + 1.0)
+        pk[...] = qk
+        qk[...] = step
+        if not checked:
+            continue
+        mag = np.abs(qk)
         big = mag > 1e120
         if big.any():
-            inv = np.where(big, 1.0 / mag, 1.0)
-            p *= inv
-            q *= inv
-            s *= inv * inv
-            log_scale += np.log(np.where(big, mag, 1.0))
+            scale = np.where(big, mag, 1.0)
+            inv = 1.0 / scale
+            pk *= inv
+            qk *= inv
+            sk *= inv * inv
+            log_scale[:count] += np.log(scale)
     return p, q, s, log_scale
 
 
-def _christoffel_weights(order: int, x: np.ndarray) -> np.ndarray:
-    """Weights at converged nodes as reciprocal Christoffel sums.
-
-    1 / sum_{k < order} L_k(x)^2 equals the textbook derivative formula
-    x / [(order+1) L_{order+1}(x)]^2 at the exact roots (Christoffel-Darboux)
-    but, being a positive sum, does not amplify the roundoff left in the
-    node, which the derivative form does by two orders of magnitude.
-    """
-    _, _, s, log_scale = _scaled_ladder(order, x)
-    return np.exp(-(np.log(s) + 2.0 * log_scale))
-
-
-def _newton_polish(order: int, x: np.ndarray) -> np.ndarray:
+def _newton_polish(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Newton-refine every root estimate at once, each until it settles.
 
-    A node stops when its step falls below 1e-14 absolute (or four ulps at
-    large abscissas), or when a tiny step stops contracting: that is the
+    Entry i of x is a root estimate of the Laguerre polynomial of degree
+    ``orders[i]``, and the orders do not increase along x. A node stops
+    when its step falls below 1e-14 absolute (or four ulps at large
+    abscissas), or when a tiny step stops contracting: that is the
     roundoff limit cycle, and the node cannot be improved in binary64.
     """
     x = x.copy()
     prev_step = np.full_like(x, math.inf)
-    active = np.arange(order)
+    active = np.arange(x.size)
     for _ in range(_NEWTON_MAX_ITER):
-        xa = x[active]
-        p, q, _, _ = _scaled_ladder(order, xa)
+        xa, order = x[active], orders[active]
+        p, q, _, _ = _scaled_ladder(order, xa, sums=False)
         # x L'_n(x) = n (L_n - L_{n-1}); the running scale cancels in the step
         denom = order * (q - p)
         if np.any(denom == 0.0):
-            raise RuntimeError(f"Gauss-Laguerre root search stalled at order {order}")
+            stalled = order[denom == 0.0][0]
+            raise RuntimeError(f"Gauss-Laguerre root search stalled at order {stalled}")
         delta = q * xa / denom
         step = np.abs(delta)
         x_new = xa - delta
@@ -221,19 +228,47 @@ def _newton_polish(order: int, x: np.ndarray) -> np.ndarray:
         active = active[~(converged | cycling)]
         if active.size == 0:
             return x
-    raise RuntimeError(f"Gauss-Laguerre root search failed to converge at order {order}")
-
-
-@functools.cache
-def _build_rule(order: int) -> QuadratureRule:
-    # Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    # Jacobi matrix of the Laguerre recurrence (diagonal 2k+1, off-diagonal k)
-    k = np.arange(1.0, order)
-    jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
-    nodes = _newton_polish(order, np.linalg.eigvalsh(jacobi))
-    return QuadratureRule(
-        nodes=nodes, weights=_christoffel_weights(order, nodes), order=order
+    raise RuntimeError(
+        f"Gauss-Laguerre root search failed to converge at order {orders[active[0]]}"
     )
+
+
+# Every rule built so far, by order; a rule's arrays are read-only.
+_RULES: dict[int, QuadratureRule] = {}
+
+
+def _build_rules(orders) -> None:
+    """Build the rules of the given orders that are not built yet, together.
+
+    Golub-Welsch: each rule's nodes start as the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the Laguerre recurrence
+    (diagonal 2k+1, off-diagonal k). Then one Newton iteration runs over
+    the nodes of every missing order, and one recurrence gives their
+    weights as reciprocal Christoffel sums: 1 / sum_{k < order} L_k(x)^2 equals the
+    textbook derivative formula x / [(order+1) L_{order+1}(x)]^2 at the
+    exact roots (Christoffel-Darboux) but, being a positive sum, does not
+    amplify the roundoff left in the node, which the derivative form does
+    by two orders of magnitude. Every node takes the steps of its own
+    order, so a rule is the same bit for bit however it is batched.
+    """
+    missing = sorted({order for order in orders if order not in _RULES}, reverse=True)
+    if not missing:
+        return
+    sizes = np.array(missing)
+    node_orders = np.repeat(sizes, sizes)
+    guesses = []
+    for order in missing:
+        k = np.arange(1.0, order)
+        jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
+        guesses.append(np.linalg.eigvalsh(jacobi))
+    nodes = _newton_polish(node_orders, np.concatenate(guesses))
+    _, _, s, log_scale = _scaled_ladder(node_orders, nodes)
+    weights = np.exp(-(np.log(s) + 2.0 * log_scale))
+    starts = np.cumsum(sizes) - sizes
+    for order, lo in zip(missing, starts.tolist()):
+        _RULES[order] = QuadratureRule(
+            nodes=nodes[lo : lo + order], weights=weights[lo : lo + order], order=order
+        )
 
 
 def gauss_laguerre(order: int) -> QuadratureRule:
@@ -245,7 +280,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     (or one ulp at large abscissas, whichever is coarser) by Newton
     iteration run on all nodes at once. Weights are the Christoffel numbers,
     evaluated as a reciprocal sum of squares rather than through the
-    equivalent derivative formula; see ``_christoffel_weights``. The rule
+    equivalent derivative formula; see ``_build_rules``. The rule
     integrates polynomials of degree <= 2 order - 1 exactly against the
     weight e^{-u}.
 
@@ -255,7 +290,9 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     order = int(order)
     if not 1 <= order <= _MAX_RULE_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_RULE_ORDER}], got {order}")
-    return _build_rule(order)
+    if order not in _RULES:
+        _build_rules([order])
+    return _RULES[order]
 
 
 def verify_laguerre_integral(n, mu, lam) -> tuple:
@@ -269,11 +306,13 @@ def verify_laguerre_integral(n, mu, lam) -> tuple:
     u^lam L_n^mu at its nodes.
 
     n, mu and lam are ints or broadcastable int arrays, so a whole sweep is
-    one call. Its integrals are grouped by rule order: each order runs one
-    Laguerre ladder over its rule's nodes, with mu as a column, and each
-    integral is the weights' dot product with its own row. Returns
-    (closed_form, quadrature) as float arrays of the broadcast shape, float
-    scalars for scalar arguments; desk-scale arguments only.
+    one call. Its rules are built together, and one Laguerre ladder runs
+    over every integral's row of nodes, padded to the largest order, with
+    mu as a column; each row takes u^lam and its own degree. The weights'
+    dot products go one stacked product per order, over that order's rows
+    alone. Returns (closed_form, quadrature) as float arrays of the
+    broadcast shape, float scalars for scalar arguments; desk-scale
+    arguments only.
     """
     n, mu, lam = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.int64) for v in (n, mu, lam))
@@ -284,19 +323,34 @@ def verify_laguerre_integral(n, mu, lam) -> tuple:
             raise ValueError(f"{name} must be in [0, {top}], got {values[outside][0]}")
     factorial = np.cumprod(np.arange(9).clip(1))  # 0! .. 8!
     closed = (-1) ** n * factorial[lam] * _generalized_binomial(lam - mu, n)
-    quadrature = np.empty(n.shape)
-    orders = lam + n + 2
+    orders = (lam + n + 2).ravel()
+    # the integrals by rule order, so that each order's rows are one run
+    by_order = np.argsort(orders, kind="stable")
+    n, mu, lam, orders = (v.ravel()[by_order] for v in (n, mu, lam, orders))
+    counts = np.bincount(orders)
     # the orders present, ascending; np.unique would import numpy.ma on numpy 2
-    for order in np.flatnonzero(np.bincount(orders.ravel())).tolist():
-        at = orders == order
-        rule = gauss_laguerre(order)
-        u = rule.nodes
-        degrees = n[at]
-        values = np.empty((degrees.size, order))
-        ladder = laguerre_ladder(mu[at][:, None].astype(float), u)
-        for degree, poly in zip(range(degrees.max() + 1), ladder):
-            rows = (degrees == degree)[:, None]
-            np.copyto(values, u ** (order - 2 - degree) * poly, where=rows)
+    present = np.flatnonzero(counts).tolist()
+    _build_rules(present)
+    rules = [gauss_laguerre(order) for order in present]
+    # row o holds the order-o rule's nodes, padded with ones
+    nodes = np.ones((orders.max(initial=2) + 1, present[-1] if present else 0))
+    for rule in rules:
+        nodes[rule.order, : rule.order] = rule.nodes
+    u = nodes[orders]
+    powers = np.empty_like(u)
+    for power in np.flatnonzero(np.bincount(lam)).tolist():
+        rows = lam == power
+        powers[rows] = u[rows] ** power
+    values = np.empty_like(u)
+    ladder = laguerre_ladder(mu[:, None].astype(float), u)
+    for degree, poly in zip(range(n.max(initial=0) + 1), ladder):
+        np.multiply(powers, poly, out=values, where=(n == degree)[:, None])
+    quadrature = np.empty(n.shape)
+    lo = 0
+    for rule in rules:
+        hi = lo + counts[rule.order]
         # one dot product per row, as a stack of (1, order) @ (order, 1) products
-        quadrature[at] = np.matmul(rule.weights, values[..., None])[:, 0]
-    return closed.astype(float)[()], quadrature[()]
+        rows = values[lo:hi, : rule.order, None]
+        quadrature[by_order[lo:hi]] = np.matmul(rule.weights, rows)[:, 0]
+        lo = hi
+    return closed.astype(float)[()], quadrature.reshape(closed.shape)[()]

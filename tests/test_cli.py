@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherent2d import PacketParams, _render, cli, dynamics, expansion, observables
+from coherent2d import (
+    Chirality,
+    PacketParams,
+    _render,
+    cli,
+    dynamics,
+    expansion,
+    modes_up_to,
+    observables,
+)
 from coherent2d.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -580,6 +590,105 @@ class TestVerify:
         assert residual == pytest.approx(1e-9, rel=1e-6)
 
 
+def scalar_oracle_residuals(config, table):
+    """The coefficient-oracle, coefficient-oracle-imag and circular-support
+    residuals one mode at a time, in Python floats and complexes: ``abs``
+    of each difference, and the circular support's modes up to level 8
+    taken from the front of the (N, m) order."""
+    params = config.params
+    modes = modes_up_to(min(cli._ORACLE_LEVELS, table.n_max))
+    orders = expansion.oracle_orders(params, cli._ORACLE_LEVELS, cli._ORACLE_LEVELS)
+    quads = expansion.coeff_quadrature_batch(params, modes, *orders).tolist()
+    closed = [expansion.coeff_elliptic(params, mode) for mode in modes]
+    residuals = {
+        "coefficient-oracle": _worst([abs(q - c) for q, c in zip(quads, closed)]),
+        "coefficient-oracle-imag": _worst([abs(q.imag) for q in quads]),
+    }
+    if params.xi0 == params.eta0:
+        forbidden = []
+        for mode, quad in zip(modes, quads):
+            if mode.principal > cli._SUPPORT_LEVELS:
+                break
+            wrong_m = mode.m < 0 if params.chirality is Chirality.RETARDED else mode.m > 0
+            if mode.n_r > 0 or wrong_m:
+                forbidden.append(abs(quad))
+        residuals["circular-support"] = _worst(forbidden)
+    return residuals
+
+
+class TestOracleReductions:
+    """The oracle checks reduce arrays over the mode columns."""
+
+    @pytest.mark.parametrize(
+        "xi0,eta0,chirality,n_max",
+        [
+            (1.5, 0.5, "retarded", None),
+            (2.0, 2.0, "retarded", None),
+            (2.0, 2.0, "advanced", None),
+            (2.5, 2.5, "advanced", None),
+            (0.0, 0.0, "retarded", None),
+            (0.0, 1.3, "advanced", None),
+            (0.3, 0.3, "retarded", 6),
+            (0.6, 0.6, "advanced", 9),
+            (2.2, 0.9, "advanced", 30),
+        ],
+    )
+    def test_residuals_are_the_scalar_loops(self, xi0, eta0, chirality, n_max):
+        """Each residual is bit for bit the per-mode loop's, circular and
+        point packets and cutoffs below the checked levels included."""
+        config = RunConfig(
+            xi0=xi0, eta0=eta0, chirality=Chirality(chirality), n_max=n_max,
+            grid_points=65, t_steps=8,
+        )
+        table = expansion.build_table(config.params, n_max)
+        checks = cli.run_verification(config, table, _resolved_grid(config))
+        got = {c.name: c.residual for c in checks if c.name in ORACLE_CHECKS}
+        want = scalar_oracle_residuals(config, table)
+        assert set(got) == set(want) == set(ORACLE_CHECKS[: 2 + (xi0 == eta0)])
+        for name, residual in want.items():
+            assert np.float64(got[name]).tobytes() == np.float64(residual).tobytes(), name
+
+    @pytest.mark.parametrize("chirality", ["retarded", "advanced"])
+    def test_circular_support_on_either_chirality(self, chirality, capsys, monkeypatch):
+        """A circular packet passes on its own ladder, and fails once a mode
+        of the other sign of m carries weight."""
+        argv = ["verify", "--xi0", "2", "--eta0", "2", "--chirality", chirality, *FAST]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert any(line.startswith("PASS circular-support ") for line in out.splitlines())
+        true_quadrature = expansion._quadrature
+        wrong = (-3, 0) if chirality == "retarded" else (3, 0)
+
+        def leaking(params, pairs, radial, angular):
+            quads = true_quadrature(params, pairs, radial, angular)
+            quads[pairs.index(wrong)] += 1e-9
+            return quads
+
+        monkeypatch.setattr(expansion, "_quadrature", leaking)
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_VERIFY_FAIL
+        failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+        assert failed == {"coefficient-oracle", "circular-support"}
+
+    def test_nan_in_the_quadrature_fails_the_oracle(self, capsys, monkeypatch):
+        true_quadrature = expansion._quadrature
+
+        def poisoned(params, pairs, radial, angular):
+            quads = true_quadrature(params, pairs, radial, angular)
+            quads[7] = complex(math.nan, 0.0)
+            return quads
+
+        monkeypatch.setattr(expansion, "_quadrature", poisoned)
+        code, out, _ = run(["verify", "--xi0", "1.5", "--eta0", "0.5", *FAST], capsys)
+        assert code == EXIT_VERIFY_FAIL
+        lines = out.splitlines()
+        assert "FAIL coefficient-oracle residual=nan tol=1e-10" in lines
+        assert any(line.startswith("PASS coefficient-oracle-imag ") for line in lines)
+
+
+ORACLE_CHECKS = ["coefficient-oracle", "coefficient-oracle-imag", "circular-support"]
+
+
 class TestVerifyJson:
     def test_matches_text_verdicts(self, capsys):
         argv = ["verify", "--xi0", "1.5", "--eta0", "0.5"] + FAST
@@ -716,6 +825,34 @@ class TestErrorPaths:
             assert (code, out, err) == (fresh.value.code, expected.out, expected.err)
         assert run(["coeffs", "--xi0", "0"], capsys)[0] == EXIT_OK
         assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], ["verify", "--help"], ["coeffs", "-h"], ["evolve", "--help"],
+            ["observables", "--help"], ["verify", "--xi0"], ["evolve", "--tsteps", "x"],
+            ["verify", "--xi0", "1", "--mass", "2", "--format", "json", "--nmax", "3"],
+            ["evolve", "--xi0", "1.5", "--grid-points", "65", "--tmax", "3", "--out", "o"],
+        ],
+    )
+    def test_shared_flags_read_as_each_subcommand_s_own(self, argv, capsys):
+        """The subcommands share one set of flag actions; help, errors and
+        parsed values are those of a parser whose every subcommand adds the
+        flags itself."""
+        built = cli.build_parser()
+        (subcommands,) = built._subparsers._group_actions
+        reference = argparse.ArgumentParser(prog=built.prog, description=built.description)
+        sub = reference.add_subparsers(dest="command", required=True)
+        for choice in subcommands._choices_actions:
+            cli._add_common_flags(sub.add_parser(choice.dest, help=choice.help))
+        outcomes = []
+        for parser in (built, reference):
+            try:
+                outcomes.append(vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                outcomes.append(exc.code)
+            outcomes.append(capsys.readouterr())
+        assert outcomes[:2] == outcomes[2:]
 
     def test_parser_is_built_on_first_use(self):
         script = (

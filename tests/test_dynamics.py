@@ -455,17 +455,19 @@ class TestCartesianRotation:
         grid = make_grid(p, points=65)
         table = build_table(p, n_max=130)
         rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((5, 700)), rng.standard_normal((700, 200))
+        # one row of the product is two bounds' worth, so its columns band too
+        cols = -(-2 * _SERIAL_PRODUCT // 700)
+        a, b = rng.standard_normal((5, 700)), rng.standard_normal((700, cols))
         terms = np.array([3, 3, 650, 700, 700])
         a[np.arange(700) >= terms[:, None]] = 0.0
-        out = np.empty((5, 200))
+        out = np.empty((5, cols))
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", recording)
             built_fields(table, grid)
             assert products and max(size for _, size in products) <= _SERIAL_PRODUCT
             assert min(rows for rows, _ in products) >= 2
             products.clear()
-            _banded_product(a, b, out, _bands(terms, 200))
+            _banded_product(a, b, out, _bands(terms, cols))
         assert len(products) > 5 and max(size for _, size in products) <= _SERIAL_PRODUCT
         assert np.max(np.abs(out - a @ b)) < 1e-12
 

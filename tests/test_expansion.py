@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -24,7 +24,7 @@ from coherent2d.expansion import (
     coeff_quadrature_batch,
     oracle_orders,
 )
-from coherent2d._exactsum import _EXACT_ROWS, _SUM_CHUNK, fsum
+from coherent2d._exactsum import _EXACT_ROWS, _FSUM_ROWS, _SUM_CHUNK, fsum, fsum_products
 from coherent2d.specialfn import log_factorial
 
 
@@ -530,20 +530,48 @@ def exact_sum_outcome(x):
         return type(exc), str(exc)
 
 
+def same_float(got, want) -> bool:
+    """Equal as floats, NaN to NaN and each zero to its own sign."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 def assert_same_sum(x):
+    """``fsum`` is ``math.fsum`` on x, and on x padded with -0.0 past
+    ``_FSUM_ROWS``, which takes the key sums however short x is."""
     x = np.asarray(x, dtype=float)
-    want, got = fsum_outcome(x), exact_sum_outcome(x)
-    if isinstance(want, float):
-        assert isinstance(got, float)
-        if math.isnan(want):
-            assert math.isnan(got)
+    for values in (x, np.concatenate([x, np.full(_FSUM_ROWS + 1, -0.0)])):
+        want, got = fsum_outcome(values), exact_sum_outcome(values)
+        if isinstance(want, float):
+            assert isinstance(got, float) and same_float(got, want)
         else:
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-    else:
-        assert got == want
+            assert got == want
+
+
+def fsum_terms_outcome(sums, weights, terms):
+    """What ``sums(weights, terms)`` returns, or the first error it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sums(weights, terms)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def math_fsum_terms(weights, terms):
+    """One ``math.fsum`` per term over its masked products, in order."""
+    totals = []
+    for values, where in terms:
+        products = weights if values is None else weights * values
+        totals.append(math.fsum((products if where is None else products[where]).tolist()))
+    return totals
 
 
 TINY = 5e-324
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, TINY, -TINY, 2.0**-1060,
+    2.0**960, -(2.0**960), 2.0**1000, 1.7e308, -1.7e308,
+]
 CHUNK_EDGE = np.zeros(2 * _SUM_CHUNK + 3)
 CHUNK_EDGE[[_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1]] = [1.0, 2.0**-53, 2.0**-105]
 
@@ -563,6 +591,55 @@ class TestExactSum:
         assert_same_sum(x)
         with np.errstate(under="ignore"):
             assert_same_sum(np.ldexp(x, shift))
+
+    @settings(max_examples=100)
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL_VALUES),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-(2.0**-1022), 2.0**-1022),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        rows=st.one_of(st.integers(1, 2 * _FSUM_ROWS + 2), st.integers(1, 20_000)),
+        columns=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=1, max_size=5)),
+                st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pool=[-0.0], rows=_FSUM_ROWS, columns=[(None, None), ([0], 1)], seed=0)
+    @example(pool=[-0.0], rows=_FSUM_ROWS + 1, columns=[(None, None), ([0], 1)], seed=0)
+    @example(pool=[math.inf, -math.inf, 1.0], rows=_FSUM_ROWS + 9, columns=[(None, 1)], seed=2)
+    @example(pool=[math.inf, 2.0], rows=30, columns=[([1, 0], None), ([1], 3)], seed=4)
+    @example(pool=[2.0**960, 1.0], rows=_FSUM_ROWS + 2, columns=[([1, -1, 1], None)], seed=5)
+    @example(pool=[TINY, -3 * TINY, 2.0**-1060], rows=5000, columns=[(None, None)] * 8, seed=6)
+    def test_products_match_fsum(self, pool, rows, columns, seed):
+        """``fsum_products`` is one ``math.fsum`` per masked product column,
+        bit for bit or by the same error, on either side of ``_FSUM_ROWS``:
+        NaN, infinities and their sum, values of 2^960 and more, sums of
+        -0.0, zero columns and subnormals included."""
+        weights = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=rows)]
+        terms = [
+            (
+                None if values is None else np.resize(np.array(values, dtype=np.int64), rows),
+                None if mask is None else np.random.default_rng(mask).random(rows) < 0.5,
+            )
+            for values, mask in columns
+        ]
+        want = fsum_terms_outcome(math_fsum_terms, weights, terms)
+        got = fsum_terms_outcome(fsum_products, weights, terms)
+        if isinstance(want, list):
+            assert isinstance(got, list) and len(got) == len(want)
+            assert all(same_float(a, b) for a, b in zip(got, want))
+        else:
+            assert got == want
 
     @pytest.mark.parametrize(
         "x",

@@ -18,7 +18,52 @@ from coherent2d import (
     log_factorial,
     verify_laguerre_integral,
 )
+from coherent2d import specialfn
 from coherent2d.specialfn import _generalized_binomial
+
+
+def reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one Gauss-Laguerre rule, built alone: Golub-Welsch
+    start, Newton polish on the active nodes, reciprocal Christoffel sums,
+    each node's recurrence rescaled past 1e120."""
+
+    def ladder(x):
+        p, q = np.zeros_like(x), np.ones_like(x)
+        s, log_scale = np.zeros_like(x), np.zeros_like(x)
+        for k in range(order):
+            s += q * q
+            p, q = q, ((2.0 * k + 1.0 - x) * q - k * p) / (k + 1.0)
+            mag = np.abs(q)
+            big = mag > 1e120
+            if big.any():
+                inv = np.where(big, 1.0 / np.where(big, mag, 1.0), 1.0)
+                p *= inv
+                q *= inv
+                s *= inv * inv
+                log_scale += np.log(np.where(big, mag, 1.0))
+        return p, q, s, log_scale
+
+    k = np.arange(1.0, order)
+    jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
+    x = np.linalg.eigvalsh(jacobi)
+    prev_step = np.full_like(x, math.inf)
+    active = np.arange(order)
+    while active.size:
+        xa = x[active]
+        p, q, _, _ = ladder(xa)
+        delta = q * xa / (order * (q - p))
+        step = np.abs(delta)
+        x_new = xa - delta
+        x[active] = x_new
+        eps = np.finfo(float).eps
+        converged = (step <= np.maximum(1e-14, 4.0 * eps * np.abs(xa))) | (x_new == xa)
+        cycling = (step >= 0.5 * prev_step[active]) & (
+            step <= 1e-11 * np.maximum(1.0, np.abs(xa))
+        )
+        prev_step[active] = step
+        active = active[~(converged | cycling)]
+    _, _, s, log_scale = ladder(x)
+    return x, np.exp(-(np.log(s) + 2.0 * log_scale))
 
 
 class TestLaguerre:
@@ -178,6 +223,26 @@ class TestGaussLaguerre:
         assert gauss_laguerre(40) is gauss_laguerre(40)
         assert gauss_laguerre(np.int64(40)) is gauss_laguerre(order=40)
 
+    def test_rules_built_together_are_the_rules_built_alone(self, monkeypatch):
+        """One batch of orders 1-40, 64, 100, 200, 300 and 512, each node
+        stopping at its own order, gives every rule bit for bit as it is
+        built alone; so does a batch of one."""
+        orders = [*range(1, 41), 64, 100, 200, 300, 512]
+        monkeypatch.setattr(specialfn, "_RULES", {})
+        specialfn._build_rules(orders[::-1])
+        together = [specialfn._RULES[order] for order in orders]
+        for order, rule in zip(orders, together):
+            nodes, weights = reference_rule(order)
+            assert rule.order == order
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+        monkeypatch.setattr(specialfn, "_RULES", {})
+        alone = gauss_laguerre(100)
+        assert alone.nodes.tobytes() == together[orders.index(100)].nodes.tobytes()
+        assert alone.weights.tobytes() == together[orders.index(100)].weights.tobytes()
+        specialfn._build_rules([100, 100, 3])
+        assert specialfn._RULES[100] is alone and len(specialfn._RULES) == 2
+
     def test_rule_arrays_are_read_only(self):
         rule = gauss_laguerre(12)
         with pytest.raises(ValueError):
@@ -198,7 +263,7 @@ class TestGaussLaguerre:
         src = str(Path(coherent2d.__file__).resolve().parents[1])
         code = (
             "import coherent2d.cli, coherent2d.specialfn as sf; "
-            "print(sf._build_rule.cache_info().currsize)"
+            "print(len(sf._RULES))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
