@@ -278,7 +278,84 @@ def edge_floats() -> list[float]:
     return values + [-v for v in values]
 
 
+def g17_text(negative: bool, digits: str, e10: int) -> str:
+    """'%.17g' text of the value with significant ``digits`` (no trailing
+    zero) and decimal exponent ``e10``, laid out with string operations."""
+    sign = "-" if negative else ""
+    if e10 < -4 or e10 >= 17:
+        point = "." + digits[1:] if len(digits) > 1 else ""
+        return f"{sign}{digits[0]}{point}e{e10:+03d}"
+    if e10 < 0:
+        return f"{sign}0.{'0' * (-1 - e10)}{digits}"
+    whole, fraction = digits[: e10 + 1].ljust(e10 + 1, "0"), digits[e10 + 1 :]
+    return sign + whole + ("." + fraction if fraction else "")
+
+
+def shaped_floats() -> list[float]:
+    """Exact doubles of the shapes the float layout treats apart: the point
+    after every tail digit 1-15 with all 17 digits kept and with fewer,
+    trailing zeros running from the last digit word into the first, 17
+    digits before the point, and 0.ddd to 0.000ddd."""
+    values = []
+    for p in range(1, 16):
+        whole = int("12345678912345678"[: p + 1])
+        values += [whole + 3 / 2 ** (16 - p), whole + 0.5, whole + 0.25, float(whole)]
+    values += [1.2345, 12.5, 1234567.5, 12345678.5, 123456789.5, 1234567800000000.0]
+    values += [12345678901234568.0, 10000000000000000.0, 99999999999999984.0]
+    values += [0.25, 0.0625, 0.001953125, 0.0001220703125, 0.75, 0.09375, 0.0078125]
+    return values + [-v for v in values]
+
+
 class TestRender:
+    def test_shaped_floats_match_format(self):
+        values = shaped_floats()
+        assert render_floats(values) == [format(v, ".17g") for v in values]
+        # the layout reference of test_every_mask_row agrees with format()
+        for v in values:
+            _, digits, exponent = Decimal(format(v, ".17g")).normalize().as_tuple()
+            text = "".join(map(str, digits))
+            assert g17_text(v < 0, text, len(digits) - 1 + exponent) == format(v, ".17g")
+
+    def test_every_mask_row(self, monkeypatch):
+        # the digits and decimal exponent come in through _shortest_digits,
+        # so every (layout, digits kept, sign) can be rendered, including
+        # shapes no double prints as
+        exponents = [-1, -2, -3, -4, *range(17), 17, 18, -5, 308, -324]
+        cases = [
+            (negative, "12345678912345678"[:kept], e10)
+            for e10 in exponents for kept in range(1, 18) for negative in (False, True)
+        ]
+        digits = np.array([int(text.ljust(17, "0")) for _, text, _ in cases])
+        e10 = np.array([e for _, _, e in cases])
+
+        def fixed(ax):
+            return digits, e10, np.zeros(len(cases), bool)
+
+        monkeypatch.setattr(_render, "_shortest_digits", fixed)
+        values = [-1.0 if negative else 1.0 for negative, _, _ in cases]
+        assert render_floats(values) == [g17_text(*case) for case in cases]
+
+    @pytest.mark.parametrize("piece", ["", ",", ";\n|", "1234", "<tail>"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_pieces_fold_after_every_column(self, piece, forced, monkeypatch):
+        # pieces of 0, 1 and 3 bytes fold into the value before them, 4 and 6
+        # take words of their own; the floats fill the fourth word's first
+        # byte (a pushed-out digit) and its first five ("e-308"), and with
+        # the tie margin forced every float goes through format()
+        if forced:
+            monkeypatch.setattr(_render, "_TIE_MARGIN", 1.0)
+        floats = [1234567.8912345678, -1.2345678912345678e-308, 0.0, -0.0, 12.5, 1e300]
+        ints = [-9999, 0, 7, 9999, -1, 42]
+        pieces = ["[", piece, piece, piece, piece + "]\n"]
+        text = _render.render_rows(pieces, [np.array(ints), np.array(floats),
+                                            np.array(ints[::-1]), np.array(floats[::-1])])
+        assert text == "".join(
+            f"[{i}{piece}{format(f, '.17g')}{piece}{j}{piece}{format(g, '.17g')}{piece}]\n"
+            for i, f, j, g in zip(ints, floats, ints[::-1], floats[::-1])
+        )
+        alone = _render.render_rows(["", piece], [np.array(floats)])
+        assert alone == "".join(format(f, ".17g") + piece for f in floats)
+
     @settings(max_examples=300)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_floats_match_format(self, values):
