@@ -262,7 +262,8 @@ def render_floats(values) -> list[str]:
 def edge_floats() -> list[float]:
     """Values at the corners of '%.17g': zeros, subnormals, powers of ten
     (some of them doubles just below the power that round up to it), the
-    positional/scientific switch points and exact decimal ties."""
+    positional/scientific switch points, exact decimal ties, and the shapes
+    the float words treat apart."""
     values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
               math.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308]
     for k in range(-323, 309):
@@ -275,6 +276,15 @@ def edge_floats() -> list[float]:
                99999999999999984.0, 100000000000000016.0]
     # exact decimal ties at the 18th significant digit
     values += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25, 2e15 + 1.25, 2**-25, 3 * 2**-25]
+    # exact values of the shapes the float words treat apart: the point
+    # after every tail digit 1-15 with all 17 digits kept and with fewer,
+    # trailing zeros running from the last digit word into the first, 17
+    # digits before the point, and 0.ddd to 0.000ddd
+    for p in range(1, 16):
+        whole = int("12345678912345678"[: p + 1])
+        values += [whole + 3 / 2 ** (16 - p), whole + 0.5, whole + 0.25, float(whole)]
+    values += [1.2345, 12.5, 1234567.5, 12345678.5, 123456789.5, 1234567800000000.0]
+    values += [12345678901234568.0, 0.25, 0.0625, 0.001953125, 0.0001220703125, 0.09375]
     return values + [-v for v in values]
 
 
@@ -291,32 +301,14 @@ def g17_text(negative: bool, digits: str, e10: int) -> str:
     return sign + whole + ("." + fraction if fraction else "")
 
 
-def shaped_floats() -> list[float]:
-    """Exact doubles of the shapes the float layout treats apart: the point
-    after every tail digit 1-15 with all 17 digits kept and with fewer,
-    trailing zeros running from the last digit word into the first, 17
-    digits before the point, and 0.ddd to 0.000ddd."""
-    values = []
-    for p in range(1, 16):
-        whole = int("12345678912345678"[: p + 1])
-        values += [whole + 3 / 2 ** (16 - p), whole + 0.5, whole + 0.25, float(whole)]
-    values += [1.2345, 12.5, 1234567.5, 12345678.5, 123456789.5, 1234567800000000.0]
-    values += [12345678901234568.0, 10000000000000000.0, 99999999999999984.0]
-    values += [0.25, 0.0625, 0.001953125, 0.0001220703125, 0.75, 0.09375, 0.0078125]
-    return values + [-v for v in values]
-
-
 class TestRender:
-    def test_shaped_floats_match_format(self):
-        values = shaped_floats()
-        assert render_floats(values) == [format(v, ".17g") for v in values]
-        # the layout reference of test_every_mask_row agrees with format()
-        for v in values:
+    def test_every_mask_row(self, monkeypatch):
+        # the string-built reference agrees with format() on the edge values
+        for v in edge_floats():
             _, digits, exponent = Decimal(format(v, ".17g")).normalize().as_tuple()
             text = "".join(map(str, digits))
-            assert g17_text(v < 0, text, len(digits) - 1 + exponent) == format(v, ".17g")
-
-    def test_every_mask_row(self, monkeypatch):
+            negative = math.copysign(1.0, v) < 0
+            assert g17_text(negative, text, len(digits) - 1 + exponent) == format(v, ".17g")
         # the digits and decimal exponent come in through _shortest_digits,
         # so every (layout, digits kept, sign) can be rendered, including
         # shapes no double prints as
