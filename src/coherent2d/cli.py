@@ -53,10 +53,10 @@ _SUPPORT_LEVELS = 8
 # Rows of the coefficient table rendered per chunk: 0.4 MB of row words in
 # CSV, 0.9 MB in JSON. At (20, 19.5) 4096 rendered faster than 1024, 2048,
 # 8192 or 16384 rows per chunk; with the 4-word floats, 4096 against 8192
-# took 37 against 36 ms in CSV and 51 against 58 ms in JSON. Then the text around the six fields
-# (m, n_r, N, c, c^2, N + 1) of a row in each format; the floats print as
-# _g17 does and N + 1 is an integer. A JSON row starts with the ",\n" that
-# separates it from the row before, which the first row drops.
+# took 37 against 36 ms in CSV and 51 against 58 ms in JSON. Then the text
+# around the six fields (m, n_r, N, c, c^2, N + 1) of a row in each format:
+# floats print as _g17 does and N + 1 is an integer, and a JSON row starts
+# with the ",\n" that separates it from the row before (the first drops it).
 _COEFF_CHUNK = 4096
 _ROW_PIECES = {
     "csv": ("", ",", ",", ",", ",", ",", "\n"),
@@ -201,19 +201,15 @@ def _coeff_chunks(table: expansion.CoefficientTable, fmt: str):
     """The table's rows as text in format ``fmt``, a chunk at a time.
 
     The row text is laid out once in a template of ``_COEFF_CHUNK`` rows;
-    each chunk writes its values into the template's first rows, and N and
-    N + 1 come from the chunk's own m and n_r.
+    each chunk writes its values into the template's first rows.
     """
     template, slots = _render.row_template(
         _ROW_PIECES[fmt], "iiiffi", min(len(table), _COEFF_CHUNK)
     )
+    columns = (table.m, table.n_r, table.principal, table.c, table.c_squared)
     for lo in range(0, len(table), _COEFF_CHUNK):
-        m, n_r, c, c_squared = (
-            column[lo : lo + _COEFF_CHUNK]
-            for column in (table.m, table.n_r, table.c, table.c_squared)
-        )
-        principal = 2 * n_r + np.abs(m)
-        text = _render.fill_rows(template, slots, (m, n_r, principal, c, c_squared, principal + 1))
+        chunk = [column[lo : lo + _COEFF_CHUNK] for column in columns]
+        text = _render.fill_rows(template, slots, [*chunk, chunk[2] + 1])
         if lo == 0 and fmt == "json":
             text = text[len(_JSON_SEPARATOR) :]
         yield text

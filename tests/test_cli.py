@@ -263,7 +263,7 @@ def edge_floats() -> list[float]:
     """Values at the corners of '%.17g': zeros, subnormals, powers of ten
     (some of them doubles just below the power that round up to it), the
     positional/scientific switch points, exact decimal ties, and the shapes
-    the float words treat apart."""
+    the float words lay out apart or leave to format()."""
     values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
               math.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308]
     for k in range(-323, 309):
@@ -276,10 +276,10 @@ def edge_floats() -> list[float]:
                99999999999999984.0, 100000000000000016.0]
     # exact decimal ties at the 18th significant digit
     values += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25, 2e15 + 1.25, 2**-25, 3 * 2**-25]
-    # exact values of the shapes the float words treat apart: the point
-    # after every tail digit 1-15 with all 17 digits kept and with fewer,
-    # trailing zeros running from the last digit word into the first, 17
-    # digits before the point, and 0.ddd to 0.000ddd
+    # exact values with the point after every tail digit 1-15, all 17 digits
+    # kept and fewer (format() prints them), trailing zeros running from the
+    # last digit word into the first, 17 digits before the point, and 0.ddd
+    # to 0.000ddd
     for p in range(1, 16):
         whole = int("12345678912345678"[: p + 1])
         values += [whole + 3 / 2 ** (16 - p), whole + 0.5, whole + 0.25, float(whole)]
@@ -311,7 +311,9 @@ class TestRender:
             assert g17_text(negative, text, len(digits) - 1 + exponent) == format(v, ".17g")
         # the digits and decimal exponent come in through _shortest_digits,
         # so every (layout, digits kept, sign) can be rendered, including
-        # shapes no double prints as
+        # shapes no double prints as; a point among the last 16 digits (e10
+        # 1-15, digits past it) sends the value, here the stand-in +-1, to
+        # format()
         exponents = [-1, -2, -3, -4, *range(17), 17, 18, -5, 308, -324]
         cases = [
             (negative, "12345678912345678"[:kept], e10)
@@ -325,15 +327,37 @@ class TestRender:
 
         monkeypatch.setattr(_render, "_shortest_digits", fixed)
         values = [-1.0 if negative else 1.0 for negative, _, _ in cases]
-        assert render_floats(values) == [g17_text(*case) for case in cases]
+        assert render_floats(values) == [
+            format(v, ".17g") if 1 <= e <= 15 and len(text) > e + 1 else g17_text(*case)
+            for v, case in zip(values, cases) for _, text, e in [case]
+        ]
+
+    def test_words_do_not_depend_on_byte_order(self, monkeypatch):
+        # a big-endian host reads each table word as the byte-swapped value;
+        # words that are only gathered, ANDed and ORed then come out
+        # byte-swapped, so they hold the same bytes (format()'s values aside)
+        x = np.array([v for v in edge_floats() if format(abs(v), ".17g").find(".") in (-1, 1)])
+        x = x[(x == 0.0) | ~_render._shortest_digits(np.where(x == 0.0, 1.0, np.abs(x)))[2]]
+        ints = np.arange(-9999, 10000, 37)
+        native, swapped = np.empty((2, x.size, 4), np.uint64)
+        _render.float_words(x, native)
+        native_ints = _render.int_words(ints)
+        tables = {
+            name: table.byteswap() if getattr(table, "dtype", None) == np.uint64 else table
+            for name, table in _render._tables().items()
+        }
+        monkeypatch.setattr(_render, "_tables", lambda: tables)
+        _render.float_words(x, swapped)
+        assert swapped.byteswap().tobytes() == native.tobytes()
+        assert _render.int_words(ints).byteswap().tobytes() == native_ints.tobytes()
 
     @pytest.mark.parametrize("piece", ["", ",", ";\n|", "1234", "<tail>"])
     @pytest.mark.parametrize("forced", [False, True])
     def test_pieces_fold_after_every_column(self, piece, forced, monkeypatch):
         # pieces of 0, 1 and 3 bytes fold into the value before them, 4 and 6
-        # take words of their own; the floats fill the fourth word's first
-        # byte (a pushed-out digit) and its first five ("e-308"), and with
-        # the tie margin forced every float goes through format()
+        # take words of their own; "e-308" fills the fourth word's first five
+        # bytes, format() prints 1234567.8912345678 and 12.5, and with the
+        # tie margin forced every float goes through format()
         if forced:
             monkeypatch.setattr(_render, "_TIE_MARGIN", 1.0)
         floats = [1234567.8912345678, -1.2345678912345678e-308, 0.0, -0.0, 12.5, 1e300]
