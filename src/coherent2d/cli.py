@@ -415,7 +415,7 @@ def run_verification(
     radial_order, angular_points = expansion.oracle_orders(
         params, _ORACLE_LEVELS, _ORACLE_LEVELS
     )
-    quads = expansion._quadrature(
+    quads = expansion.coeff_quadrature_batch(
         params, list(zip(m.tolist(), n_r.tolist())), radial_order, angular_points
     )
     # the closed form of every checked mode in one call, as build_table takes it

@@ -20,7 +20,6 @@ the grid; the tests pin it, each single-mode table against
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from collections.abc import Iterator
@@ -208,38 +207,43 @@ def _krawtchouk_rows(
         previous, current, step = current, step, previous
 
 
-def _cartesian_coefficients(
-    table: CoefficientTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level_start(big_n):
+    """Where level N's run r_0..r_N starts in the rotated table, whose runs
+    are those of the levels 0..top one after another: N (N + 1) / 2."""
+    return big_n * (big_n + 1) // 2
+
+
+def _cartesian_coefficients(table: CoefficientTable) -> np.ndarray:
     """The table rotated level by level into the Cartesian states |N - k, k>.
 
-    Returns the K levels N that hold a stored mode, ascending, the K + 1
-    offsets of their runs in r, and r: the real r_k, k = 0..N, of each
-    level, one run after another. With psi_{m,n_r} = (-1)^{n_r} |n+, n->,
-    level N of the packet is sum_k i^k r_k |N - k, k>, r_k the sum over the
-    level's modes of (-1)^{n_r} C w_k (``_krawtchouk_rows``). Each row is
-    summed into r as it is made, so no level's rotation matrix is held.
-    The table's rows must be in level order, as ``CoefficientTable`` keeps
+    Returns r, the real r_k, k = 0..N, of every level N = 0..top as one
+    triangle: level N's run starts at N (N + 1) / 2 (``_level_start``), a
+    level that holds no mode is a run of zeros, and an empty table is the
+    one zero level 0. With psi_{m,n_r} = (-1)^{n_r} |n+, n->, level N of
+    the packet is sum_k i^k r_k |N - k, k>, r_k the sum over the level's
+    modes of (-1)^{n_r} C w_k (``_krawtchouk_rows``). Each row is summed
+    into r as it is made, so no level's rotation matrix is held. The
+    table's rows must be in level order, as ``CoefficientTable`` keeps
     them.
     """
     big_n, m = table.principal, table.m
     if np.any(big_n[1:] < big_n[:-1]):
         raise ValueError("the table's rows are not in level order")
     levels, first = np.unique(big_n, return_index=True)
-    offsets = np.concatenate([[0], np.cumsum(levels + 1)])
-    r = np.zeros(offsets[-1])
+    starts = _level_start(levels)
+    r = np.zeros(_level_start(big_n.max(initial=0) + 1))
     coef, mirrored, terms = np.empty((3, big_n.size))
     np.multiply(np.where(table.n_r % 2, -1.0, 1.0), table.c, out=coef)
     np.copyto(mirrored, np.where((big_n - m) // 2 % 2, -coef, coef))  # w_{N-k} = (-1)^{n-} w_k
     for k, lo, q, b in _krawtchouk_rows(big_n, m):
         at = levels.size - b.size
-        starts = first[at:] - lo
+        runs = first[at:] - lo
         # the middle row of an even level is written twice, its own row last
         np.multiply(mirrored[lo:], q, out=terms[lo:])
-        r[offsets[at:-1] + levels[at:] - k] = b * np.add.reduceat(terms[lo:], starts)
+        r[starts[at:] + levels[at:] - k] = b * np.add.reduceat(terms[lo:], runs)
         np.multiply(coef[lo:], q, out=terms[lo:])
-        r[offsets[at:-1] + k] = b * np.add.reduceat(terms[lo:], starts)
-    return levels, offsets, r
+        r[starts[at:] + k] = b * np.add.reduceat(terms[lo:], runs)
+    return r
 
 
 def _bands(terms: list, cols: int) -> list[tuple[list[slice], int, list[slice]]]:
@@ -296,10 +300,12 @@ def _banded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bands: list, 
 class SpectralEvolver:
     """Reusable spectral synthesis for one table on one grid.
 
-    The evolver keeps the table rotated into the Cartesian basis
-    (``_cartesian_coefficients``), the Hermite functions phi_n on the rows
-    and columns from ``_mirror_start`` and the FFT sweep's image table; it
-    stores no field. Its quadrant is the xi >= 0, eta >= 0 quarter of a
+    The evolver keeps the table rotated into the Cartesian basis, r of the
+    levels 0..top as one triangle, level N's run at N (N + 1) / 2
+    (``_cartesian_coefficients``), so that every reader finds r_k of level
+    N from (N, k) alone; the Hermite functions phi_n on the rows and columns
+    from ``_mirror_start``; and the FFT sweep's image table. It stores no
+    field. Its quadrant is the xi >= 0, eta >= 0 quarter of a
     ``make_grid`` grid, the whole of an axis that is not antisymmetric.
     With the box A[nx, ny] = i^ny r_{nx+ny, ny} of the rotated table, the
     packet is
@@ -353,11 +359,9 @@ class SpectralEvolver:
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
         xi, eta = xi[row0:], eta[col0:]
-        self._levels, self._offsets, self._r = _cartesian_coefficients(table)
-        self._top = int(self._levels[-1]) if self._levels.size else 0
-        # each level's first index in r; -1 where it holds no mode, and past the top
-        self._starts = np.full(self._top + 2, -1)
-        self._starts[self._levels] = self._offsets[:-1]
+        self._r = _cartesian_coefficients(table)
+        # r holds _level_start(top + 1) = (top + 1)(top + 2) / 2 numbers
+        self._top = (math.isqrt(8 * self._r.size + 1) - 3) // 2
         # phi_0..phi_3 at least: each parity of the box's columns reads two rows
         top = max(self._top, 3)
         self._hx = _hermite_functions(xi, top)
@@ -530,16 +534,11 @@ class SpectralEvolver:
 
     def _box(self, a: int, b: int, ny: np.ndarray, out: np.ndarray) -> None:
         """Rows a..b - 1 of the real box r_{nx+ny, ny}, at the columns ``ny``,
-        into ``out``: 0 past the top level and on a level that holds no
-        mode."""
-        if not self._r.size:
-            out[...] = 0.0
-            return
-        at = self._starts.take(np.add.outer(np.arange(a, b), ny), mode="clip")
-        missing = at < 0
-        at += ny
-        np.take(self._r, at, mode="clip", out=out)
-        out[missing] = 0.0
+        into ``out``: r_k of level N = nx + ny is r at _level_start(N) + k,
+        and the box is 0 past the top level."""
+        big_n = np.add.outer(np.arange(a, b), ny)
+        np.take(self._r, _level_start(big_n) + ny, mode="clip", out=out)
+        out[big_n > self._top] = 0.0
 
     def _fft_transform(self, count: int, turns: int, references, largest: slice):
         """The FFT transform over ``count`` bins, with the reference of each image.
@@ -562,13 +561,6 @@ class SpectralEvolver:
             for r in range(step):
                 ks = order[r::step]
                 plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
-        levels = self._levels
-        first = ((levels + 1) % count).tolist()
-        layer = (levels + 1) // count
-        # runs of consecutive levels in one turn of the bins fold as slices,
-        # N ascending, so that each bin sums its levels in order
-        breaks = np.flatnonzero((np.diff(levels) != 1) | (np.diff(layer) != 0)) + 1
-        edges = [0, *breaks.tolist(), levels.size]
         cols = self._hy.shape[1]
         buffer = np.empty(count * (largest.stop - largest.start) * cols, dtype=complex)
 
@@ -577,13 +569,11 @@ class SpectralEvolver:
             folded = buffer[: count * points].reshape(count, points)
             folded[...] = 0.0
             for a, b, planes in chunks:
-                # the spans that meet levels a..b - 1, cut to them
-                span = bisect.bisect_right(edges, a) - 1
-                while edges[span] < b:
-                    s, e = edges[span], edges[span + 1]
-                    span += 1
-                    i, j = max(s, a), min(e, b)
-                    at = first[s] + i - s
+                # level N goes to bin (N + 1) mod count: levels a..b - 1 fold as slices
+                # cut where the bins wrap, N ascending, so each bin sums them in order
+                cuts = [a, *range(a + count - (a + 1) % count, b, count), b]
+                for i, j in zip(cuts, cuts[1:]):
+                    at = (i + 1) % count
                     for part, bins in zip(planes, (folded.real, folded.imag)):
                         bins[at : at + j - i] += part[i - a : j - a].reshape(j - i, points)
             return np.fft.fft(folded, axis=0)
@@ -636,8 +626,7 @@ class SpectralEvolver:
             value += np.einsum("ak,ab,bk->k", u[a:b], box, v[ny])
         unit = np.ones(len(times), dtype=complex)
         nonzero = value != 0.0
-        unit[nonzero] = ref[nonzero] / value[nonzero]
-        unit[nonzero] /= np.abs(unit[nonzero])
+        unit[nonzero] = _unit_phase(ref[nonzero], value[nonzero])
         return unit
 
     def _references(self, x, y, unit, image):
@@ -655,21 +644,22 @@ class SpectralEvolver:
     def _runs(self, lines: int) -> list[slice]:
         """The quadrant's rows in runs, the tallest first, over each of which
         a complex (lines, points) array holds at most one grid's values and,
-        where a row of them fits, the K level planes at most half a grid's;
-        where none fits, the levels go in chunks (``_chunk``)."""
+        where a row of them fits, the top + 1 level planes at most half a
+        grid's; where none fits, the levels go in chunks (``_chunk``)."""
         rows, cols = self._hx.shape[1], self._hy.shape[1]
         size = self._grid.values.size
-        if 2 * self._levels.size * cols <= size:
-            lines = max(lines, 2 * self._levels.size)
+        levels = self._top + 1
+        if 2 * levels * cols <= size:
+            lines = max(lines, 2 * levels)
         return _runs_of(rows, cols, size // lines)
 
     def _chunk(self, height: int, width: int) -> int:
         """Levels per chunk of the planes on ``height`` rows of ``width``
         columns: each chunk's planes hold at most half a grid's values, and
         its gathered factor a quarter grid's."""
-        terms = int(self._levels[-1]) // 2 + 1 if self._levels.size else 1
+        terms = self._top // 2 + 1
         chunk = self._grid.values.size // (2 * height * max(width, terms))
-        return min(max(1, chunk), max(1, self._levels.size))
+        return min(max(1, chunk), self._top + 1)
 
     def _builder(self, height: int):
         """A function of a run of at most ``height`` quadrant rows, a slice,
@@ -700,11 +690,11 @@ class SpectralEvolver:
         any grid.
         """
         hx, hy = self._hx, self._hy
-        levels, offsets, r = self._levels, self._offsets, self._r
+        r, levels = self._r, self._top + 1
         width = hy.shape[1]
         chunk = self._chunk(height, width)
-        chunks = [(a, min(a + chunk, levels.size)) for a in range(0, max(levels.size, 1), chunk)]
-        terms = int(levels[-1]) // 2 + 1 if levels.size else 1
+        chunks = [(a, min(a + chunk, levels)) for a in range(0, levels, chunk)]
+        terms = self._top // 2 + 1
         planes = np.empty(2 * chunk * height * width)
         gathered = np.empty(chunk * height * terms)
         # per parity, the last chunk's (a, index, coefs, bands per run height)
@@ -714,10 +704,9 @@ class SpectralEvolver:
             """phi_{N-k} rows and signed r_k of levels a..b - 1, k = parity,
             parity + 2, ..., as (terms, levels) tables, the terms past a
             level's own reading phi_0 with r 0."""
-            n = levels[a:b]
-            count = (int(n[-1]) - parity) // 2 + 1 if n.size else 0
-            k = parity + 2 * np.arange(max(count, 0))[:, None]
-            at = offsets[a:b] + k
+            n = np.arange(a, b)
+            k = parity + 2 * np.arange((b - 1 - parity) // 2 + 1)[:, None]
+            at = _level_start(n) + k
             coefs = r.take(at, mode="clip")
             coefs *= k <= n
             coefs[1::2] *= -1.0  # i^k = (-1)^(k // 2) i^(k % 2)
@@ -738,7 +727,7 @@ class SpectralEvolver:
                         part[...] = 0.0
                         continue
                     if h not in bands:
-                        n = levels[a:b]
+                        n = np.arange(a, b)
                         bands[h] = _bands(np.repeat((n - parity) // 2 + 1, h).tolist(), width)
                     xs = gathered[: index.size * h].reshape(*index.shape, h)
                     np.take(run, index, axis=0, out=xs, mode="clip")
@@ -808,6 +797,17 @@ def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray
     return np.sqrt(real.max(axis=1))
 
 
+def _unit_phase(ref, value):
+    """ref / value over its modulus, value nonzero. Where that is not finite
+    though ref and value are, as when a subnormal value makes the quotient
+    overflow, the phase is e^{i (arg ref - arg value)} instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = ref / value
+        unit /= abs(unit)  # numpy's scalar abs, on a scalar, rounds apart from np.abs
+        lost = ~np.isfinite(unit) & np.isfinite(ref) & np.isfinite(value)
+        return np.where(lost, np.exp(1j * (np.angle(ref) - np.angle(value))), unit)
+
+
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     """Max pointwise |difference| after removing one global phase.
 
@@ -821,9 +821,7 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     if cand[idx] == 0.0:
         diff = ref - cand
     else:
-        factor = ref[idx] / cand[idx]
-        factor /= abs(factor)
-        diff = np.multiply(factor, cand)
+        diff = np.multiply(_unit_phase(ref[idx], cand[idx]), cand)
         np.subtract(ref, diff, out=diff)
     return float(np.max(np.abs(diff, out=modulus)))
 

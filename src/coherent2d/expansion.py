@@ -36,10 +36,12 @@ _TAIL_BOUND = 1e-13
 _TAIL_MARGIN = 4
 # Largest principal cutoff a table may have: the closed form runs over all
 # (n_max + 1)(n_max + 2)/2 modes at once. At this cutoff a full table holds
-# 1.13 M rows and `coeffs`, which streams them, takes 0.8-1.1 s and peaks
-# near 108 MB of RSS in either format (2-core x86-64).
-# `observables` keeps its tolerance up to it; it stays here because
-# `evolve` holds one grid-sized field per level, so that binds first.
+# 1.13 M rows, and `coeffs`, which streams them, takes 0.5-0.7 s in CSV and
+# 0.8-1.0 s in JSON and peaks near 113 MB of RSS (2-core x86-64, README).
+# `observables` keeps its tolerance up to it. The spectral synthesis of
+# `evolve` and `verify` binds first: it rotates every mode and sums over the
+# whole level triangle, so `evolve --xi0 49 --eta0 0 --grid-points 221
+# --tsteps 2` (cutoff 1468) takes about 14 s and 165 MB there.
 _MAX_TABLE_CUTOFF = 1500
 # Longest circular-quanta ladder `_ladder` builds: as many terms as a full
 # table at the guard has rows, so its work stays that of one table column
@@ -277,31 +279,25 @@ def coeff_quadrature(
             stacklevel=2,
         )
     return complex(
-        coeff_quadrature_batch(params, [mode], radial_order, angular_points)[0]
+        coeff_quadrature_batch(params, [(mode.m, mode.n_r)], radial_order, angular_points)[0]
     )
 
 
 def coeff_quadrature_batch(
     params: PacketParams,
-    modes,
+    pairs,
     radial_order: int,
     angular_points: int,
 ) -> np.ndarray:
     """Projection-integral oracle for many modes from one kernel evaluation.
 
-    The packet kernel is evaluated once on the (radial node x phi) grid.
-    One FFT over phi gives its periodic trapezoid sum against e^{-i m phi}
-    for every m at once, and one upward Laguerre ladder per |m| gives the
-    radial functions of every n_r. Returns the complex overlaps in the
-    order of ``modes``; no order is checked here (see ``coeff_quadrature``
-    and ``oracle_orders``).
+    ``pairs`` are the modes as (m, n_r) pairs of ints. The packet kernel is
+    evaluated once on the (radial node x phi) grid. One FFT over phi gives
+    its periodic trapezoid sum against e^{-i m phi} for every m at once,
+    and one upward Laguerre ladder per |m| gives the radial functions of
+    every n_r. Returns the complex overlaps in the order of ``pairs``; no
+    order is checked here (see ``coeff_quadrature`` and ``oracle_orders``).
     """
-    pairs = [(mode.m, mode.n_r) for mode in modes]
-    return _quadrature(params, pairs, radial_order, angular_points)
-
-
-def _quadrature(params: PacketParams, pairs, radial_order: int, angular_points: int) -> np.ndarray:
-    """``coeff_quadrature_batch`` on the modes given as (m, n_r) pairs of ints."""
     rule = gauss_laguerre(radial_order)
     u = rule.nodes
     rho = np.sqrt(u)

@@ -21,6 +21,7 @@ from coherent2d.dynamics import (
     _SERIAL_PRODUCT,
     _cartesian_coefficients,
     _hermite_functions,
+    _level_start,
     _mirror_start,
 )
 
@@ -120,7 +121,8 @@ def principal_fields(
     level-major: F_N of each level.
 
     Each level is built in the Cartesian Hermite basis, from the table
-    rotated by ``_cartesian_coefficients``, F_N = sum_k i^k r_k |N - k, k>:
+    rotated by ``_cartesian_coefficients``, F_N = sum_k i^k r_k |N - k, k>,
+    r_k of level N read at ``_level_start(N)`` + k in the rotated triangle:
 
         Re F_N = sum_{k even} (-1)^{k/2} r_k phi_{N-k}(xi) phi_k(eta),
         Im F_N = sum_{k odd} (-1)^{(k-1)/2} r_k phi_{N-k}(xi) phi_k(eta),
@@ -144,12 +146,12 @@ def principal_fields(
     top = int(table.principal.max(initial=0))
     hx = _hermite_functions(xi, top)
     hy = hx if np.array_equal(xi, eta) else _hermite_functions(eta, top)
-    levels, offsets, r = _cartesian_coefficients(table)
+    levels = np.unique(table.principal)
+    r = _cartesian_coefficients(table)
     fields = np.zeros((levels.size, xi_axis.size, eta_axis.size), dtype=complex)
-    if not levels.size:
-        return levels, fields
     plane = np.empty((xi.size, eta.size))
-    for level, big_n, lo in zip(fields[:, row0:, col0:], levels.tolist(), offsets.tolist()):
+    for level, big_n in zip(fields[:, row0:, col0:], levels.tolist()):
+        lo = _level_start(big_n)
         coefs = r[lo : lo + big_n + 1]
         for parity, part in enumerate((level.real, level.imag)):
             if big_n < parity:
@@ -191,12 +193,12 @@ class FieldEvolver(SpectralEvolver):
         super().__init__(table, grid)
         row0, col0 = self._start
         xi, eta = grid.xi_axis[row0:], grid.eta_axis[col0:]
-        self._levels, self._fields = principal_fields(table, xi, eta)
+        self._field_levels, self._fields = principal_fields(table, xi, eta)
 
     def quadrant_sum(self, tau: float) -> np.ndarray:
         """Q(tau) = sum_N e^{-i (N+1) w tau} F_N on the quadrant, N ascending."""
         total = np.zeros(self._fields.shape[1:], dtype=complex)
-        for big_n, field in zip(self._levels.tolist(), self._fields):
+        for big_n, field in zip(self._field_levels.tolist(), self._fields):
             total += np.exp(-1j * (big_n + 1) * self._omega * tau) * field
         return total
 
@@ -282,7 +284,7 @@ class FieldEvolver(SpectralEvolver):
             cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
             shift = math.pi / self._omega if fx else 0.0
             taus = s * self._omega * (np.asarray([times[k] for k in at]) + shift)
-            phase = np.outer(taus, self._levels + 1)
+            phase = np.outer(taus, self._field_levels + 1)
             q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
             value[at] = sign * (q.conj() if s < 0 else q)
         unit = np.ones(len(times), dtype=complex)
@@ -305,11 +307,12 @@ class FieldEvolver(SpectralEvolver):
         line j is Q at w t = 2 pi j / count on the run's quadrant points.
         The folded buffer is reused by the next run.
         """
-        bins = (self._levels + 1) % count
-        layer = (self._levels + 1) // count
+        levels = self._field_levels
+        bins = (levels + 1) % count
+        layer = (levels + 1) // count
         # runs of consecutive levels in one turn of the bins fold as slices
-        breaks = np.flatnonzero((np.diff(self._levels) != 1) | (np.diff(layer) != 0)) + 1
-        edges = [0, *breaks.tolist(), self._levels.size]
+        breaks = np.flatnonzero((np.diff(levels) != 1) | (np.diff(layer) != 0)) + 1
+        edges = [0, *breaks.tolist(), levels.size]
         spans = [(a, b, int(bins[a])) for a, b in zip(edges, edges[1:]) if a < b]
         cols = self._fields.shape[2]
         # the folded levels and their transform hold one grid between them

@@ -545,6 +545,27 @@ class TestEvolve:
         assert len(rows) == int(steps)
         assert all(math.isfinite(v) for row in rows for v in row.values())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:tail mass:UserWarning")
+    def test_phase_of_an_overflowing_quotient(self, capsys):
+        """(40, 0) cut at --nmax 0 keeps one mode, c ~ 1.9e-174. At some of
+        the 64 times S at the alignment point is so small that ref / S
+        overflows; the unit phase then comes from the angles, with no
+        numpy warning, and each residual is aligned_max_difference of that
+        time's frames."""
+        argv = ["evolve", "--xi0", "40", "--eta0", "0", "--nmax", "0", "--tsteps", "64"]
+        code, out, err = run([*argv, "--format", "json"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = strict_json(out)["rows"]
+        config = RunConfig(xi0=40.0, eta0=0.0, n_max=0)
+        grid = _resolved_grid(config)
+        evolver = dynamics.SpectralEvolver(expansion.build_table(config.params, config.n_max), grid)
+        assert len(rows) == 64
+        for row in rows:
+            frame = dynamics.evolve_closed_form(config.params, grid, row["t"])
+            expect = dynamics.aligned_max_difference(frame, evolver.at(row["t"]))
+            assert math.isfinite(row["spectral_max_err"])
+            assert abs(row["spectral_max_err"] - expect) <= 1e-12
+
 
 CHECKS = [
     "laguerre-integral-identity", "coefficient-oracle", "coefficient-oracle-imag",
@@ -691,7 +712,8 @@ def scalar_oracle_residuals(config, table):
     params = config.params
     modes = modes_up_to(min(cli._ORACLE_LEVELS, table.n_max))
     orders = expansion.oracle_orders(params, cli._ORACLE_LEVELS, cli._ORACLE_LEVELS)
-    quads = expansion.coeff_quadrature_batch(params, modes, *orders).tolist()
+    pairs = [(mode.m, mode.n_r) for mode in modes]
+    quads = expansion.coeff_quadrature_batch(params, pairs, *orders).tolist()
     closed = [expansion.coeff_elliptic(params, mode) for mode in modes]
     residuals = {
         "coefficient-oracle": _worst([abs(q - c) for q, c in zip(quads, closed)]),
@@ -749,7 +771,7 @@ class TestOracleReductions:
         code, out, _ = run(argv, capsys)
         assert code == EXIT_OK
         assert any(line.startswith("PASS circular-support ") for line in out.splitlines())
-        true_quadrature = expansion._quadrature
+        true_quadrature = expansion.coeff_quadrature_batch
         wrong = (-3, 0) if chirality == "retarded" else (3, 0)
 
         def leaking(params, pairs, radial, angular):
@@ -757,21 +779,21 @@ class TestOracleReductions:
             quads[pairs.index(wrong)] += 1e-9
             return quads
 
-        monkeypatch.setattr(expansion, "_quadrature", leaking)
+        monkeypatch.setattr(expansion, "coeff_quadrature_batch", leaking)
         code, out, _ = run(argv, capsys)
         assert code == EXIT_VERIFY_FAIL
         failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
         assert failed == {"coefficient-oracle", "circular-support"}
 
     def test_nan_in_the_quadrature_fails_the_oracle(self, capsys, monkeypatch):
-        true_quadrature = expansion._quadrature
+        true_quadrature = expansion.coeff_quadrature_batch
 
         def poisoned(params, pairs, radial, angular):
             quads = true_quadrature(params, pairs, radial, angular)
             quads[7] = complex(math.nan, 0.0)
             return quads
 
-        monkeypatch.setattr(expansion, "_quadrature", poisoned)
+        monkeypatch.setattr(expansion, "coeff_quadrature_batch", poisoned)
         code, out, _ = run(["verify", "--xi0", "1.5", "--eta0", "0.5", *FAST], capsys)
         assert code == EXIT_VERIFY_FAIL
         lines = out.splitlines()

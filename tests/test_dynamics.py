@@ -104,11 +104,11 @@ def full_grid_fields(table, grid):
 
 
 def evolver_planes(evolver, lines=4):
-    """The K level planes the evolver builds, run by run, over its quadrant
-    (the whole of an axis that is not mirrored), as one (K, rows, cols)
-    array, and the runs."""
+    """The planes of the levels 0..top that the evolver builds, run by run,
+    over its quadrant (the whole of an axis that is not mirrored), as one
+    (top + 1, rows, cols) array, and the runs."""
     rows, cols = evolver._hx.shape[1], evolver._hy.shape[1]
-    planes = np.empty((evolver._levels.size, rows, cols), dtype=complex)
+    planes = np.empty((evolver._top + 1, rows, cols), dtype=complex)
     runs = evolver._runs(lines)
     build = evolver._builder(runs[0].stop - runs[0].start)
     for run in runs:
@@ -118,9 +118,9 @@ def evolver_planes(evolver, lines=4):
 
 
 def built_fields(table, grid, lines=4):
-    """The evolver's levels and planes on ``grid`` with ``table``."""
+    """The evolver's levels 0..top and their planes on ``grid`` with ``table``."""
     evolver = SpectralEvolver(table, grid)
-    return evolver._levels, evolver_planes(evolver, lines)[0]
+    return np.arange(evolver._top + 1), evolver_planes(evolver, lines)[0]
 
 
 def quadrant(grid):
@@ -389,7 +389,8 @@ class TestCartesianRotation:
     def test_single_modes_are_eigenstates(self, mirrored):
         """A table of one mode with C = 1 gives that polar eigenstate, for
         every (m, n_r) with N <= 8 and m of both signs: the rotation's sign
-        convention psi_{m,n_r} = (-1)^{n_r} |n+, n-> and d_k = i^k r_k."""
+        convention psi_{m,n_r} = (-1)^{n_r} |n+, n-> and d_k = i^k r_k. The
+        levels below N hold no mode, and their planes are exactly 0."""
         p = PacketParams(0.0, 0.0)
         grid = make_grid(p, half_width=5.0, points=33) if mirrored else offset_grid(p, 33, 0.3)
         xi, eta = (mesh[quadrant(grid)] for mesh in grid.meshes())
@@ -399,9 +400,10 @@ class TestCartesianRotation:
                 mode = ModeIndex(m, (big_n - abs(m)) // 2)
                 table = CoefficientTable(p, big_n, [m], [mode.n_r], [1.0])
                 levels, fields = built_fields(table, grid)
-                assert levels.tolist() == [big_n]
+                assert levels.tolist() == list(range(big_n + 1))
+                assert not np.any(fields[:big_n])
                 expect = eigenstate(mode, rho, phi)
-                assert np.max(np.abs(fields[0] - expect)) < 1e-14, (m, mode.n_r)
+                assert np.max(np.abs(fields[big_n] - expect)) < 1e-14, (m, mode.n_r)
 
     @pytest.mark.parametrize("n", [58, 423])
     def test_rows_are_orthonormal_eigenvectors(self, n):
@@ -634,7 +636,7 @@ class TestSynthesis:
         evolver = SpectralEvolver(table, grid)
         row0, col0 = _mirror_start(grid.xi_axis), _mirror_start(grid.eta_axis)
         levels, fields = principal_fields(table, grid.xi_axis[row0:], grid.eta_axis[col0:])
-        assert np.array_equal(evolver._levels, levels)
+        assert np.array_equal(np.arange(evolver._top + 1), levels)
         planes, _ = evolver_planes(evolver)
         assert planes.tobytes() == fields.tobytes()
         stored = [v for v in vars(evolver).values() if isinstance(v, np.ndarray) and v.ndim > 1]
@@ -684,11 +686,12 @@ class TestSynthesis:
         cols = grid.eta_axis.size - _mirror_start(grid.eta_axis)
         runs = evolver._runs(2 * 8)
         assert len(runs) > 1
-        assert 2 * evolver._levels.size * cols > grid.values.size
-        assert evolver._chunk(runs[0].stop, cols) < evolver._levels.size
+        levels = evolver._top + 1
+        assert 2 * levels * cols > grid.values.size
+        assert evolver._chunk(runs[0].stop, cols) < levels
         assert len(evolver._box_chunks()) > 1
         products = assert_within_serial_bounds(evolver, grid, monkeypatch)
-        assert max(k for _, k, _ in products) < evolver._levels.size
+        assert max(k for _, k, _ in products) < levels
         fields = full_grid_fields(table, grid)
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
@@ -833,7 +836,7 @@ class TestFusedResidual:
         times = sweep(turns, steps, omega)
         assert evolver._whole_turns(times) == (turns if steps % 2 == 0 else 0)
         if (xi0, eta0, steps) == (3.0, 1.0, 16):
-            assert steps < evolver._levels.size
+            assert steps < evolver._top + 1
         residuals = evolver.residuals(times, closed_form_factors(p, grid, times))
         assert len(residuals) == steps
         for t, residual in zip(times, residuals):
@@ -1020,7 +1023,7 @@ class TestReferencePins:
         routes = set()
         for times in pin_sweeps(p.omega):
             turns = evolver._whole_turns(times)
-            routes.add((bool(turns), turns > 0 and len(times) <= evolver._levels.size))
+            routes.add((bool(turns), turns > 0 and len(times) <= evolver._top + 1))
             factors = closed_form_factors(p, grid, times)
             got, expect = evolver.residuals(times, factors), reference.residuals(times, factors)
             if turns:
@@ -1029,6 +1032,31 @@ class TestReferencePins:
             scale = np.max(np.abs(factors[0]), axis=1) * np.max(np.abs(factors[1]), axis=1)
             assert np.all(np.abs(np.subtract(got, expect)) <= RESIDUAL_ULPS * np.spacing(scale))
         assert {(True, True), (False, False)} <= routes
+
+    @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
+    def test_gapped_table_on_both_routes(self, shifts):
+        """A table whose modes sit on levels 1 and 6 alone, the levels
+        between them runs of zeros in the rotated triangle. A whole-period
+        sweep of 4 steps has fewer bins than levels, so the FFT fold puts
+        several levels in one bin across the wrap; 3 other times take the
+        fused product. Each residual is aligned_max_difference of the
+        frames at(t) and the reference's, to 1e-12 of residuals near 0.5,
+        and through the FFT transform the reference's bit for bit."""
+        p = PacketParams(1.5, 0.5, omega=0.7)
+        table = CoefficientTable(p, 6, [1, -2], [0, 2], [0.6, 0.8])
+        assert table.principal.tolist() == [1, 6]
+        grid = pin_grid(p, 65, shifts)
+        evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
+        for times, turns in ((sweep(1, 4, p.omega), 1), ([0.0, 0.7, 2.3], 0)):
+            assert evolver._whole_turns(times) == turns
+            factors = closed_form_factors(p, grid, times)
+            got, expect = evolver.residuals(times, factors), reference.residuals(times, factors)
+            if turns:
+                assert bits(got) == bits(expect)
+            for t, residual, pinned in zip(times, got, expect):
+                frame = aligned_max_difference(evolve_closed_form(p, grid, t), evolver.at(t))
+                assert abs(residual - frame) < 1e-12
+                assert abs(residual - pinned) < 1e-12
 
     @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
     @pytest.mark.parametrize("chirality", list(Chirality))

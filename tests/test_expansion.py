@@ -199,7 +199,8 @@ class TestBatchedOracle:
     def test_batch_matches_single_mode_calls(self, params):
         modes = modes_up_to(12)
         radial, angular = oracle_orders(params, 12, 12)
-        batch = coeff_quadrature_batch(params, modes, radial, angular)
+        pairs = [(mode.m, mode.n_r) for mode in modes]
+        batch = coeff_quadrature_batch(params, pairs, radial, angular)
         for mode, quad in zip(modes, batch):
             assert abs(quad - coeff_quadrature(params, mode, radial, angular)) <= 1e-15
 
@@ -224,7 +225,8 @@ class TestBatchedOracle:
     def test_meets_verify_tolerances_at_large_amplitudes(self, xi0, eta0, chirality):
         params = PacketParams(xi0, eta0, chirality=chirality)
         modes = modes_up_to(12)
-        quads = coeff_quadrature_batch(params, modes, *oracle_orders(params, 12, 12))
+        pairs = [(mode.m, mode.n_r) for mode in modes]
+        quads = coeff_quadrature_batch(params, pairs, *oracle_orders(params, 12, 12))
         closed = np.array([coeff_elliptic(params, mode) for mode in modes])
         assert np.max(np.abs(quads - closed)) <= 1e-10
         assert np.max(np.abs(quads.imag)) <= 1e-12
