@@ -392,6 +392,15 @@ def _poisson_pmf(n: int, s: float) -> float:
     return math.exp(-s + n * math.log(s) - math.lgamma(n + 1.0))
 
 
+@functools.cache
+def _laguerre_identity_residual() -> float:
+    """Closed form vs quadrature for the radial Laguerre integral identity,
+    over the 7 x 5 x 7 sweep of (n, mu, lam) in one call. The sweep is the
+    same for every packet, so a process computes it once."""
+    closed, quad = verify_laguerre_integral(*np.ogrid[:7, :5, :7])
+    return _worst(np.abs(closed - quad) / np.maximum(1.0, np.abs(closed)))
+
+
 def run_verification(
     config: RunConfig, table: expansion.CoefficientTable, grid: Grid2D
 ) -> list[CheckResult]:
@@ -403,11 +412,7 @@ def run_verification(
     params = config.params
     checks: list[CheckResult] = []
 
-    # closed form vs quadrature for the radial Laguerre integral identity,
-    # over the 7 x 5 x 7 sweep of (n, mu, lam) in one call
-    closed, quad = verify_laguerre_integral(*np.ogrid[:7, :5, :7])
-    residuals = np.abs(closed - quad) / np.maximum(1.0, np.abs(closed))
-    checks.append(_check("laguerre-integral-identity", _worst(residuals), 1e-10))
+    checks.append(_check("laguerre-integral-identity", _laguerre_identity_residual(), 1e-10))
 
     # analytic coefficients vs the projection-integral oracle, every mode
     # projected in one batch at the orders the highest checked level needs
@@ -501,7 +506,7 @@ def run_verification(
         orbit_ok = orbit_ok and (area > 0) == (params.chirality is Chirality.RETARDED)
     checks.append(CheckResult("orbit-nonspreading", orbit_ok, worst, 1e-6))
 
-    # spectral synthesis against the closed form, phase-quotient
+    # spectral synthesis against the closed form at the conventions' phase
     evolver = dynamics.SpectralEvolver(table, grid)
     residuals = evolver.residuals(spectral_times, spectral)
     checks.append(_check("spectral-completeness", _worst(residuals), 1e-8))

@@ -1,9 +1,11 @@
 """Time evolution by two independent routes.
 
-The closed-form packet and the truncated spectral synthesis
-sum C e^{-i (N+1) w t} psi_{m n_r} must agree up to a constant phase;
-this module provides both, plus centroid/variance trajectory extraction
-and the phase-quotient comparison used to confront them. The spectral
+The closed-form packet e^{-i H t} psi(0) and the truncated spectral
+synthesis sum C e^{-i (N+1) w t} psi_{m n_r} must agree up to the one
+constant phase the conventions fix, e^{i s pi/4}: the table's
+coefficients are real, and the closed form carries that phase at t = 0.
+This module provides both, the comparison that confronts them at that
+phase, and centroid/variance trajectory extraction. The spectral
 route takes only the table's polar (m, n_r) coefficients and calls
 nothing of the closed form: it rotates each level of the table into the
 Cartesian states |N - k, k> and synthesizes from Hermite functions on one
@@ -317,9 +319,9 @@ class SpectralEvolver:
 
     - The fused product (``_fused``) takes any times, one at a time: the
       phase e^{-i (N+1) w t} goes on the box as a scaling of its rows and
-      columns, with the comparison's unit phase on the rows, and one real
-      product per block of the grid's columns writes f S - X Y there, the
-      reference folded in. ``at`` takes it with no reference.
+      columns, and one real product per block of the grid's columns
+      writes S - e^{-i s pi/4} X Y there, the reference folded in. ``at``
+      takes it with no reference.
     - The FFT transform takes T times that sweep M whole periods in equal
       steps, w t_k = 2 pi M k / T, when T is even. It builds the level
       planes F_N of one run of quadrant rows at a time (``_runs``,
@@ -340,10 +342,10 @@ class SpectralEvolver:
 
       so image time k is bin s (M k + [flip xi] T/2) (mod T).
 
-    ``residuals`` compares the synthesis with a separable reference through
-    the FFT transform where the times allow it and the fused product
-    otherwise. Every product has m n k <= ``_SERIAL_PRODUCT`` and no operand
-    of one row, and a call's working arrays hold a few grids' values at
+    ``residuals`` compares the synthesis with a separable reference, taken
+    at the conventions' phase, through the FFT transform where the times
+    allow it and the fused product otherwise. Every product has
+    m n k <= ``_SERIAL_PRODUCT`` and no operand of one row, and a call's working arrays hold a few grids' values at
     most, whatever the number of levels.
     """
 
@@ -356,6 +358,7 @@ class SpectralEvolver:
             )
         self._grid = grid
         self._omega = table.params.omega
+        self._sign = table.params.chirality.sign
         xi, eta = grid.xi_axis, grid.eta_axis
         self._start = row0, col0 = _mirror_start(xi), _mirror_start(eta)
         xi, eta = xi[row0:], eta[col0:]
@@ -377,20 +380,21 @@ class SpectralEvolver:
         """The synthesized packet sum_N F_N e^{-i (N+1) w t} at time t, from
         one fused product."""
         x, y = (np.zeros((1, size)) for size in self._grid.values.shape)
-        ((_, blocks),) = self._fused([float(t)], np.ones(1), x, y)
+        ((_, blocks),) = self._fused([float(t)], x, y)
         return self._grid.with_values(np.concatenate(blocks, axis=1))
 
     def residuals(self, times, factors) -> list[float]:
-        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time.
+        """Max |e^{-i s pi/4} X_k(xi) Y_k(eta) - S(t_k)| over the grid per time.
 
         ``factors`` is the pair (X, Y) of reference factors, row k of each
         at the k-th time on the xi and eta axes, as ``closed_form_factors``
-        returns them; S(t) is the synthesized packet and f_k the
-        unit phase that ``aligned_max_difference`` would take, from the
-        reference and S at (argmax |X_k|, argmax |Y_k|). No frame is built:
-        the fused product gives the difference itself, and each run of the
-        FFT transform is reduced against the outer product of the factors
-        over its rows. A NaN anywhere makes that time's maximum NaN.
+        returns them, and S(t) is the synthesized packet. e^{i s pi/4}, s
+        the table's chirality sign, is the closed form's constant phase,
+        which the table's real coefficients do not carry; it is taken off X
+        as each route reads X (``_phase_off``), and no phase is fitted per
+        time. No frame is built: the fused product gives the difference
+        itself, and each run of the FFT transform is reduced against the
+        outer product of the factors over its rows. A NaN anywhere makes that time's maximum NaN.
         """
         times = [float(t) for t in times]
         if not times:
@@ -400,17 +404,16 @@ class SpectralEvolver:
             len(times), self._grid.eta_axis.size
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
-        unit = self._alignment(times, x, y)
         turns = self._whole_turns(times)
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
             if not turns:
                 squares = np.empty(self._grid.values.size)
-                for k, (flat, _) in enumerate(self._fused(times, unit, x, y)):
+                for k, (flat, _) in enumerate(self._fused(times, x, y)):
                     worst[k] = _largest_modulus(flat, squares)
                 return worst.tolist()
             # made one image at a time: the transform keeps only its reordered copies
-            references = (self._references(x, y, unit, image) for image in self._images)
+            references = (self._references(x, y, image) for image in self._images)
             runs = self._runs(2 * len(times))
             plans, scratch, transform = self._fft_transform(len(times), turns, references, runs[0])
             build = self._builder(runs[0].stop - runs[0].start)
@@ -422,18 +425,26 @@ class SpectralEvolver:
                 del series
         return worst.tolist()
 
-    def _fused(self, times: list, units, x: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
-        """f S(t) - X Y on the grid, time by time.
+    def _phase_off(self, x: np.ndarray) -> np.ndarray:
+        """e^{-i s pi/4} x, the closed form's constant phase taken off, as
+        (1 - i s) x / sqrt(2): each part rounds once in the sum and once in
+        the scaling."""
+        x = x * (1.0 - 1j * self._sign)
+        x *= math.sqrt(0.5)
+        return x
+
+    def _fused(self, times: list, x: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
+        """S(t) - e^{-i s pi/4} X Y on the grid, time by time.
 
         Yields per time k a real buffer of one grid's values, which the next
         time overwrites, and the complex blocks of it that tile the grid's
         columns in order: the mirrored eta < 0 columns where eta is
-        mirrored, then the rest. They hold units[k] S(t_k) - X_k Y_k, X_k and
-        Y_k row k of ``x`` and ``y`` on the grid axes.
+        mirrored, then the rest. They hold S(t_k) - e^{-i s pi/4} X_k Y_k,
+        X_k and Y_k row k of ``x`` and ``y`` on the grid axes.
 
         At each time the box goes in chunks of nx rows (``_box``), and each
         chunk in one pass over its entries takes the phase
-        f e^{-i w t} e^{-i nx w t} e^{-i ny w t} of its row and column, real
+        e^{-i w t} e^{-i nx w t} e^{-i ny w t} of its row and column, real
         and imaginary parts apart. Its even and odd columns times the
         quadrant's phi_ny(eta) give B_e and B_o, and B is B_e + B_o on the
         quadrant's columns and B_e - B_o read in reverse on the mirrored
@@ -444,8 +455,8 @@ class SpectralEvolver:
 
             [phi_nx(xi)^T | Re X | Im X] @ [B; -Y; -i Y]
 
-        is f S - X Y on it, read as complex; a later chunk adds phi^T B
-        alone.
+        is S - X Y on it, X with the phase taken off, read as complex; a
+        later chunk adds phi^T B alone.
         """
         hx, hy = self._hx, self._hy
         size_x, size_y = self._grid.values.shape
@@ -480,7 +491,8 @@ class SpectralEvolver:
 
         for k, t in enumerate(times):
             wt = self._omega * t
-            row_phase = units[k] * np.exp(-1j * ((n + 1) * wt))
+            xk = self._phase_off(x[k])
+            row_phase = np.exp(-1j * ((n + 1) * wt))
             column_phase = _I_POWERS[n % 4] * np.exp(-1j * (n * wt))
             for c, (a, b) in enumerate(chunks):
                 h = b - a
@@ -500,7 +512,7 @@ class SpectralEvolver:
                 lhs = lefts[: size_x * (h + 2)].reshape(size_x, h + 2)
                 lhs[row0:, :h] = hx[a:b].T
                 np.multiply(lhs[::-1][:row0, :h], signs[a:b], out=lhs[:row0, :h])
-                lhs[:, h], lhs[:, h + 1] = x[k].real, x[k].imag
+                lhs[:, h], lhs[:, h + 1] = xk.real, xk.imag
                 rhs = rights[: (h + 2) * 2 * size_y].reshape(h + 2, 2 * size_y)
                 # (re, im) of each column side by side, taken along the columns
                 interleaved = rhs[:h].reshape(h, size_y, 2).transpose(0, 2, 1)
@@ -600,46 +612,18 @@ class SpectralEvolver:
             return 0
         return turns
 
-
-    def _alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
-
-        S there is u^T A v over the box, chunk by chunk (``_box``), with
-        u[nx] = e^{-i (nx+1) w t} phi_nx(xi) and v[ny] = i^ny e^{-i ny w t}
-        phi_ny(eta) at the point, the Hermite functions read from the
-        quadrant's tables, times (-1)^n at a mirrored coordinate. f is 1
-        where S is 0, as in ``aligned_max_difference``.
-        """
-        ks = np.arange(len(times))
-        i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
-        ref = x[ks, i] * y[ks, j]
-        n = np.arange(self._hx.shape[0])[:, None]
-        theta = self._omega * np.asarray(times)
-        u = _hermite_at(self._hx, i, self._start[0]) * np.exp(-1j * (n + 1) * theta)
-        v = _hermite_at(self._hy, j, self._start[1]) * np.exp(-1j * n * theta)
-        v *= _I_POWERS[n % 4]
-        value = np.zeros(len(times), dtype=complex)
-        for a, b in self._box_chunks():
-            ny = _box_columns(self._top + 1 - a)
-            box = np.empty((b - a, ny.size))
-            self._box(a, b, ny, box)
-            value += np.einsum("ak,ab,bk->k", u[a:b], box, v[ny])
-        unit = np.ones(len(times), dtype=complex)
-        nonzero = value != 0.0
-        unit[nonzero] = _unit_phase(ref[nonzero], value[nonzero])
-        return unit
-
-    def _references(self, x, y, unit, image):
+    def _references(self, x, y, image):
         """One image's reference factors as (T, quadrant) stacks, so that
-        |X Y - unit S| = |x y - Q| there, Q at the image's times."""
+        |e^{-i s pi/4} X Y - S| = |x y - Q| there, Q at the image's times."""
         fx, fy, s, sign = image
         row0, col0 = self._start
-        xq = (x[:, ::-1] if fx else x)[:, row0:]
+        xq = self._phase_off((x[:, ::-1] if fx else x)[:, row0:])
         yq = (y[:, ::-1] if fy else y)[:, col0:]
-        unit = sign * unit
         if s < 0:
-            xq, yq, unit = xq.conj(), yq.conj(), unit.conj()
-        return xq * unit.conj()[:, None], yq
+            np.conjugate(xq, out=xq)
+            yq = yq.conj()
+        xq *= sign
+        return xq, yq
 
     def _runs(self, lines: int) -> list[slice]:
         """The quadrant's rows in runs, the tallest first, over each of which
@@ -747,18 +731,6 @@ def _runs_of(rows: int, cols: int, points: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _hermite_at(hermite: np.ndarray, index: np.ndarray, start: int) -> np.ndarray:
-    """phi_n, n = 0..top, as rows, at the points ``index`` of an axis whose
-    table ``hermite`` holds its coordinates from ``start`` on: a point
-    before ``start`` is the mirror of one in the table, and
-    phi_n(-x) = (-1)^n phi_n(x)."""
-    flip = index < start
-    last = start + hermite.shape[1] - 1
-    n = np.arange(len(hermite))[:, None]
-    columns = hermite[:, np.where(flip, last - index, index) - start]
-    return columns * np.where(flip & (n % 2 == 1), -1.0, 1.0)
-
-
 def _box_columns(count: int) -> np.ndarray:
     """The box's columns ny = 0..count - 1, even ny first, then odd ny, each
     parity padded to two columns at least (``_box`` gives them 0)."""
@@ -797,22 +769,14 @@ def _peaks(series: np.ndarray, x: np.ndarray, y: np.ndarray, scratch: np.ndarray
     return np.sqrt(real.max(axis=1))
 
 
-def _unit_phase(ref, value):
-    """ref / value over its modulus, value nonzero. Where that is not finite
-    though ref and value are, as when a subnormal value makes the quotient
-    overflow, the phase is e^{i (arg ref - arg value)} instead."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        unit = ref / value
-        unit /= abs(unit)  # numpy's scalar abs, on a scalar, rounds apart from np.abs
-        lost = ~np.isfinite(unit) & np.isfinite(ref) & np.isfinite(value)
-        return np.where(lost, np.exp(1j * (np.angle(ref) - np.angle(value))), unit)
-
-
 def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     """Max pointwise |difference| after removing one global phase.
 
     The phase is fixed at the point of maximum reference density, matching
-    the convention that constant phases are physically irrelevant.
+    the convention that constant phases are physically irrelevant: the
+    quotient of the two values there over its modulus. Where that is not
+    finite though both values are, as when a subnormal candidate makes the
+    quotient overflow, it is e^{i (arg ref - arg cand)} instead.
     """
     ref = reference.values
     cand = candidate.values
@@ -821,7 +785,13 @@ def aligned_max_difference(reference: Grid2D, candidate: Grid2D) -> float:
     if cand[idx] == 0.0:
         diff = ref - cand
     else:
-        diff = np.multiply(_unit_phase(ref[idx], cand[idx]), cand)
+        r, c = ref[idx], cand[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit = r / c
+            unit /= abs(unit)
+        if not np.isfinite(unit) and np.isfinite(r) and np.isfinite(c):
+            unit = np.exp(1j * (np.angle(r) - np.angle(c)))
+        diff = np.multiply(unit, cand)
         np.subtract(ref, diff, out=diff)
     return float(np.max(np.abs(diff, out=modulus)))
 

@@ -258,12 +258,13 @@ def eigenstate(mode: ModeIndex, rho_tilde, phi):
 
 
 def _packet_factors(params: PacketParams, xi, eta, t):
-    """The x and y factors whose product is ``coherent_2d``.
+    """The x and y factors whose product is ``coherent_2d``, e^{-i H t}
+    applied to the t = 0 packet.
 
     The packet's exponent has no xi-eta cross term, so it splits into an x
     part and a y part, each exponentiated on its own. The constant phase
     and the 1/sqrt(pi) normalization ride on the x factor. The y factor
-    keeps the e^{2i theta} and e^{-i theta} of the joint exponent rather
+    keeps the e^{-2i theta} and e^{-i theta} of the joint exponent rather
     than being the 1D packet at a shifted time, whose rounded shift would
     be multiplied by eta0^2 / 4.
 
@@ -275,7 +276,7 @@ def _packet_factors(params: PacketParams, xi, eta, t):
     """
     s = params.chirality.sign
     theta = params.omega * t
-    twice = np.exp(2.0j * theta)
+    twice = np.exp(-2.0j * theta)
     back = np.exp(-1.0j * theta)
     x_factor = np.asarray(params.xi0 * np.asarray(xi) * back)
     rest = -1.0j * theta + 0.25j * s * math.pi - 0.5 * np.multiply(xi, xi)
@@ -297,7 +298,15 @@ def coherent_2d(params: PacketParams, xi, eta, t: float):
     motion), advanced by +pi/2. At t = 0 it is
     (1/sqrt(pi)) exp[-(xi^2 + eta^2)/2 - xi0^2/2 + xi0 xi + i s eta0 eta]
     times the constant phase e^{i s pi/4}, with s = +1 retarded and -1
-    advanced. The x factor is evaluated at ``xi`` and the y factor at
+    advanced. At time t it is e^{-i H t} applied to that value, with
+    H = w (n_x + n_y + 1) in the oscillator's number operators: with
+    theta = w t,
+
+        e^{i s pi/4 - i theta} / sqrt(pi) exp[-(xi^2 + eta^2)/2
+            + (xi0 xi + i s eta0 eta) e^{-i theta}
+            - (xi0^2 (1 + e^{-2i theta}) + eta0^2 (1 - e^{-2i theta})) / 4].
+
+    The x factor is evaluated at ``xi`` and the y factor at
     ``eta`` before they are multiplied, so passing a column of xi and a row
     of eta gives the whole grid from O(P) exponentials; scalars and meshes
     broadcast as well.

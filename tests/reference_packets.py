@@ -29,14 +29,15 @@ from coherent2d.dynamics import (
 def coherent_1d(xi0: float, xi, t: float):
     """1D coherent packet at unit frequency.
 
-    pi^{-1/4} exp[-i t/2 - xi^2/2 - (xi0^2/4)(1 + e^{2it}) + xi0 xi e^{-it}];
-    its density is the rigidly translating Gaussian
+    pi^{-1/4} exp[-i t/2 - xi^2/2 - (xi0^2/4)(1 + e^{-2it}) + xi0 xi e^{-it}],
+    e^{-i H t} applied to the t = 0 packet for H = n + 1/2; its density is
+    the rigidly translating Gaussian
     pi^{-1/2} exp[-(xi - xi0 cos t)^2].
     """
     expo = (
         -0.5j * t
         - 0.5 * np.multiply(xi, xi)
-        - 0.25 * xi0**2 * (1.0 + np.exp(2.0j * t))
+        - 0.25 * xi0**2 * (1.0 + np.exp(-2.0j * t))
         + xi0 * np.asarray(xi) * np.exp(-1.0j * t)
     )
     return math.pi**-0.25 * np.exp(expo)
@@ -63,7 +64,7 @@ def packet_factors_at(params, xi, eta, t: float):
     exponent split term by term, one time per call."""
     s = params.chirality.sign
     theta = params.omega * t
-    twice = np.exp(2.0j * theta)
+    twice = np.exp(-2.0j * theta)
     back = np.exp(-1.0j * theta)
     x_expo = (
         -1.0j * theta
@@ -103,8 +104,8 @@ def orbit_moments_at(t: float, x_factor, y_factor, grid) -> tuple:
 
 
 # The spectral synthesis with its fields stored whole: the whole-quadrant
-# build of every level, the frames summed from the stored (K, rows, cols)
-# array, the FFT transform and an alignment that read it. The evolver builds
+# build of every level, and the frames and the FFT transform summed from
+# the stored (K, rows, cols) array. The evolver builds
 # the planes of one run at a time and takes other times by one fused product
 # over the rotated table; the tests pin its planes and FFT residuals to these
 # bit for bit, and its frames and other residuals to the last units in the
@@ -186,8 +187,8 @@ class FieldEvolver(SpectralEvolver):
     ``principal_fields`` builds them on the quadrant, and read in place: a
     frame is the stored fields summed at each image's time, level by level,
     and the FFT transform folds them run by run. The image table, the
-    alignment, the reference factors and the sweep test are the evolver's
-    own; ``field_alignment`` is the alignment read off the stored fields."""
+    reference's constant phase and factors and the sweep test are the
+    evolver's own."""
 
     def __init__(self, table, grid):
         super().__init__(table, grid)
@@ -217,10 +218,12 @@ class FieldEvolver(SpectralEvolver):
         return self._grid.with_values(values)
 
     def residuals(self, times, factors) -> list[float]:
-        """Max |X_k(xi) Y_k(eta) - f_k S(t_k)| over the grid at each time,
-        f_k the evolver's unit phase: through the FFT transform where the
-        times allow it, as the evolver takes it, and from the frame ``at``
-        otherwise. A NaN anywhere makes that time's maximum NaN."""
+        """Max |e^{-i s pi/4} X_k(xi) Y_k(eta) - S(t_k)| over the grid at
+        each time, the phase taken off X as the evolver takes it
+        (``_phase_off``): through the FFT transform
+        where the times allow it, as the evolver takes it, and from the
+        frame ``at`` otherwise. A NaN anywhere makes that time's maximum
+        NaN."""
         times = [float(t) for t in times]
         if not times:
             return []
@@ -229,14 +232,13 @@ class FieldEvolver(SpectralEvolver):
             len(times), self._grid.eta_axis.size
         ):
             raise ValueError("need one pair of factors on the grid axes per time")
-        unit = self._alignment(times, x, y)
         turns = self._whole_turns(times)
         if not turns:
             return [
-                float(np.max(np.abs(np.outer(x[k], y[k]) - unit[k] * self.at(t).values)))
+                float(np.max(np.abs(np.outer(self._phase_off(x[k]), y[k]) - self.at(t).values)))
                 for k, t in enumerate(times)
             ]
-        references = [self._references(x, y, unit, image) for image in self._images]
+        references = [self._references(x, y, image) for image in self._images]
         worst = np.zeros(len(times))
         with np.errstate(invalid="ignore"):  # NaN propagates through the maxima
             for runs, plans in self._fft_passes(len(times), turns, references):
@@ -262,36 +264,6 @@ class FieldEvolver(SpectralEvolver):
                 ks = order[r::step]
                 plans.append((ks, slice(int(bins[ks[0]]), None, step), xq[ks], yq[ks]))
         return [(self._fft_runs(count), plans)]
-
-    def field_alignment(self, times: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Unit phase f_k = ref / S at each time's (argmax |X_k|, argmax |Y_k|).
-
-        S there is Q summed directly over the levels at the time of the
-        image that holds the point, from the stored fields of its quadrant
-        point, then given that image's sign and conjugate; f is 1 where S
-        is 0, as in ``aligned_max_difference``.
-        """
-        ks = np.arange(len(times))
-        i, j = np.argmax(np.abs(x), axis=1), np.argmax(np.abs(y), axis=1)
-        ref = x[ks, i] * y[ks, j]
-        row0, col0 = self._start
-        value = np.empty(len(times), dtype=complex)
-        for fx, fy, s, sign in self._images:
-            at = np.flatnonzero(((i < row0) == fx) & ((j < col0) == fy))
-            if not at.size:
-                continue
-            rows = (x.shape[1] - 1 - i[at] if fx else i[at]) - row0
-            cols = (y.shape[1] - 1 - j[at] if fy else j[at]) - col0
-            shift = math.pi / self._omega if fx else 0.0
-            taus = s * self._omega * (np.asarray([times[k] for k in at]) + shift)
-            phase = np.outer(taus, self._field_levels + 1)
-            q = np.sum(self._fields[:, rows, cols].T * np.exp(-1j * phase), axis=1)
-            value[at] = sign * (q.conj() if s < 0 else q)
-        unit = np.ones(len(times), dtype=complex)
-        nonzero = value != 0.0
-        unit[nonzero] = ref[nonzero] / value[nonzero]
-        unit[nonzero] /= np.abs(unit[nonzero])
-        return unit
 
     def _row_runs(self, lines: int) -> list[slice]:
         """The quadrant's rows in runs, tallest first, over each of which a

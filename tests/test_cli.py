@@ -548,10 +548,11 @@ class TestEvolve:
     @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:tail mass:UserWarning")
     def test_phase_of_an_overflowing_quotient(self, capsys):
         """(40, 0) cut at --nmax 0 keeps one mode, c ~ 1.9e-174. At some of
-        the 64 times S at the alignment point is so small that ref / S
-        overflows; the unit phase then comes from the angles, with no
-        numpy warning, and each residual is aligned_max_difference of that
-        time's frames."""
+        the 64 times S at the reference's peak is so small that a quotient
+        ref / S would overflow; the comparison takes no quotient, its phase
+        being the conventions' constant e^{i s pi/4}. No numpy warning, and
+        each residual is the closed-form frame's difference from at(t) at
+        that phase."""
         argv = ["evolve", "--xi0", "40", "--eta0", "0", "--nmax", "0", "--tsteps", "64"]
         code, out, err = run([*argv, "--format", "json"], capsys)
         assert (code, err) == (EXIT_OK, "")
@@ -561,8 +562,9 @@ class TestEvolve:
         evolver = dynamics.SpectralEvolver(expansion.build_table(config.params, config.n_max), grid)
         assert len(rows) == 64
         for row in rows:
-            frame = dynamics.evolve_closed_form(config.params, grid, row["t"])
-            expect = dynamics.aligned_max_difference(frame, evolver.at(row["t"]))
+            frame = dynamics.evolve_closed_form(config.params, grid, row["t"]).values
+            phase = np.exp(0.25j * math.pi * config.params.chirality.sign)
+            expect = float(np.max(np.abs(frame - phase * evolver.at(row["t"]).values)))
             assert math.isfinite(row["spectral_max_err"])
             assert abs(row["spectral_max_err"] - expect) <= 1e-12
 
@@ -591,6 +593,23 @@ class TestVerify:
             assert lines[CHECKS.index("orbit-nonspreading")].startswith(
                 "FAIL orbit-nonspreading residual=nan "
             )
+
+    def test_fails_a_reference_off_by_a_time_phase(self, monkeypatch, capsys):
+        """A closed form off by the global phase e^{i w t}, which a
+        synthesis dropping the zero-point phase would show, fails
+        spectral-completeness alone: the densities, and so every other
+        check, are unchanged."""
+        closed_form_factors = dynamics.closed_form_factors
+
+        def shifted(params, grid, times):
+            times = list(times)
+            x, y = closed_form_factors(params, grid, times)
+            return x * np.exp(1j * params.omega * np.asarray(times))[:, None], y
+
+        monkeypatch.setattr(dynamics, "closed_form_factors", shifted)
+        code, out, err = run(["verify", "--xi0", "1.5", "--eta0", "0.5"], capsys)
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert (code, failed, err) == (EXIT_VERIFY_FAIL, ["spectral-completeness"], "")
 
     def test_leaves_numpy_ma_unloaded(self):
         """verify imports nothing numpy loads lazily: numpy 2's np.unique

@@ -128,6 +128,14 @@ def quadrant(grid):
     return (slice(_mirror_start(grid.xi_axis), None), slice(_mirror_start(grid.eta_axis), None))
 
 
+def fixed_phase_difference(params, grid, t, frame):
+    """max |closed - e^{i s pi/4} frame| over the grid, the closed form at t:
+    the spectral comparison at the one constant phase the conventions fix."""
+    closed = evolve_closed_form(params, grid, t).values
+    phase = np.exp(0.25j * math.pi * params.chirality.sign)
+    return float(np.max(np.abs(closed - phase * frame)))
+
+
 def scale_ulps(got, expect, scale=None):
     """max |got - expect| in units of the last place of max |scale|, by
     default of max |expect|."""
@@ -583,7 +591,7 @@ def assert_within_serial_bounds(evolver, grid, monkeypatch):
     y = np.zeros((len(times), grid.eta_axis.size))
 
     def fused():
-        for values, blocks in evolver._fused(times, np.ones(len(times)), x, y):
+        for values, blocks in evolver._fused(times, x, y):
             assert values.nbytes <= grid.values.nbytes
             assert len(blocks) == 1 + bool(col0)
             assert all(np.shares_memory(block, values) for block in blocks)
@@ -696,20 +704,15 @@ class TestSynthesis:
         t = 0.9
         assert np.max(np.abs(evolver.at(t).values - direct_sum(fields, 1.0, t))) < 1e-13
         for times in ([0.2, t, 2.0], [2.0 * math.pi * k / 8 for k in range(8)]):
-            expect = [
-                aligned_max_difference(
-                    evolve_closed_form(p, grid, s), grid.with_values(direct_sum(fields, 1.0, s))
-                )
-                for s in times
-            ]
+            expect = [fixed_phase_difference(p, grid, s, direct_sum(fields, 1.0, s)) for s in times]
             got = evolver.residuals(times, closed_form_factors(p, grid, times))
             assert np.max(np.abs(np.subtract(got, expect))) < 1e-12
 
     @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
     def test_frames_match_direct_sum(self, count):
         """Any number of times: each frame matches the direct sum, and each
-        time's residual is the one aligned_max_difference takes against it,
-        in order."""
+        time's residual is the closed form's difference from it at the
+        conventions' phase, in order."""
         p = PacketParams(3.0, 1.0, chirality=Chirality.ADVANCED)
         grid = make_grid(p, points=65)
         table = build_table(p)
@@ -725,7 +728,7 @@ class TestSynthesis:
         residuals = evolver.residuals(iter(times), closed_form_factors(p, grid, times))
         assert len(residuals) == count
         for t, frame, residual in zip(times, frames, residuals):
-            expect = aligned_max_difference(evolve_closed_form(p, grid, t), frame)
+            expect = fixed_phase_difference(p, grid, t, frame.values)
             assert abs(residual - expect) < 1e-12
 
     def test_empty_table_synthesizes_zero(self):
@@ -735,12 +738,10 @@ class TestSynthesis:
         with pytest.warns(UserWarning, match="tail mass"):
             evolver = SpectralEvolver(empty, grid)
         assert not np.any(evolver.at(0.3).values)
-        zero = grid.with_values(np.zeros_like(grid.values))
+        zero = np.zeros_like(grid.values)
         # arbitrary times, then a whole period in an even number of steps
         for times in ([0.0, 0.3, 1.0, 2.0, 5.0], [2.0 * math.pi * k / 6 for k in range(6)]):
-            expect = [
-                aligned_max_difference(evolve_closed_form(p, grid, t), zero) for t in times
-            ]
+            expect = [fixed_phase_difference(p, grid, t, zero) for t in times]
             got = evolver.residuals(times, closed_form_factors(p, grid, times))
             assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
         assert evolver.residuals([], []) == []
@@ -821,9 +822,9 @@ class TestFusedResidual:
     def test_matches_the_reference_comparison(
         self, xi0, eta0, omega, turns, steps, points, shifts, chirality
     ):
-        """Each time's residual is aligned_max_difference of the closed-form
-        frame and at(t), whichever transform the sweep takes and however
-        many axes of the grid are mirrored."""
+        """Each time's residual is the closed-form frame's difference from
+        at(t) at the conventions' phase, whichever transform the sweep takes
+        and however many axes of the grid are mirrored."""
         p = PacketParams(xi0, eta0, chirality=chirality, omega=omega)
         if shifts is None:
             grid = make_grid(p, points=points)
@@ -840,9 +841,28 @@ class TestFusedResidual:
         residuals = evolver.residuals(times, closed_form_factors(p, grid, times))
         assert len(residuals) == steps
         for t, residual in zip(times, residuals):
-            expect = aligned_max_difference(evolve_closed_form(p, grid, t), evolver.at(t))
+            expect = fixed_phase_difference(p, grid, t, evolver.at(t).values)
             assert abs(residual - expect) < 1e-12
             assert expect < 1e-8
+
+    @pytest.mark.parametrize(
+        "times,turns", [([0.0, 0.7, math.pi, 5.1], 0), (sweep(1, 4, 1.0), 1)], ids=["fused", "fft"]
+    )
+    def test_a_global_phase_on_the_reference_is_not_absorbed(self, times, turns):
+        """The reference times e^{i w t}, the factor by which a synthesis
+        with e^{-i N w t} in place of e^{-i (N+1) w t} would differ, reads
+        more than 0.1 wherever e^{i w t} is not 1, by either transform; at
+        t = 0 the residual is unchanged."""
+        p = PacketParams(1.5, 0.5)
+        grid = make_grid(p)
+        evolver = SpectralEvolver(build_table(p), grid)
+        assert evolver._whole_turns(times) == turns
+        x, y = closed_form_factors(p, grid, times)
+        shifted = x * np.exp(1j * p.omega * np.asarray(times))[:, None]
+        plain, moved = evolver.residuals(times, (x, y)), evolver.residuals(times, (shifted, y))
+        assert max(plain) < 1e-8
+        assert moved[0] == plain[0]
+        assert min(moved[1:]) > 0.1
 
     @pytest.mark.parametrize("chirality", list(Chirality))
     @pytest.mark.parametrize(
@@ -966,17 +986,15 @@ class TestFusedResidual:
 #   of its rows, and where one of those bands held one row, BLAS took it by
 #   its matrix-vector kernel, whose sums run in another order. None at the
 #   automatic cutoffs on make_grid grids, so FFT residuals, which reduce the
-#   planes to maxima with the evolver's own unit phases, stay bitwise.
+#   planes to maxima against the evolver's own reference factors, stay
+#   bitwise.
 # - The fused product sums the box's terms, not the levels' fields, and
 #   takes e^{-i (N+1) w t} as e^{-i (nx+1) w t} e^{-i ny w t}, whose
 #   arguments round apart. Frames: 137.5 (137.48 measured, at w t = 58.6,
 #   where the arguments reach 1800 rad). Residuals: 0.072 (0.0712).
-# - Unit phases: the alignment's sum over the rotated table against the
-#   stored fields' at the point, 4.75e-15 absolute (4.743e-15 measured).
 PLANE_ULPS = 4.0
 FRAME_ULPS = 137.5
 RESIDUAL_ULPS = 0.072
-UNIT_DIFFERENCE = 4.75e-15
 
 
 def pin_sweeps(omega):
@@ -1039,9 +1057,10 @@ class TestReferencePins:
         between them runs of zeros in the rotated triangle. A whole-period
         sweep of 4 steps has fewer bins than levels, so the FFT fold puts
         several levels in one bin across the wrap; 3 other times take the
-        fused product. Each residual is aligned_max_difference of the
-        frames at(t) and the reference's, to 1e-12 of residuals near 0.5,
-        and through the FFT transform the reference's bit for bit."""
+        fused product. Each residual is the closed-form frame's difference
+        from at(t) at the conventions' phase and the reference's, to 1e-12
+        of residuals near 0.5, and through the FFT transform the
+        reference's bit for bit."""
         p = PacketParams(1.5, 0.5, omega=0.7)
         table = CoefficientTable(p, 6, [1, -2], [0, 2], [0.6, 0.8])
         assert table.principal.tolist() == [1, 6]
@@ -1054,7 +1073,7 @@ class TestReferencePins:
             if turns:
                 assert bits(got) == bits(expect)
             for t, residual, pinned in zip(times, got, expect):
-                frame = aligned_max_difference(evolve_closed_form(p, grid, t), evolver.at(t))
+                frame = fixed_phase_difference(p, grid, t, evolver.at(t).values)
                 assert abs(residual - frame) < 1e-12
                 assert abs(residual - pinned) < 1e-12
 
@@ -1068,23 +1087,6 @@ class TestReferencePins:
         evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
         for t in (0.0, 0.7, 3.1, 29.3):
             assert scale_ulps(evolver.at(t).values, reference.at(t).values) <= FRAME_ULPS
-
-    @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
-    @pytest.mark.parametrize("params,points", PIN_PACKETS)
-    def test_alignment_is_the_field_alignment(self, params, points, shifts):
-        """The unit phases summed over the rotated table at each time's
-        point are those read off the stored fields there, within
-        UNIT_DIFFERENCE, on points of every image."""
-        for chirality in Chirality:
-            p = dataclasses.replace(params, chirality=chirality)
-            grid = pin_grid(p, points, shifts)
-            table = build_table(p)
-            evolver, reference = SpectralEvolver(table, grid), FieldEvolver(table, grid)
-            for times in pin_sweeps(p.omega):
-                x, y = closed_form_factors(p, grid, times)
-                got = evolver._alignment(times, x, y)
-                expect = reference.field_alignment(times, x, y)
-                assert np.max(np.abs(got - expect)) <= UNIT_DIFFERENCE
 
     @pytest.mark.parametrize("shifts", PIN_GRIDS, ids=["mirrored", "xi", "eta", "none"])
     @pytest.mark.parametrize("count", [4, 9, 63])
